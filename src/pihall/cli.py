@@ -249,7 +249,8 @@ def cmd_corpus(args) -> int:
     elapsed = int((time.perf_counter() - t0) * 1000)
     report = make_report("corpus", {"manifest": args.manifest or "builtin"},
                          None, args.seed, budgets, run.to_dict(),
-                         {"corpus_ms": elapsed})
+                         {"corpus_ms": elapsed,
+                          "entries": run.entry_timings()})
     _emit(report, args)
     print(f"{'entry':<14}{'pi':<8}{'agree':<7}{'manifest':<9}")
     for r in run.entries:

@@ -8,9 +8,10 @@ the first one in the extension is a {2,3}-Hall subgroup there meeting the
 inner copy exactly in it.  Exhaustiveness of the three classes is beyond
 desk scale and reported as an assumption, not a result.
 
-On success the pipeline registers the extension's conjugacy verdict and
-Hall subgroup in the special-case registry, which the generic reduction
-consults for groups past the oracle budget.
+On success the pipeline can record the extension's conjugacy verdict and
+Hall subgroup in a SpecialCaseRegistry the caller hands it; passing that
+object to `cpi_reduce(known=...)` lets the generic reduction decide the
+extension, past the oracle budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .arith import PiSet, pi_part
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup
 from .hall import is_hall
-from .registry import REGISTRY
+from .registry import SpecialCaseRegistry
 
 PI = PiSet([2, 3])
 DIMS = [(2, 1, 2), (1, 2, 2), (2, 2, 1)]
@@ -68,8 +69,10 @@ def _self_normalizing_certificate(G: PermGroup, H: PermGroup,
 
 
 def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
-                register: bool = True) -> dict:
+                known: SpecialCaseRegistry | None = None) -> dict:
     """Execute every verification of the example; returns the report dict.
+    When `known` is given, the verified verdict and Hall subgroup of the
+    extension are registered in it.
 
     Raises ExampleFailure at the first claim that does not hold."""
     t_start = time.perf_counter()
@@ -163,9 +166,9 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
            "invariant, hence not extendable; k = 1 given exhaustiveness",
            k_induced=1, known_classes=3)
 
-    if register:
-        REGISTRY.register_cpi_verdict(hat.group, PI, True)
-        REGISTRY.register_hall(hat.group, PI, H)
+    if known is not None:
+        known.register_cpi_verdict(hat.group, PI, True)
+        known.register_hall(hat.group, PI, H)
         report["registered"] = True
 
     report["elapsed_ms"] = int((time.perf_counter() - t_start) * 1000)

@@ -407,19 +407,12 @@ class PermGroup:
 
     # -- invariants ------------------------------------------------------------
 
-    def fingerprint(self, sample_size: int = 1000, seed: int = 101):
+    def fingerprint(self):
         """Conjugation-invariant signature: (order, orbit-length multiset,
-        element-order histogram of a fixed-seed sample)."""
+        element-order histogram).  Enumerates every element; meant for
+        small groups."""
         if self._fingerprint is None:
-            order = self.order()
-            if order <= sample_size:
-                orders = sorted(p.order() for p in self.elements())
-            else:
-                rng = random.Random(seed)
-                chain = self.chain()
-                orders = sorted(
-                    Perm(chain.random_tuple(rng), validate=False).order()
-                    for _ in range(sample_size))
+            orders = sorted(p.order() for p in self.elements())
             histogram = []
             for value in orders:
                 if histogram and histogram[-1][0] == value:
@@ -427,7 +420,7 @@ class PermGroup:
                 else:
                     histogram.append([value, 1])
             self._fingerprint = (
-                order,
+                self.order(),
                 self.orbit_sizes(),
                 tuple((v, c) for v, c in histogram),
             )
@@ -440,11 +433,6 @@ class PermGroup:
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"
         return f"PermGroup(degree={self.degree}, {label})"
-
-
-def group_from_gens(degree: int, tuples: Iterable[Sequence[int]],
-                    name: str | None = None) -> PermGroup:
-    return PermGroup(degree, [Perm(t) for t in tuples], name=name)
 
 
 def require_subgroup(G: PermGroup, H: PermGroup, what: str = "H") -> None:

@@ -17,13 +17,14 @@ BudgetExceededError instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import PiSet, is_pi_number, p_part, pi_part
 from .backtrack import BudgetExceededError, conjugating_element, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, require_subgroup
 from .perms import Perm
+from .registry import SpecialCaseRegistry
 from .structure import chief_series, get_table, is_normal
 from .tables import ElementTable
 
@@ -305,20 +306,20 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
 
 
 def find_hall(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
-              seed: int = 1) -> PermGroup | None:
+              seed: int = 1,
+              known: SpecialCaseRegistry | None = None) -> PermGroup | None:
     """One pi-Hall subgroup, or None with certainty (search exhausted).
 
-    Groups past the enumeration budget are served from the special-case
-    registry when a verified entry exists."""
+    `known`, a SpecialCaseRegistry, can serve groups past the enumeration
+    budget; its hits are verified Hall subgroups of G."""
     order = G.order()
     m = pi_part(order, pi)
     if m == 1:
         return PermGroup(G.degree, [])
     if m == order:
         return G
-    if order > budgets.order_budget:
-        from .registry import REGISTRY
-        hit = REGISTRY.lookup_hall(G, pi)
+    if known is not None:
+        hit = known.lookup_hall(G, pi)
         if hit is not None:
             return hit
     tbl = get_table(G, budgets.order_budget)
@@ -372,13 +373,31 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
 
 @dataclass
 class ECDReport:
+    """E, C and k with the Hall classes; D is computed on first read (it
+    needs the dominance sweep) and then kept on the report."""
+
     group: PermGroup
     pi: PiSet
     E: bool
     C: bool
-    D: bool
     k: int
     classes: HallClassSet
+    budgets: Budgets
+    _D: bool | None = field(default=None, repr=False)
+
+    @property
+    def D(self) -> bool:
+        if self._D is None:
+            order = self.group.order()
+            m = pi_part(order, self.pi)
+            if m in (1, order):
+                self._D = True
+            elif not self.C:
+                self._D = False
+            else:
+                self._D = _dominance_check(self.group, self.pi, m,
+                                           self.budgets)
+        return self._D
 
     def flags(self) -> dict:
         return {"E": self.E, "C": self.C, "D": self.D, "k": self.k}
@@ -387,30 +406,31 @@ class ECDReport:
 _classify_cache: dict = {}
 
 
-def classify_ECD(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
-                 seed: int = 1) -> ECDReport:
-    """E: a Hall subgroup exists; C: exactly one class; D: C and every
-    maximal pi-subgroup is Hall."""
-    key = (G.canonical_key(), pi.primes, seed)
+def classify_EC(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
+                seed: int = 1) -> ECDReport:
+    """E: a Hall subgroup exists; C: exactly one class.  The entry point
+    for callers that do not need D: the dominance sweep runs only if the
+    report's D is read."""
+    key = (G.canonical_key(), pi.primes, seed, budgets)
     got = _classify_cache.get(key)
     if got is not None:
         return got
-    order = G.order()
-    m = pi_part(order, pi)
     classes = all_hall_classes(G, pi, budgets, seed)
     k = classes.k
-    E = k >= 1
-    C = k == 1
-    if m in (1, order):
-        D = True
-    elif not C:
-        D = False
-    else:
-        D = _dominance_check(G, pi, m, budgets)
-    report = ECDReport(G, pi, E, C, D, k, classes)
+    report = ECDReport(G, pi, E=k >= 1, C=k == 1, k=k, classes=classes,
+                       budgets=budgets)
     if len(_classify_cache) > 512:
         _classify_cache.clear()
     _classify_cache[key] = report
+    return report
+
+
+def classify_ECD(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
+                 seed: int = 1) -> ECDReport:
+    """E and C as in classify_EC; D: C and every maximal pi-subgroup is
+    Hall.  D is computed before returning."""
+    report = classify_EC(G, pi, budgets, seed)
+    report.D  # the dominance sweep runs here, inside the call
     return report
 
 
@@ -672,13 +692,15 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
 
 
 def lift_hall(G: PermGroup, A: PermGroup, hom, Kbar: PermGroup, pi: PiSet,
-              budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1) -> PermGroup:
+              budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
+              known: SpecialCaseRegistry | None = None) -> PermGroup:
     """A pi-Hall subgroup H of G whose image modulo A is Kbar, given the
-    coset action hom of G on A.  Kbar must be pi-Hall in the quotient."""
+    coset action hom of G on A.  Kbar must be pi-Hall in the quotient;
+    `known` is passed to find_hall for a preimage past the budget."""
     if not is_hall(hom.quotient, Kbar, pi):
         raise ValueError("Kbar is not a pi-Hall subgroup of the quotient")
     K = hom.preimage_group(Kbar)
-    H = find_hall(K, pi, budgets, seed)
+    H = find_hall(K, pi, budgets, seed, known)
     if H is None:
         raise ValueError("no Hall subgroup in the preimage: source is not E_pi")
     assert is_hall(G, H, pi)

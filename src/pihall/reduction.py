@@ -8,8 +8,9 @@ invariant class.  A failed check certifies the negative verdict; finishing
 all levels produces a Hall subgroup witness.
 
 Instances whose classification exceeds the oracle budget can be served
-from a registry of special-cased results keyed by group fingerprint; the
-trace marks every value that came from it.
+from special-cased results the caller passes explicitly (`known`, a
+SpecialCaseRegistry whose hits are confirmed exactly); the trace marks
+every value that came from it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .arith import PiSet, is_pi_number, pi_part
 from .backtrack import BudgetExceededError, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
-from .hall import (all_hall_classes, class_is_G_invariant, classify_ECD,
+from .hall import (all_hall_classes, class_is_G_invariant, classify_EC,
                    extend_hall, is_hall)
-from .registry import REGISTRY, SpecialCaseRegistry
+from .registry import SpecialCaseRegistry
 from .structure import (ChiefSeries, chief_factor_decomposition, chief_series,
                         induced_automizer, normal_subgroups)
 
@@ -36,6 +37,15 @@ class AutomizerCheck:
     cpi_verdict: bool
     special_cased: bool = False
     orbit_size: int = 1
+    route: str | None = None          # InducedAutomizer.route; None if abelian
+
+    def to_dict(self) -> dict:
+        return {"factor_index": self.factor_index,
+                "automizer_order": self.automizer_order,
+                "cpi_verdict": self.cpi_verdict,
+                "special_cased": self.special_cased,
+                "orbit_size": self.orbit_size,
+                "route": self.route}
 
 
 @dataclass
@@ -56,13 +66,7 @@ class LevelRecord:
             "factor_order": self.factor_order,
             "factor_kind": self.factor_kind,
             "simple_factor_count": self.simple_factor_count,
-            "automizer_checks": [
-                {"factor_index": c.factor_index,
-                 "automizer_order": c.automizer_order,
-                 "cpi_verdict": c.cpi_verdict,
-                 "special_cased": c.special_cased,
-                 "orbit_size": c.orbit_size}
-                for c in self.automizer_checks],
+            "automizer_checks": [c.to_dict() for c in self.automizer_checks],
             "H_order": self.H_order,
             "H_next_order": self.H_next_order,
             "failure": self.failure,
@@ -136,7 +140,7 @@ def _factor_orbit_reps(Hi: PermGroup, factors: list[PermGroup],
 def automizer_cpi_check(Hi: PermGroup, A: PermGroup, B: PermGroup,
                         factors: list[PermGroup], pi: PiSet,
                         budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
-                        registry: SpecialCaseRegistry | None = None,
+                        known: SpecialCaseRegistry | None = None,
                         abelian: bool | None = None) -> list[AutomizerCheck]:
     """Conjugacy-property verdicts for the automorphism groups induced by
     Hi on the simple factors of the chief factor A/B (one representative
@@ -157,17 +161,18 @@ def automizer_cpi_check(Hi: PermGroup, A: PermGroup, B: PermGroup,
         target = aut.section_image
         verdict = None
         special = False
-        if registry is not None:
-            hit = registry.lookup_cpi_verdict(target, pi)
+        if known is not None:
+            hit = known.lookup_cpi_verdict(target, pi)
             if hit is not None:
                 verdict, special = hit, True
         if verdict is None:
-            verdict = classify_ECD(target, pi, budgets, seed).C
+            verdict = classify_EC(target, pi, budgets, seed).C
         checks.append(AutomizerCheck(factor_index=j,
                                      automizer_order=target.order(),
                                      cpi_verdict=verdict,
                                      special_cased=special,
-                                     orbit_size=orbit_size))
+                                     orbit_size=orbit_size,
+                                     route=aut.route))
     return checks
 
 
@@ -176,15 +181,15 @@ def automizer_cpi_check(Hi: PermGroup, A: PermGroup, B: PermGroup,
 
 def _hall_in_pi_extension(X: PermGroup, A: PermGroup, pi: PiSet,
                           budgets: Budgets, seed: int,
-                          registry: SpecialCaseRegistry | None):
+                          known: SpecialCaseRegistry | None):
     """A pi-Hall subgroup of X, where A is normal in X with pi-group
     quotient; (hall | None-with-certainty, special_cased)."""
     if pi_part(X.order(), pi) == 1:
         return PermGroup(X.degree, []), False
     if is_pi_number(X.order(), pi):
         return X, False
-    if registry is not None:
-        hit = registry.lookup_hall(X, pi)
+    if known is not None:
+        hit = known.lookup_hall(X, pi)
         if hit is not None:
             return hit, True
     classes = all_hall_classes(A, pi, budgets, seed)
@@ -197,18 +202,18 @@ def _hall_in_pi_extension(X: PermGroup, A: PermGroup, pi: PiSet,
 
 def _level_hall(Hi: PermGroup, Gi: PermGroup, Gprev: PermGroup, pi: PiSet,
                 budgets: Budgets, seed: int,
-                registry: SpecialCaseRegistry | None):
+                known: SpecialCaseRegistry | None):
     """The full preimage in Hi of a pi-Hall subgroup of Hi/Gi, built through
     the chief factor Gprev/Gi; None with certainty when no Hall subgroup of
     the section exists."""
     if Gi.is_trivial():
-        return _hall_in_pi_extension(Hi, Gprev, pi, budgets, seed, registry)
+        return _hall_in_pi_extension(Hi, Gprev, pi, budgets, seed, known)
     hom = coset_action(Hi, Gi, degree_budget=budgets.coset_degree_budget,
                        check_subgroup=False)
     Abar = PermGroup(hom.domain_size,
                      [hom.image(a) for a in Gprev.generators])
     Hbar, special = _hall_in_pi_extension(hom.quotient, Abar, pi, budgets,
-                                          seed, registry)
+                                          seed, known)
     if Hbar is None:
         return None, special
     return hom.preimage_group(Hbar), special
@@ -218,11 +223,11 @@ def _level_hall(Hi: PermGroup, Gi: PermGroup, Gprev: PermGroup, pi: PiSet,
 
 
 def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
-               seed: int = 1, use_registry: bool = True,
+               seed: int = 1, known: SpecialCaseRegistry | None = None,
                series: ChiefSeries | None = None) -> ReductionTrace:
     """Decide the conjugacy property by chief-series descent; on success the
-    trace carries a pi-Hall subgroup witness."""
-    registry = REGISTRY if use_registry else None
+    trace carries a pi-Hall subgroup witness.  `known` supplies
+    special-cased verdicts and Hall subgroups for groups past the budgets."""
     shortcut = None
     if 2 not in pi or 3 not in pi:
         shortcut = corollary18_shortcut(G, pi, budgets, seed)
@@ -245,7 +250,7 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
             factors = chief_factor_decomposition(series, i, budgets, seed)
             count = len(factors)
             checks = automizer_cpi_check(Hi, A, B, factors, pi, budgets,
-                                         seed, registry, abelian=False)
+                                         seed, known, abelian=False)
         record = LevelRecord(index=i, factor_order=series.factor_order(i),
                              factor_kind="abelian" if abelian else "semisimple",
                              simple_factor_count=count,
@@ -256,7 +261,7 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
             record.failure = "automizer"
             verdict = False
             break
-        Hnext, special = _level_hall(Hi, B, A, pi, budgets, seed, registry)
+        Hnext, special = _level_hall(Hi, B, A, pi, budgets, seed, known)
         record.special_cased_hall = special
         if Hnext is None:
             record.failure = "extension"
@@ -298,7 +303,7 @@ def corollary18_shortcut(G: PermGroup, pi: PiSet,
             section = coset_action(Fj, B,
                                    degree_budget=budgets.coset_degree_budget,
                                    check_subgroup=False).quotient
-        if not classify_ECD(section, pi, budgets, seed).C:
+        if not classify_EC(section, pi, budgets, seed).C:
             return False
     return True
 
@@ -308,14 +313,14 @@ def theorem1_suite(G: PermGroup, pi: PiSet,
                    seed: int = 1) -> list[tuple[PermGroup, bool]]:
     """For a group with the conjugacy property: HA keeps it for a fixed Hall
     subgroup H and every normal subgroup A.  Returns (A, verdict) pairs."""
-    base = classify_ECD(G, pi, budgets, seed)
+    base = classify_EC(G, pi, budgets, seed)
     if not base.C:
         raise ValueError("theorem1_suite requires the conjugacy property")
     H = base.classes.class_reps[0]
     out = []
     for A in normal_subgroups(G, budgets):
         HA = join_subgroups(G, [H, A])
-        out.append((A, classify_ECD(HA, pi, budgets, seed).C))
+        out.append((A, classify_EC(HA, pi, budgets, seed).C))
     return out
 
 
@@ -349,7 +354,7 @@ def compare_with_oracle(G: PermGroup, pi: PiSet,
     timings["reduce_ms"] = int((time.perf_counter() - t0) * 1000)
     t0 = time.perf_counter()
     try:
-        oracle: bool | str = classify_ECD(G, pi, budgets, seed).C
+        oracle: bool | str = classify_EC(G, pi, budgets, seed).C
     except BudgetExceededError as exc:
         oracle = f"budget_exceeded:{exc.kind}"
     timings["oracle_ms"] = int((time.perf_counter() - t0) * 1000)

@@ -1,10 +1,13 @@
-"""Injection point for results that bypass generic budgets.
+"""Special-cased results that bypass generic budgets.
 
-Populated only by dedicated pipelines (the GL5(2) example); consumers mark
-every injected value in their traces.  Conjugacy verdicts are keyed by the
-full group fingerprint.  Hall subgroups are verified against the querying
-group before being returned, so a hit is sound even if two different
-groups ever shared a fingerprint."""
+A pipeline that certifies a result past the oracle budget (the GL5(2)
+example) records it in a SpecialCaseRegistry it is handed; a caller passes
+that object to `cpi_reduce(known=...)`.  There is no process-wide
+registry.  Both tables are keyed by (degree, order, pi), and every hit is
+confirmed exactly before it is returned: a conjugacy verdict only for the
+same group (`same_group_as`), a Hall subgroup only when it is a Hall
+subgroup of the querying group.  Consumers mark every injected value in
+their traces."""
 
 from __future__ import annotations
 
@@ -14,32 +17,28 @@ from .groups import PermGroup
 
 class SpecialCaseRegistry:
     def __init__(self):
-        self._cpi: dict = {}
-        self._hall: dict = {}
+        self._cpi: dict = {}    # key -> [(group, verdict)]
+        self._hall: dict = {}   # key -> [hall subgroup]
 
     @staticmethod
     def _key(G: PermGroup, pi: PiSet):
-        return (G.fingerprint(), pi.primes)
+        return (G.degree, G.order(), pi.primes)
 
     def register_cpi_verdict(self, G: PermGroup, pi: PiSet, verdict: bool):
-        self._cpi[self._key(G, pi)] = verdict
+        self._cpi.setdefault(self._key(G, pi), []).append((G, verdict))
 
     def lookup_cpi_verdict(self, G: PermGroup, pi: PiSet):
-        return self._cpi.get(self._key(G, pi))
+        for K, verdict in self._cpi.get(self._key(G, pi), ()):
+            if K.same_group_as(G):
+                return verdict
+        return None
 
     def register_hall(self, G: PermGroup, pi: PiSet, hall: PermGroup):
-        self._hall.setdefault((G.order(), pi.primes), []).append(hall)
+        self._hall.setdefault(self._key(G, pi), []).append(hall)
 
     def lookup_hall(self, G: PermGroup, pi: PiSet):
         from .hall import is_hall
-        for hall in self._hall.get((G.order(), pi.primes), []):
-            if hall.degree == G.degree and is_hall(G, hall, pi):
+        for hall in self._hall.get(self._key(G, pi), ()):
+            if hall.is_subgroup_of(G) and is_hall(G, hall, pi):
                 return hall
         return None
-
-    def clear(self):
-        self._cpi.clear()
-        self._hall.clear()
-
-
-REGISTRY = SpecialCaseRegistry()

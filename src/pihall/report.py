@@ -42,12 +42,6 @@ class Report:
     def to_json(self, indent: int | None = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def results_json(self) -> str:
-        """The deterministic part only (everything except timings)."""
-        d = self.to_dict()
-        d.pop("timings")
-        return json.dumps(d, indent=1, sort_keys=True)
-
 
 def make_report(command: str, input_desc: dict, pi, seed: int,
                 budgets: Budgets, results: dict,
@@ -69,7 +63,3 @@ def class_fingerprints(classes: HallClassSet) -> list[dict]:
             "generators": [list(g.images) for g in rep.generators],
         })
     return out
-
-
-def round_trips(report: Report) -> bool:
-    return json.loads(report.to_json()) == report.to_dict()

@@ -25,7 +25,7 @@ from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _inv, _mul, join_subgroups, require_subgroup
 from .perms import Perm
-from .tables import ElementTable
+from .tables import ElementTable, require_order_within
 
 _SPIN_CHECK_LIMIT = 4096
 _SAMPLE_DRAWS = 48
@@ -34,6 +34,8 @@ _table_cache: dict = {}
 
 
 def get_table(G: PermGroup, order_budget: int) -> ElementTable:
+    # a cached table must not let a smaller budget skip its check
+    require_order_within(G, order_budget)
     key = G.canonical_key()
     tbl = _table_cache.get(key)
     if tbl is None:
@@ -433,23 +435,29 @@ class InducedAutomizer:
     hom: ActionHom
     route: str
 
-    def project(self, p: Perm) -> Perm:
-        return self.hom.image(p)
-
 
 def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
                       budgets: Budgets = DEFAULT_BUDGETS) -> InducedAutomizer:
     """Faithful representation of the automorphisms of A/B induced by G.
 
-    Requires B <= A with both normalized by G.  Representation: conjugation
-    on the nonidentity section elements when the section is small; the
-    ambient group itself when B = 1 and A has trivial centralizer; otherwise
-    the coset action on the section centralizer."""
+    Requires B <= A with both normalized by G.  Representation: the ambient
+    group itself when B = 1 and A has trivial centralizer (G already acts
+    faithfully, whatever the section size); else conjugation on the
+    nonidentity section elements when the section is small; otherwise the
+    coset action on the section centralizer."""
     require_subgroup(G, A, "A")
     if not B.is_trivial():
         require_subgroup(A, B, "B")
     if not (is_normal(G, A) and is_normal(G, B)):
         raise ValueError("A and B must be normalized by the ambient group")
+
+    if B.is_trivial():
+        cent = centralizer(G, A, node_budget=budgets.node_budget)
+        if cent.is_trivial():
+            hom = identity_hom(G)
+            return InducedAutomizer(ambient=G, section_image=G,
+                                    inner_image=A, kernel=cent, hom=hom,
+                                    route="ambient-faithful")
 
     section_size = A.order() // B.order()
     if section_size <= budgets.element_action_budget:
@@ -460,14 +468,6 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
         return InducedAutomizer(ambient=G, section_image=sec.quotient,
                                 inner_image=inner, kernel=sec.kernel(),
                                 hom=sec, route="element-action")
-
-    if B.is_trivial():
-        cent = centralizer(G, A, node_budget=budgets.node_budget)
-        if cent.is_trivial():
-            hom = identity_hom(G)
-            return InducedAutomizer(ambient=G, section_image=G,
-                                    inner_image=A, kernel=cent, hom=hom,
-                                    route="ambient-faithful")
 
     cent = _section_centralizer(G, A, B, budgets)
     hom = coset_action(G, cent, degree_budget=budgets.coset_degree_budget,

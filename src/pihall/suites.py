@@ -18,7 +18,7 @@ from .arith import PiSet, is_pi_number
 from .backtrack import BudgetExceededError, centralizer, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
-from .hall import (all_hall_classes, are_conjugate, classify_ECD,
+from .hall import (all_hall_classes, are_conjugate, classify_EC,
                    intersect_subgroups, is_hall, k_induced,
                    pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut, theorem1_suite
@@ -55,6 +55,7 @@ class CorpusEntryResult:
     comparison: dict
     matches_manifest: bool
     agree: bool | None
+    timings_ms: dict = field(default_factory=dict)   # not in to_dict
 
     def to_dict(self) -> dict:
         return {"name": self.name, "pi": self.pi, "expected": self.expected,
@@ -93,7 +94,8 @@ class CorpusContext:
         return self._quotients[key]
 
     def classify(self, G: PermGroup, pi: PiSet):
-        return classify_ECD(G, pi, self.budgets, self.seed)
+        """E, C, k and the classes; D is computed only where it is read."""
+        return classify_EC(G, pi, self.budgets, self.seed)
 
 
 def _entry_groups(entries) -> list[tuple[str, PermGroup]]:
@@ -121,7 +123,8 @@ def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult
         out.append(CorpusEntryResult(
             name=e["name"], pi=e["pi"], expected=e["expected"],
             observed=observed, comparison=cmp.to_dict(),
-            matches_manifest=matches, agree=cmp.agree))
+            matches_manifest=matches, agree=cmp.agree,
+            timings_ms=cmp.timings_ms))
     return out
 
 
@@ -534,6 +537,12 @@ class CorpusRunResult:
     def all_suites_pass(self) -> bool:
         return all(s.passed for s in self.suites)
 
+    def entry_timings(self) -> list[dict]:
+        """Per-entry reduce/oracle times; kept out of to_dict, whose bytes
+        are deterministic."""
+        return [{"name": r.name, "pi": r.pi, **r.timings_ms}
+                for r in self.entries]
+
     def to_dict(self) -> dict:
         return {
             "entries": [r.to_dict() for r in self.entries],
@@ -567,18 +576,20 @@ def _entry_job(args):
     entry, budget_dict, seed = args
     budgets = Budgets(**budget_dict)
     ctx = CorpusContext(budgets, seed)
-    return run_entry_comparisons([entry], ctx)[0].to_dict()
+    result = run_entry_comparisons([entry], ctx)[0]
+    return result.to_dict(), result.timings_ms
 
 
 def _run_entries_parallel(entries, budgets, seed, jobs):
     from concurrent.futures import ProcessPoolExecutor
     args = [(e, budgets.to_dict(), seed) for e in entries]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        dicts = list(pool.map(_entry_job, args))
+        jobs_out = list(pool.map(_entry_job, args))
     out = []
-    for e, d in zip(entries, dicts):
+    for d, timings in jobs_out:
         out.append(CorpusEntryResult(
             name=d["name"], pi=d["pi"], expected=d["expected"],
             observed=d["observed"], comparison=d["comparison"],
-            matches_manifest=d["matches_manifest"], agree=d["agree"]))
+            matches_manifest=d["matches_manifest"], agree=d["agree"],
+            timings_ms=timings))
     return out

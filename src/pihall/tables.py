@@ -17,13 +17,19 @@ from .perms import Perm
 DEFAULT_ORDER_BUDGET = 1_000_000
 
 
+def require_order_within(G: PermGroup, order_budget: int) -> int:
+    """|G|, or BudgetExceededError when it is past the enumeration budget."""
+    order = G.order()
+    if order > order_budget:
+        raise BudgetExceededError("enumeration-order",
+                                  f"|G| = {order} > {order_budget}")
+    return order
+
+
 class ElementTable:
     def __init__(self, G: PermGroup, order_budget: int | None = None):
         budget = DEFAULT_ORDER_BUDGET if order_budget is None else order_budget
-        order = G.order()
-        if order > budget:
-            raise BudgetExceededError("enumeration-order",
-                                      f"|G| = {order} > {budget}")
+        order = require_order_within(G, budget)
         self.group = G
         self.degree = G.degree
         dtype = np.uint16 if G.degree < 65536 else np.uint32

@@ -74,7 +74,20 @@ def brute_subgroups_of_order(G, order):
 
 
 @pytest.fixture(scope="session")
-def gl52_example_report():
-    """The example pipeline runs once per session; several tests consume it."""
+def gl52_example_run():
+    """The example pipeline runs once per session; several tests consume its
+    report and the special-case results it registered."""
     from pihall.example_gl52 import run_example
-    return run_example()
+    from pihall.registry import SpecialCaseRegistry
+    known = SpecialCaseRegistry()
+    return run_example(known=known), known
+
+
+@pytest.fixture(scope="session")
+def gl52_example_report(gl52_example_run):
+    return gl52_example_run[0]
+
+
+@pytest.fixture(scope="session")
+def gl52_known(gl52_example_run):
+    return gl52_example_run[1]

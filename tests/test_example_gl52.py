@@ -2,7 +2,7 @@ import json
 
 from pihall import zoo
 from pihall.arith import PiSet
-from pihall.reduction import REGISTRY, cpi_reduce
+from pihall.reduction import cpi_reduce
 
 PI23 = PiSet([2, 3])
 
@@ -54,7 +54,7 @@ def test_report_is_json_serializable(gl52_example_report):
     json.dumps(gl52_example_report)
 
 
-def test_lift_through_extension_quotient(gl52_example_report):
+def test_lift_through_extension_quotient(gl52_known):
     # lifting the order-2 quotient's (trivially Hall) top through the inner
     # copy produces the registered order-18432 Hall subgroup
     from pihall.actions import coset_action
@@ -62,17 +62,18 @@ def test_lift_through_extension_quotient(gl52_example_report):
     hat = zoo.gl52_hat()
     hom = coset_action(hat.group, hat.inner, check_subgroup=False)
     kbar = find_hall(hom.quotient, PI23)
-    H = lift_hall(hat.group, hat.inner, hom, kbar, PI23)
+    H = lift_hall(hat.group, hat.inner, hom, kbar, PI23, known=gl52_known)
     assert H.order() == 18432
     assert is_hall(hat.group, H, PI23)
 
 
-def test_registry_feeds_generic_reduction(gl52_example_report):
-    # the pipeline registered the extension; the generic procedure now
-    # decides it, marking the injected steps
+def test_registry_feeds_generic_reduction(gl52_example_report, gl52_known):
+    # the pipeline registered the extension; the generic procedure, handed
+    # those results, decides it and marks the injected steps
+    assert gl52_example_report["registered"] is True
     hat = zoo.gl52_hat()
-    assert REGISTRY.lookup_cpi_verdict(hat.group, PI23) is True
-    trace = cpi_reduce(hat.group, PI23)
+    assert gl52_known.lookup_cpi_verdict(hat.group, PI23) is True
+    trace = cpi_reduce(hat.group, PI23, known=gl52_known)
     assert trace.verdict
     assert trace.hall_witness.order() == 18432
     flagged = [lvl for lvl in trace.levels

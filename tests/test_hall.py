@@ -14,7 +14,7 @@ from pihall.hall import (all_hall_classes, are_conjugate, class_is_G_invariant,
                          intersect_subgroups, is_hall, k_induced, lift_hall,
                          pi_separable_series, sylow)
 from pihall.perms import Perm
-from pihall.structure import minimal_normal_subgroups
+from pihall.structure import get_table, minimal_normal_subgroups
 
 PI23 = PiSet([2, 3])
 PI25 = PiSet([2, 5])
@@ -130,6 +130,29 @@ def test_oracle_budget():
 
 
 # -- classification ---------------------------------------------------------------
+
+
+def test_classify_cache_keeps_the_budget():
+    # a cached answer must not let a smaller order budget skip its check
+    S5 = zoo.sym(5)
+    assert classify_ECD(S5, PI23).C is True
+    with pytest.raises(BudgetExceededError) as err:
+        classify_ECD(S5, PI23, Budgets(order_budget=10))
+    assert err.value.kind == "enumeration-order"
+    with pytest.raises(BudgetExceededError):
+        get_table(S5, 10)
+
+
+def test_classify_EC_leaves_dominance_unread(monkeypatch):
+    import pihall.hall as hall
+    calls = []
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    monkeypatch.setattr(hall, "_dominance_check",
+                        lambda *a: calls.append(a) or False)
+    rep = hall.classify_EC(zoo.alt(5), PI23)
+    assert (rep.E, rep.C, rep.k) == (True, True, 1) and not calls
+    assert hall.classify_ECD(zoo.alt(5), PI23) is rep and len(calls) == 1
+    assert rep.D is False and len(calls) == 1
 
 
 def test_classify_alt5():

@@ -7,9 +7,10 @@ from pihall.arith import PiSet
 from pihall.groups import PermGroup
 from pihall.hall import classify_ECD, is_hall
 from pihall.perms import Perm
-from pihall.reduction import (REGISTRY, automizer_cpi_check,
-                              compare_with_oracle, corollary18_shortcut,
-                              cpi_reduce, theorem1_suite)
+from pihall.reduction import (automizer_cpi_check, compare_with_oracle,
+                              corollary18_shortcut, cpi_reduce,
+                              theorem1_suite)
+from pihall.registry import SpecialCaseRegistry
 from pihall.structure import chief_factor_decomposition, chief_series
 
 PI23 = PiSet([2, 3])
@@ -153,14 +154,83 @@ def test_compare_with_oracle(name, pi, expected):
 
 
 def test_registry_round_trip():
+    known = SpecialCaseRegistry()
     G = zoo.sym(4)
-    REGISTRY.register_cpi_verdict(G, PI23, True)
-    assert REGISTRY.lookup_cpi_verdict(zoo.sym(4), PI23) is True
-    assert REGISTRY.lookup_cpi_verdict(zoo.sym(4), PI25) is None
+    known.register_cpi_verdict(G, PI23, True)
+    assert known.lookup_cpi_verdict(zoo.sym(4), PI23) is True
+    assert known.lookup_cpi_verdict(zoo.sym(4), PI25) is None
     H = zoo.sym(4)
-    REGISTRY.register_hall(G, PI23, H)
-    assert REGISTRY.lookup_hall(zoo.sym(4), PI23).same_group_as(H)
-    REGISTRY.clear()
+    known.register_hall(G, PI23, H)
+    assert known.lookup_hall(zoo.sym(4), PI23).same_group_as(H)
+    assert SpecialCaseRegistry().lookup_cpi_verdict(G, PI23) is None
+
+
+def _regular(elements, mul, gens):
+    """The right regular representation, on indices into `elements`."""
+    index = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    return PermGroup(n, [Perm([index[mul(x, g)] for x in elements])
+                         for g in gens])
+
+
+def test_registry_keys_are_exact_not_fingerprints():
+    # Z4 x Z4 and Q8 x Z2, both regular on 16 points, share the invariant
+    # (order, orbit lengths, element-order histogram)
+    z44 = _regular([(a, b) for a in range(4) for b in range(4)],
+                   lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 4),
+                   [(1, 0), (0, 1)])
+    # Q8 from explicit permutations of 8 points; i^2 = j^2 = (ij)^2
+    i = Perm.from_cycles(8, (0, 1, 2, 3), (4, 5, 6, 7))
+    j = Perm.from_cycles(8, (0, 4, 2, 6), (1, 7, 3, 5))
+    Q8 = PermGroup(8, [i, j])
+    assert Q8.order() == 8 and not Q8.is_abelian()
+    assert i * i == j * j == (i * j) * (i * j) != Perm.identity(8)
+    q8z2 = _regular([(q, z) for q in sorted(Q8.elements(), key=lambda p: p.images)
+                     for z in range(2)],
+                    lambda x, y: (x[0] * y[0], (x[1] + y[1]) % 2),
+                    [(i, 0), (j, 0), (Perm.identity(8), 1)])
+    assert z44.fingerprint() == q8z2.fingerprint() == \
+        (16, (16,), ((1, 1), (2, 3), (4, 12)))
+    two = PiSet([2])
+    known = SpecialCaseRegistry()
+    known.register_cpi_verdict(z44, two, True)
+    known.register_hall(z44, two, z44)
+    assert known.lookup_cpi_verdict(q8z2, two) is None
+    assert known.lookup_hall(q8z2, two) is None
+    assert known.lookup_cpi_verdict(PermGroup(16, z44.generators[::-1]),
+                                    two) is True
+
+
+def test_cpi_reduce_consults_only_the_given_registry():
+    # a (false) verdict registered for Alt(5)'s automizer is used, and
+    # marked, only when that registry is passed
+    known = SpecialCaseRegistry()
+    known.register_cpi_verdict(zoo.alt(5), PI23, False)
+    plain = cpi_reduce(zoo.alt(5), PI23)
+    injected = cpi_reduce(zoo.alt(5), PI23, known=known)
+    assert plain.verdict is True
+    assert injected.verdict is False
+    check = injected.levels[0].automizer_checks[0]
+    assert check.special_cased and check.route == "ambient-faithful"
+    assert check.to_dict()["route"] == "ambient-faithful"
+
+
+def test_reduction_does_no_dominance_or_fingerprint_work(monkeypatch):
+    # a work-count gate: deciding C needs neither the dominance sweep nor
+    # group fingerprints, so the reduction must succeed with both disabled
+    from pihall import hall, structure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wasted work")
+
+    monkeypatch.setattr(hall, "_dominance_check", refuse)
+    monkeypatch.setattr(PermGroup, "fingerprint", refuse)
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    monkeypatch.setattr(structure, "_table_cache", {})
+    G = zoo.build_named("gl4_2")
+    tr = cpi_reduce(G, PI23)
+    assert tr.verdict is True and is_hall(G, tr.hall_witness, PI23)
+    assert cpi_reduce(zoo.build_named("psl2_13"), PI23).verdict is False
 
 
 def test_trace_serialization_includes_generators():

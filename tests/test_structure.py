@@ -196,6 +196,15 @@ def test_induced_automizer_ambient_route():
     assert aut.inner_image.same_group_as(hat.inner)
 
 
+def test_induced_automizer_faithful_route_first():
+    # B = 1 and trivial centralizer: G itself is faithful, so no element
+    # action of degree |A| - 1 is built, even for a small section
+    G = zoo.build_named("psl2_13")
+    aut = induced_automizer(G, G, PermGroup(G.degree, []))
+    assert aut.route == "ambient-faithful"
+    assert aut.section_image is G
+
+
 def test_induced_automizer_coset_route():
     # force route (c): section over the element budget, centralizer nontrivial
     G = zoo.direct_product(zoo.sym(5), zoo.cyclic(3))
