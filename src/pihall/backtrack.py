@@ -31,6 +31,18 @@ class BudgetExceededError(RuntimeError):
         self.detail = detail
 
 
+class VerificationError(RuntimeError):
+    """A result failed the check that certifies it.
+
+    A fault in the program, never an answer about the group."""
+
+
+def certify(ok: bool, what: str) -> None:
+    """Raise VerificationError unless ok; unlike assert, never stripped."""
+    if not ok:
+        raise VerificationError(what)
+
+
 class SearchProperty:
     """Pruning and acceptance callbacks for one backtrack search."""
 
@@ -66,15 +78,14 @@ class _Searcher:
     # -- K (known subgroup) handling ---------------------------------------
 
     def set_known(self, gens) -> None:
+        # hinted with the search base, so K's levels line up with ours
         self.k_gens = list(gens)
-        self._rebuild_k()
+        self.k_chain = _Chain(self.degree, self.k_gens, hint=self.base)
+        self._minmaps.clear()
 
     def add_known(self, g) -> None:
         self.k_gens.append(g)
-        self._rebuild_k()
-
-    def _rebuild_k(self) -> None:
-        self.k_chain = _Chain(self.degree, self.k_gens, hint=self.base)
+        self.k_chain.extend(g)
         self._minmaps.clear()
 
     def _minmap(self, level: int) -> list[int]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import zoo
 from .arith import PiSet
-from .backtrack import BudgetExceededError
+from .backtrack import BudgetExceededError, VerificationError
 from .config import Budgets
 from .groups import PermGroup, join_subgroups
 from .hall import classify_ECD, k_induced
@@ -309,9 +309,12 @@ def cmd_example(args) -> int:
                          {"example_ms": elapsed})
     _emit(report, args)
     for c in results["claims"]:
-        print(f"  [{'ok' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}")
+        status = "assumed" if c.get("assumed") else "ok" if c["ok"] else "FAIL"
+        print(f"  [{status}] {c['name']}: {c['detail']}")
+    assumed = sum(1 for c in results["claims"] if c.get("assumed"))
     print(f"example-gl52: all {len(results['claims'])} claims verified "
-          f"({elapsed} ms); {results['exhaustiveness']}")
+          f"({elapsed} ms), {assumed} of them assumed; "
+          f"{results['exhaustiveness']}")
     return EXIT_OK
 
 
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -159,12 +159,13 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
            "the normalizer of the lifted first representative in the "
            "extension is exactly H", order=N.order())
 
-    # induced-class count over the inner copy, modulo exhaustiveness
+    # induced-class count over the inner copy: an assumption, not computed
     _claim(report, "induced-class-count", True,
-           "every Hall subgroup of the extension meets the inner copy in "
-           "the first class: the other two classes are swapped, hence not "
-           "invariant, hence not extendable; k = 1 given exhaustiveness",
-           k_induced=1, known_classes=3)
+           "assumed, not computed: if the three known classes are all the "
+           "Hall classes of GL5(2), every Hall subgroup of the extension "
+           "meets the inner copy in the first class (the other two are "
+           "swapped, hence not invariant, hence not extendable), so k = 1",
+           assumed=True, k_induced=1, known_classes=3)
 
     if known is not None:
         known.register_cpi_verdict(hat.group, PI, True)

@@ -138,6 +138,15 @@ class _Chain:
                 self._sift_add(0, g)
         self._complete()
 
+    def extend(self, w) -> bool:
+        """Add w to the group: sift it and, when it is not already a member,
+        install the residue and complete the chain again (incremental
+        Schreier-Sims).  True when the group grew."""
+        if self._sift_add(0, w) is None:
+            return False
+        self._complete()
+        return True
+
     def _install_gen(self, level: int, w) -> None:
         # w fixes the bases of all levels above `level`, so it generates
         # every stabilizer group down to that level.

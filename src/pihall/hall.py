@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import PiSet, is_pi_number, p_part, pi_part
-from .backtrack import BudgetExceededError, conjugating_element, normalizer
+from .backtrack import (BudgetExceededError, certify, conjugating_element,
+                        normalizer)
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, require_subgroup
+from .groups import PermGroup, _Chain, require_subgroup
 from .perms import Perm
 from .registry import SpecialCaseRegistry
 from .structure import chief_series, get_table, is_normal
@@ -107,12 +108,11 @@ def intersect_subgroups(H: PermGroup, A: PermGroup,
         raise BudgetExceededError("intersection",
                                   f"|smaller side| = {small.order()} > {limit}")
     gens: list[Perm] = []
-    current = PermGroup(H.degree, [])
+    span = _Chain(H.degree, [])
     for x in small.elements():
-        if not x.is_identity() and big.contains(x) and not current.contains(x):
+        if big.contains(x) and span.extend(x.images):
             gens.append(x)
-            current = PermGroup(H.degree, gens)
-    return current
+    return PermGroup(H.degree, gens)
 
 
 # -- the oracle ---------------------------------------------------------------------
@@ -363,7 +363,8 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
         k_set = tbl.indices_of_subgroup(K)
         x = orbits.transporter(h_set, k_set)
         if x is not None:
-            assert all(K.contains(h.conjugate(x)) for h in H.generators)
+            certify(all(K.contains(h.conjugate(x)) for h in H.generators),
+                    "transporter does not conjugate H onto K")
         return x
     return conjugating_element(G, H, K, node_budget=budgets.node_budget)
 
@@ -536,7 +537,8 @@ def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
         if len(gens) >= target:
             break
     closure = tbl.closure(gens, limit=target)
-    assert closure is not None and len(closure) == target
+    certify(closure is not None and len(closure) == target,
+            "Schreier generators do not close to the normalizer")
     return set(closure)
 
 
@@ -676,18 +678,19 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
     N = normalizer(G, M, node_budget=budgets.node_budget)
     NA = normalizer(A, M, node_budget=budgets.node_budget)
     # Frattini argument: G = N * A
-    assert N.order() * A.order() // NA.order() == G.order(), \
-        "Frattini factorization failed"
+    certify(N.order() * A.order() // NA.order() == G.order(),
+            "Frattini factorization failed")
     H = find_hall(N, pi, budgets, seed)
-    assert H is not None, "normalizer is pi-separable; a Hall subgroup exists"
-    assert is_hall(G, H, pi)
+    certify(H is not None,
+            "normalizer is pi-separable, yet no Hall subgroup was found")
+    certify(is_hall(G, H, pi), "the normalizer's Hall subgroup is not Hall")
     inter = intersect_subgroups(H, A, budgets.order_budget)
     if not inter.same_group_as(M):
         x = are_conjugate(A, inter, M, budgets)
-        assert x is not None, "H ∩ A must be A-conjugate to M"
+        certify(x is not None, "H ∩ A must be A-conjugate to M")
         H = PermGroup(G.degree, [h.conjugate(x) for h in H.generators])
         inter = intersect_subgroups(H, A, budgets.order_budget)
-        assert inter.same_group_as(M)
+        certify(inter.same_group_as(M), "conjugated H ∩ A is not M")
     return H
 
 
@@ -703,7 +706,7 @@ def lift_hall(G: PermGroup, A: PermGroup, hom, Kbar: PermGroup, pi: PiSet,
     H = find_hall(K, pi, budgets, seed, known)
     if H is None:
         raise ValueError("no Hall subgroup in the preimage: source is not E_pi")
-    assert is_hall(G, H, pi)
+    certify(is_hall(G, H, pi), "lifted subgroup is not Hall")
     return H
 
 

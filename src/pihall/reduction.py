@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .actions import coset_action
 from .arith import PiSet, is_pi_number, pi_part
-from .backtrack import BudgetExceededError, normalizer
+from .backtrack import BudgetExceededError, certify, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
 from .hall import (all_hall_classes, class_is_G_invariant, classify_EC,
@@ -239,7 +239,8 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     for i in range(1, len(series) + 1):
         A, B = series.factor_pair(i)
         # H_i over the previous term is a Hall subgroup of G over it
-        assert Hi.order() == A.order() * pi_part(G.order() // A.order(), pi)
+        certify(Hi.order() == A.order() * pi_part(G.order() // A.order(), pi),
+                f"level {i}: H_i is not Hall over the previous term")
         abelian = series.factor_is_abelian(i)
         if abelian:
             factors = []
@@ -272,7 +273,7 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     witness = None
     if verdict:
         witness = Hi
-        assert is_hall(G, witness, pi)
+        certify(is_hall(G, witness, pi), "the reduction's witness is not Hall")
     trace = ReductionTrace(group=G, pi=pi, series=series, levels=levels,
                            verdict=verdict, hall_witness=witness,
                            shortcut_verdict=shortcut)

@@ -1,14 +1,19 @@
 """Normal structure: closures, simplicity, minimal normal subgroups, chief
 series, and induced automorphism groups on sections.
 
-Within the enumeration budget everything is exact (conjugacy-class sweep).
-Above it, is_simple and minimal_normal_subgroups reduce along orbit
-restrictions and block actions; primitive groups are certified through a
-prime p dividing the degree with p^2 not dividing the order (every
-nontrivial normal subgroup is transitive, hence contains the normal
-closure of a Sylow p-subgroup).  Instances outside these reductions fall
-back to seeded sampling and are flagged by raising a budget error when the
-completeness check is inconclusive.
+Within the enumeration budget everything is exact and computed on the
+element table's conjugacy classes: a normal subgroup is a union of
+classes, so normal closures, simplicity, minimal normal subgroups and the
+normal-subgroup lattice are small computations on sets of class ids
+(ElementTable.normal_closure_classes); only the returned subgroups are
+built as PermGroups.  Above the budget, normal closures grow a stabilizer
+chain one generator at a time, and is_simple and minimal_normal_subgroups
+reduce along orbit restrictions and block actions; primitive groups are
+certified through a prime p dividing the degree with p^2 not dividing the
+order (every nontrivial normal subgroup is transitive, hence contains the
+normal closure of a Sylow p-subgroup).  Past these reductions, seeded
+sampling can only refute: a simplicity or completeness question it cannot
+settle raises a budget error instead of answering.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .arith import is_prime, p_part, prime_divisors
 from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, _inv, _mul, join_subgroups, require_subgroup
+from .groups import (PermGroup, _Chain, _inv, _mul, join_subgroups,
+                     require_subgroup)
 from .perms import Perm
 from .tables import ElementTable, require_order_within
 
@@ -50,19 +56,22 @@ def get_table(G: PermGroup, order_budget: int) -> ElementTable:
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements.
+
+    Generated by the seeds and their conjugates that enlarge the span, in
+    queue order; within the enumeration budget, normal structure is
+    computed on class ids instead (ElementTable.normal_closure_classes)."""
     gens: list[Perm] = []
-    K = PermGroup(G.degree, [])
+    span = _Chain(G.degree, [])
     queue = list(seeds)
     while queue:
         x = queue.pop(0)
-        if K.contains(x):
+        if not span.extend(x.images):
             continue
         gens.append(x)
-        K = PermGroup(G.degree, gens)
         for g in G.generators:
             queue.append(x.conjugate(g))
-    return K
+    return PermGroup(G.degree, gens)
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -106,17 +115,18 @@ def is_simple(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
         return True
     if order <= budgets.order_budget:
         tbl = get_table(G, budgets.order_budget)
-        _, reps = tbl.classes()
-        for rep in reps:
-            if rep == tbl.identity_idx:
-                continue
-            if not is_prime(tbl.element_order(rep)):
-                continue
-            M = normal_closure(G, [tbl.perm_of(rep)])
-            if M.order() < order:
-                return False
-        return True
+        # a proper subgroup has order at most |G|/2
+        return all(tbl.normal_closure_classes([cid], limit=order // 2) is None
+                   for cid in _prime_order_classes(tbl))
     return _is_simple_large(G, budgets, seed)
+
+
+def _prime_order_classes(tbl: ElementTable) -> list[int]:
+    """Ids of the classes of elements of prime order; every minimal normal
+    subgroup is the normal closure of one of them."""
+    _, reps = tbl.classes()
+    return [cid for cid, rep in enumerate(reps)
+            if rep != tbl.identity_idx and is_prime(tbl.element_order(rep))]
 
 
 def _is_simple_large(G: PermGroup, budgets: Budgets, seed: int) -> bool:
@@ -145,7 +155,8 @@ def _is_simple_large(G: PermGroup, budgets: Budgets, seed: int) -> bool:
                 continue
             M = normal_closure(G, [z])
             return M.order() == order
-    # sampling boundary: deterministic per seed, not a certificate
+    # sampling can find a proper normal closure (a witness of "not
+    # simple") but never certify simplicity
     rng = random.Random(seed)
     sources = list(G.generators)
     sources += [G.random_element(rng) for _ in range(_SAMPLE_DRAWS)]
@@ -155,19 +166,12 @@ def _is_simple_large(G: PermGroup, budgets: Budgets, seed: int) -> bool:
             M = normal_closure(G, [x ** (o // p)])
             if M.order() < order:
                 return False
-    return True
+    raise BudgetExceededError(
+        "simplicity", f"no certificate for a primitive group of order {order}"
+        f" on {n} points; sampling found no proper normal closure")
 
 
 # -- minimal normal subgroups ---------------------------------------------------
-
-
-def _minimal_sets(sets: list[frozenset]) -> list[frozenset]:
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    out = []
-    for s in uniq:
-        if not any(t < s for t in uniq):
-            out.append(s)
-    return out
 
 
 def minimal_normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
@@ -178,15 +182,10 @@ def minimal_normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
         raise ValueError("the trivial group has no minimal normal subgroups")
     if order <= budgets.order_budget:
         tbl = get_table(G, budgets.order_budget)
-        _, reps = tbl.classes()
-        closure_sets = set()
-        for rep in reps:
-            if rep == tbl.identity_idx or not is_prime(tbl.element_order(rep)):
-                continue
-            M = normal_closure(G, [tbl.perm_of(rep)])
-            closure_sets.add(tbl.indices_of_subgroup(M))
-        mins = _minimal_sets(list(closure_sets))
-        out = [tbl.subgroup(s) for s in mins]
+        closures = {tbl.normal_closure_classes([cid])
+                    for cid in _prime_order_classes(tbl)}
+        out = [tbl.subgroup(tbl.union_of_classes(s)) for s in closures
+               if not any(t < s for t in closures)]
         return sorted(out, key=_subgroup_sort_key)
     return _minimal_normals_large(G, budgets, seed)
 
@@ -281,34 +280,32 @@ def _transitive_on_factors(G: PermGroup, factors: list[PermGroup]) -> bool:
 def normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
                      limit: int = 512) -> list[PermGroup]:
     """All normal subgroups (within the enumeration budget): the join
-    semilattice generated by normal closures of conjugacy class reps."""
+    semilattice generated by the normal closures of single classes, as sets
+    of class ids, each kept with the classes that generate it."""
     tbl = get_table(G, budgets.order_budget)
-    _, reps = tbl.classes()
-    atoms: dict[frozenset, tuple] = {}
-    for rep in reps:
-        if rep == tbl.identity_idx:
-            continue
-        M = normal_closure(G, [tbl.perm_of(rep)])
-        s = tbl.indices_of_subgroup(M)
-        if s not in atoms:
-            atoms[s] = tuple(sorted(tbl.idx_of_perm(g) for g in M.generators))
-    found: dict[frozenset, tuple] = {frozenset([tbl.identity_idx]): ()}
-    found.update(atoms)
-    worklist = list(atoms.items())
+    class_id, reps = tbl.classes()
+    ident = frozenset([int(class_id[tbl.identity_idx])])
+    found: dict[frozenset, frozenset] = {ident: frozenset()}
+    for cid in range(len(reps)):
+        if cid not in ident:
+            found.setdefault(tbl.normal_closure_classes([cid]),
+                             frozenset([cid]))
+    worklist = [item for item in found.items() if item[0] != ident]
     while worklist:
         s, gens = worklist.pop()
         for s2, gens2 in list(found.items()):
             if s <= s2 or s2 <= s:
                 continue
-            join = tbl.closure(set(gens) | set(gens2))
+            jgens = gens | gens2
+            join = tbl.normal_closure_classes(jgens)
             if join not in found:
-                jgens = tuple(sorted(set(gens) | set(gens2)))
                 found[join] = jgens
                 worklist.append((join, jgens))
                 if len(found) > limit:
                     raise BudgetExceededError("normal-subgroups",
                                               f"more than {limit} found")
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    idx_sets = [tbl.union_of_classes(s) for s in found]
+    ordered = sorted(idx_sets, key=lambda s: (len(s), tuple(sorted(s))))
     return [tbl.subgroup(s) for s in ordered]
 
 
@@ -410,13 +407,12 @@ def _cyclic_decomposition(Q: PermGroup) -> list[PermGroup]:
     """Cyclic direct factors of an elementary abelian group, greedily from
     its elements in deterministic order."""
     out: list[PermGroup] = []
-    span = PermGroup(Q.degree, [])
+    span = _Chain(Q.degree, [])
     for x in sorted(Q.elements(), key=lambda p: p.images):
         if span.order() == Q.order():
             break
-        if not x.is_identity() and not span.contains(x):
+        if span.extend(x.images):
             out.append(PermGroup(Q.degree, [x]))
-            span = PermGroup(Q.degree, [h for f in out for h in f.generators])
     return out
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backtrack import BudgetExceededError
-from .groups import PermGroup
+from .backtrack import BudgetExceededError, certify
+from .groups import PermGroup, _Chain
 from .perms import Perm
 
 DEFAULT_ORDER_BUDGET = 1_000_000
@@ -35,7 +35,8 @@ class ElementTable:
         dtype = np.uint16 if G.degree < 65536 else np.uint32
         self.rows = self._enumerate(G, dtype)
         self.size = len(self.rows)
-        assert self.size == order
+        certify(self.size == order,
+                f"enumerated {self.size} elements, |G| = {order}")
         self.index: dict[bytes, int] = {
             row.tobytes(): i for i, row in enumerate(self.rows)}
         self.identity_idx = self.index[
@@ -46,6 +47,8 @@ class ElementTable:
         self._conj_maps: list[np.ndarray] | None = None
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
+        self._class_size: np.ndarray | None = None
+        self._class_products: dict[tuple[int, int], frozenset] = {}
         self._orders: dict[int, int] = {}
 
     @staticmethod
@@ -138,7 +141,68 @@ class ElementTable:
                             stack.append(y)
             self._class_id = class_id
             self._class_reps = reps
+            self._class_size = np.bincount(class_id)
         return self._class_id, self._class_reps
+
+    # -- normal subgroups as sets of class ids --------------------------------
+
+    def normal_closure_classes(self, seed_classes,
+                               limit: int | None = None) -> frozenset | None:
+        """Class ids of the normal subgroup generated by the seed classes;
+        None once its order exceeds `limit` (early abort).
+
+        From the identity class, each class a reached adds the classes that
+        meet a·k for each seed class k.  The union of the classes reached
+        is then closed under right multiplication by the seeds; being
+        finite, it is the subgroup they generate, which is normal as a
+        union of classes."""
+        class_id, reps = self.classes()
+        sizes = self._class_size
+        cap = self.size if limit is None else limit
+        seeds = sorted(set(seed_classes))
+        start = int(class_id[self.identity_idx])
+        found = {start}
+        total = int(sizes[start])
+        frontier = [start]
+        while frontier and len(found) < len(reps):
+            nxt = []
+            for a in frontier:
+                for k in seeds:
+                    for b in self._class_product(a, k):
+                        if b not in found:
+                            found.add(b)
+                            nxt.append(b)
+                            total += int(sizes[b])
+                            if total > cap:
+                                return None
+            frontier = nxt
+        return frozenset(found)
+
+    def _class_product(self, a: int, k: int) -> frozenset:
+        """Ids of the classes meeting (class a)·(class k), memoized.
+
+        x·y with x in a, y in k is conjugate to rep(a)·y' and to x'·rep(k)
+        (y' in k, x' in a), and y·x is conjugate to x·y: so the product is
+        symmetric and one pass over the smaller class finds it."""
+        key = (a, k) if a <= k else (k, a)
+        got = self._class_products.get(key)
+        if got is None:
+            class_id, reps = self.classes()
+            small, big = key
+            if self._class_size[small] > self._class_size[big]:
+                small, big = big, small
+            # rows of x·rep(big) for x in class `small`
+            prods = self.rows[reps[big]][self.rows[class_id == small]]
+            got = frozenset(int(class_id[self.index[row.tobytes()]])
+                            for row in prods)
+            self._class_products[key] = got
+        return got
+
+    def union_of_classes(self, cids) -> frozenset:
+        """Element indices of the union of the given classes."""
+        class_id, _ = self.classes()
+        return frozenset(
+            np.flatnonzero(np.isin(class_id, list(cids))).tolist())
 
     # -- subgroups as index sets ---------------------------------------------
 
@@ -202,21 +266,21 @@ class ElementTable:
         return reps
 
     def subgroup(self, idxs, name: str | None = None) -> PermGroup:
-        """PermGroup from an element index set, with a small generating set."""
+        """PermGroup from an element index set, generated by the elements,
+        in index order, that enlarge the span of those before them."""
         target = len(idxs)
         gens: list[Perm] = []
-        current = PermGroup(self.degree, [])
+        span = _Chain(self.degree, [])
         for i in sorted(idxs):
-            if current.order() == target:
+            if span.order() == target:
                 break
             p = self.perm_of(i)
-            if not current.contains(p):
+            if span.extend(p.images):
                 gens.append(p)
-                current = PermGroup(self.degree, gens)
-        current.name = name
-        return current
+        return PermGroup(self.degree, gens, name=name)
 
     def indices_of_subgroup(self, H: PermGroup) -> frozenset:
         got = self.closure([self.idx_of_perm(g) for g in H.generators])
-        assert got is not None and len(got) == H.order()
+        certify(got is not None and len(got) == H.order(),
+                "H's generators do not close to a set of size |H|")
         return got

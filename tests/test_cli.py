@@ -1,6 +1,7 @@
 import json
 
-from pihall import cli
+from pihall import cli, hall, structure
+from pihall.tables import ElementTable
 
 
 def run(argv, capsys):
@@ -111,7 +112,8 @@ def test_zoo_emit_and_list(capsys, tmp_path):
 def test_example_command(capsys, gl52_example_report):
     code, out, _ = run(["example-gl52"], capsys)
     assert code == 0
-    assert "all 19 claims verified" in out
+    assert "all 19 claims verified" in out and "1 of them assumed" in out
+    assert "[assumed] induced-class-count" in out
 
 
 def test_corpus_single_entry_manifest(capsys, tmp_path):
@@ -185,3 +187,13 @@ def test_corpus_parallel_jobs(capsys, tmp_path):
     lines = [l.split()[0] for l in out.splitlines()
              if l.startswith(("alt5", "sym4", "gl3_2"))]
     assert lines == [e["name"] for e in entries]
+
+
+def test_verification_failure_exit_code(monkeypatch, capsys):
+    enumerate_all = ElementTable._enumerate
+    monkeypatch.setattr(ElementTable, "_enumerate", staticmethod(
+        lambda G, dtype: enumerate_all(G, dtype)[:-1]))
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    code, _, err = run(["analyze", "alt5", "--pi", "2,3"], capsys)
+    assert code == 5 and "verification failed" in err

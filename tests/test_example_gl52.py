@@ -47,6 +47,7 @@ def test_extension_hall_claims(gl52_example_report):
 def test_induced_count_marked_as_assumption(gl52_example_report):
     c = claim(gl52_example_report, "induced-class-count")
     assert c["k_induced"] == 1 and c["known_classes"] == 3
+    assert c["assumed"] is True and c["detail"].startswith("assumed")
     assert "desk scale" in gl52_example_report["exhaustiveness"]
 
 

@@ -3,10 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_elements, brute_group_elements
 from pihall import zoo
-from pihall.groups import PermGroup
+from pihall.groups import PermGroup, _Chain
 from pihall.perms import Perm
 
 
@@ -139,3 +141,25 @@ def test_base_points_greedy():
     base = G.base()
     assert base == sorted(base)
     assert base[0] == 0
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+    st.lists(st.permutations(range(n)), min_size=1, max_size=20),
+    st.lists(st.integers(0, n - 1), max_size=3, unique=True))))
+def test_chain_extend_matches_fresh_chain(case):
+    gens = [tuple(p) for p in case[0]]
+    probes = [tuple(p) for p in case[1]]
+    hint = case[2]
+    n = len(gens[0])
+    grown = _Chain(n, [], hint=hint)
+    for i, g in enumerate(gens):
+        before = grown.order()
+        added = grown.extend(g)
+        assert added is (grown.order() > before)
+        fresh = _Chain(n, gens[:i + 1], hint=hint)
+        assert grown.order() == fresh.order()
+        assert grown.base()[:len(hint)] == hint
+        assert all(grown.contains(w) for w in fresh.iter_tuples())
+        assert all(grown.contains(p) == fresh.contains(p) for p in probes)

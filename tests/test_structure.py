@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_group_elements
-from pihall import zoo
+from pihall import groups, hall, structure, zoo
+from pihall.arith import PiSet, is_prime
+from pihall.backtrack import BudgetExceededError
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
+from pihall.reduction import cpi_reduce
+from pihall.tables import ElementTable
 from pihall.structure import (center, chief_factor_decomposition, chief_series,
                               derived_subgroup, induced_automizer, is_normal,
                               is_simple, minimal_normal_subgroups,
@@ -237,3 +243,185 @@ def test_automizer_index_divides_normalizer_index():
         bound = N.order() // (A.order() * C.order())
         outer = aut.section_image.order() // aut.inner_image.order()
         assert bound % outer == 0
+
+
+def test_is_simple_sampling_cannot_certify():
+    # primitive, and no prime p with p | degree and p^2 not dividing |G|:
+    # sampling may refute simplicity but never certify it
+    tight = Budgets(order_budget=100)
+    with pytest.raises(BudgetExceededError) as info:
+        is_simple(zoo.alt(6), tight)
+    assert info.value.kind == "simplicity"
+    assert is_simple(zoo.sym(8), tight) is False
+
+
+# -- class-space normal structure against the chain-based reference ----------
+
+
+def _reference_normal_closure(G, seeds):
+    """Normal closure rebuilding a whole PermGroup per added generator."""
+    gens = []
+    K = PermGroup(G.degree, [])
+    queue = list(seeds)
+    while queue:
+        x = queue.pop(0)
+        if K.contains(x):
+            continue
+        gens.append(x)
+        K = PermGroup(G.degree, gens)
+        for g in G.generators:
+            queue.append(x.conjugate(g))
+    return K
+
+
+def _reference_closures(G, prime_only):
+    """(index set, generator indices) of the normal closure of each class
+    rep, one per class."""
+    tbl = ElementTable(G)
+    _, reps = tbl.classes()
+    out = []
+    for rep in reps:
+        if rep == tbl.identity_idx:
+            continue
+        if prime_only and not is_prime(tbl.element_order(rep)):
+            continue
+        M = _reference_normal_closure(G, [tbl.perm_of(rep)])
+        out.append((tbl.indices_of_subgroup(M),
+                    frozenset(tbl.idx_of_perm(g) for g in M.generators)))
+    return tbl, out
+
+
+def _reference_is_simple(G):
+    if is_prime(G.order()):
+        return True
+    _, closures = _reference_closures(G, prime_only=True)
+    return all(len(s) == G.order() for s, _ in closures)
+
+
+def _gens_of(H):
+    return [g.images for g in H.generators]
+
+
+def _reference_minimal_normals(G):
+    tbl, closures = _reference_closures(G, prime_only=True)
+    sets = {s for s, _ in closures}
+    mins = {s for s in sets if not any(t < s for t in sets)}
+    out = [tbl.subgroup(s) for s in mins]
+    return sorted(out, key=lambda H: (H.order(), sorted(_gens_of(H))))
+
+
+def _reference_normal_subgroups(G):
+    tbl, closures = _reference_closures(G, prime_only=False)
+    found = {frozenset([tbl.identity_idx]): frozenset()}
+    for s, gens in closures:
+        found.setdefault(s, gens)
+    worklist = list(found.items())
+    while worklist:
+        s, gens = worklist.pop()
+        for s2, gens2 in list(found.items()):
+            join = tbl.closure(gens | gens2)
+            if join not in found:
+                found[join] = gens | gens2
+                worklist.append((join, gens | gens2))
+    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    return [tbl.subgroup(s) for s in ordered]
+
+
+def _perm_group(n, images):
+    return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+
+@st.composite
+def small_groups(draw):
+    """Random subgroups of S_n (n <= 6), and direct and wreath products of
+    small ones."""
+    def sub(max_degree, max_gens):
+        n = draw(st.integers(2, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=max_gens))
+        return _perm_group(n, images)
+
+    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
+    if kind == "sym":
+        G = sub(6, 3)
+    elif kind == "direct":
+        G = zoo.direct_product(sub(4, 2), sub(4, 2))
+    else:
+        G = zoo.wreath(sub(3, 2), 2)
+    assume(G.order() > 1)
+    return G
+
+
+@settings(derandomize=True, database=None, max_examples=150,
+          deadline=None)
+@given(small_groups())
+def test_class_space_normal_structure_matches_reference(G):
+    # the table cache keys on the generator set, not its order, and a table's
+    # index order follows the generator order; start each example cold
+    structure._table_cache.clear()
+    assert is_simple(G) is _reference_is_simple(G)
+    assert ([_gens_of(M) for M in minimal_normal_subgroups(G)]
+            == [_gens_of(M) for M in _reference_minimal_normals(G)])
+    assert ([_gens_of(N) for N in normal_subgroups(G)]
+            == [_gens_of(N) for N in _reference_normal_subgroups(G)])
+
+
+def test_normal_closure_classes_limit():
+    tbl = ElementTable(zoo.sym(4))
+    class_id, reps = tbl.classes()
+    double = next(c for c, r in enumerate(reps)
+                  if tbl.perm_of(r).cycle_lengths() == [2, 2])
+    v4 = tbl.normal_closure_classes([double])
+    assert len(tbl.union_of_classes(v4)) == 4
+    assert tbl.normal_closure_classes([double], limit=4) == v4
+    assert tbl.normal_closure_classes([double], limit=3) is None
+
+
+# -- work-count gate: in-budget normal structure stays in class space --------
+
+
+def _count_chain_builds(monkeypatch):
+    count = [0]
+    init = groups._Chain.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups._Chain, "__init__", counting)
+    return count
+
+
+def _fresh(name):
+    # a new PermGroup, so its chain is built (and counted) inside the gate
+    G = zoo.build_named(name)
+    return PermGroup(G.degree, G.generators)
+
+
+def test_normal_structure_work_gate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("in-budget normal structure left class space")
+
+    monkeypatch.setattr(structure, "normal_closure", refuse)
+    monkeypatch.setattr(ElementTable, "closure", refuse)
+    monkeypatch.setattr(structure, "_table_cache", {})
+    builds = _count_chain_builds(monkeypatch)
+
+    mins = minimal_normal_subgroups(_fresh("gl4_2"))
+    assert [M.order() for M in mins] == [20160]
+    assert builds[0] <= 3
+    builds[0] = 0
+    cs = chief_series(_fresh("alt5wr2"))
+    assert [T.order() for T in cs.terms] == [7200, 3600, 1]
+    assert builds[0] <= 9
+    assert is_simple(_fresh("psl2_13")) is True
+    assert [N.order() for N in normal_subgroups(_fresh("sym4"))] == [
+        1, 4, 12, 24]
+
+
+def test_reduction_chain_build_gate(monkeypatch):
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    builds = _count_chain_builds(monkeypatch)
+    assert cpi_reduce(_fresh("alt5xsym4"), PiSet([2, 3])).verdict is True
+    assert builds[0] <= 60

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import brute_group_elements
 from pihall import zoo
-from pihall.backtrack import BudgetExceededError
+from pihall.backtrack import BudgetExceededError, VerificationError
 from pihall.groups import PermGroup
 from pihall.tables import ElementTable
 
@@ -64,3 +64,11 @@ def test_subgroup_orbit_counts_conjugates():
 def test_order_budget():
     with pytest.raises(BudgetExceededError):
         ElementTable(zoo.sym(8), order_budget=1000)
+
+
+def test_enumeration_short_of_the_order_fails_verification(monkeypatch):
+    enumerate_all = ElementTable._enumerate
+    monkeypatch.setattr(ElementTable, "_enumerate", staticmethod(
+        lambda G, dtype: enumerate_all(G, dtype)[:-1]))
+    with pytest.raises(VerificationError):
+        ElementTable(zoo.sym(4))
