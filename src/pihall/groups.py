@@ -435,9 +435,11 @@ class PermGroup:
             )
         return self._fingerprint
 
-    def canonical_key(self):
-        """Deterministic identity for caching: degree + sorted generators."""
-        return (self.degree, tuple(sorted(g.images for g in self.generators)))
+    def cache_key(self):
+        """Identity for caching: degree + generators in their given order.
+        Not the generator set: a chain, hence an element table's index
+        order and the generators read off it, follow the order."""
+        return (self.degree, tuple(g.images for g in self.generators))
 
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"

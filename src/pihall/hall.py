@@ -5,10 +5,14 @@ budget: starting from a Sylow subgroup for one pi-prime it grows
 pi-overgroups by single-element extensions, deduplicating conjugacy
 classes exactly via orbits of element-index sets.  Every Hall class has a
 representative through that Sylow subgroup, so the sweep finds all of
-them.  Dominance (every pi-subgroup inside a Hall subgroup) is decided by
-enumerating maximal pi-subgroup classes; with at most two effective primes
-those are all solvable, and normal-cyclic extension growth plus a
-containment pass keeps the sweep small.
+them.  Dominance (C, and every pi-subgroup inside a Hall subgroup) is read
+only once C holds, so it fails exactly when some pi-subgroup lies in no
+conjugate of the one Hall class's representative H.  With one effective
+prime it holds by Sylow.  Otherwise pi-subgroup classes grow from prime
+order by single-element extensions, only through classes inside a
+conjugate of H, and the sweep stops at the first class outside, which it
+keeps as a witness.  With two effective primes every pi-subgroup is
+solvable, so only normal extensions of prime index are tried.
 
 Negative answers are certificates; running out of a budget raises
 BudgetExceededError instead.
@@ -17,9 +21,11 @@ BudgetExceededError instead.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
-from .arith import PiSet, is_pi_number, p_part, pi_part
+from .arith import (PiSet, is_pi_number, is_prime, p_part, pi_part,
+                    prime_divisors)
 from .backtrack import (BudgetExceededError, certify, conjugating_element,
                         normalizer)
 from .config import DEFAULT_BUDGETS, Budgets
@@ -193,9 +199,11 @@ class _SetOrbits:
         return len(self.class_reps[cid])
 
     def members(self, cid: int):
+        """Every member of the class, one sorted index array per row."""
         import numpy as np
-        for k in self.class_reps[cid]:
-            yield np.frombuffer(k, dtype=np.int64)
+        keys = self.class_reps[cid]
+        return np.frombuffer(b"".join(keys),
+                             dtype=np.int64).reshape(len(keys), -1)
 
     def transporter(self, idxs_from: frozenset, idxs_to: frozenset) -> Perm | None:
         """Some x with (idxs_from)^x = idxs_to, or None if not conjugate."""
@@ -259,12 +267,7 @@ def _grow_from_sylow(tbl: ElementTable, pi: PiSet, m: int,
             if first_only:
                 return found
             continue
-        k_sample = sorted(K)[:4]
-        for x in tbl.coset_reps(K):
-            if x in K or not mask[x]:
-                continue
-            if not _quick_probe(tbl, mask, k_sample, x):
-                continue
+        for x in _coset_candidates(tbl, mask, K):
             L = tbl.closure(list(gens) + [x], limit=m)
             if L is None or m % len(L) != 0 or len(L) <= len(K):
                 continue
@@ -375,7 +378,8 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
 @dataclass
 class ECDReport:
     """E, C and k with the Hall classes; D is computed on first read (it
-    needs the dominance sweep) and then kept on the report."""
+    needs the dominance sweep) and then kept on the report, with
+    d_witness."""
 
     group: PermGroup
     pi: PiSet
@@ -385,6 +389,7 @@ class ECDReport:
     classes: HallClassSet
     budgets: Budgets
     _D: bool | None = field(default=None, repr=False)
+    _d_witness: PermGroup | None = field(default=None, repr=False)
 
     @property
     def D(self) -> bool:
@@ -396,9 +401,18 @@ class ECDReport:
             elif not self.C:
                 self._D = False
             else:
-                self._D = _dominance_check(self.group, self.pi, m,
-                                           self.budgets)
+                self._d_witness = _dominance_check(
+                    self.group, self.pi, self.classes.class_reps[0],
+                    self.budgets)
+                self._D = self._d_witness is None
         return self._D
+
+    @property
+    def d_witness(self) -> PermGroup | None:
+        """When C holds and D fails, a pi-subgroup in no Hall subgroup;
+        None otherwise."""
+        self.D
+        return self._d_witness
 
     def flags(self) -> dict:
         return {"E": self.E, "C": self.C, "D": self.D, "k": self.k}
@@ -412,7 +426,7 @@ def classify_EC(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     """E: a Hall subgroup exists; C: exactly one class.  The entry point
     for callers that do not need D: the dominance sweep runs only if the
     report's D is read."""
-    key = (G.canonical_key(), pi.primes, seed, budgets)
+    key = (G.cache_key(), pi.primes, seed, budgets)
     got = _classify_cache.get(key)
     if got is not None:
         return got
@@ -428,83 +442,108 @@ def classify_EC(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
 
 def classify_ECD(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
                  seed: int = 1) -> ECDReport:
-    """E and C as in classify_EC; D: C and every maximal pi-subgroup is
-    Hall.  D is computed before returning."""
+    """E and C as in classify_EC; D: C and every pi-subgroup lies in a
+    Hall subgroup.  D is computed before returning."""
     report = classify_EC(G, pi, budgets, seed)
     report.D  # the dominance sweep runs here, inside the call
     return report
 
 
-def _dominance_check(G: PermGroup, pi: PiSet, m: int, budgets: Budgets) -> bool:
-    """True iff every maximal pi-subgroup has order m."""
-    tbl = get_table(G, budgets.order_budget)
+def _dominance_check(G: PermGroup, pi: PiSet, H: PermGroup,
+                     budgets: Budgets) -> PermGroup | None:
+    """A pi-subgroup of G in no conjugate of the pi-Hall subgroup H, or
+    None when every pi-subgroup lies in one.  Under C that conjugacy class
+    holds every Hall subgroup, so None means D."""
     effective = [p for p in pi if G.order() % p == 0]
-    if len(effective) <= 2:
-        return _dominance_solvable_sweep(tbl, pi, m, effective)
-    return _dominance_generic_sweep(tbl, pi, m)
+    if len(effective) <= 1:
+        return None  # Sylow: every p-subgroup lies in a conjugate of H
+    tbl = get_table(G, budgets.order_budget)
+    # pi-subgroups of at most two primes are solvable (Burnside)
+    primes = effective if len(effective) == 2 else None
+    witness = _grow_outside_hall(tbl, pi, tbl.indices_of_subgroup(H), primes)
+    return None if witness is None else tbl.subgroup(witness)
 
 
-def _dominance_solvable_sweep(tbl: ElementTable, pi: PiSet, m: int,
-                              effective: list[int]) -> bool:
-    """All pi-subgroups are solvable (two primes); enumerate their classes
-    by normal-cyclic extensions, then settle maximality by containment."""
+def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
+                       primes: list[int] | None) -> frozenset | None:
+    """The first pi-subgroup (index set) found in no conjugate of the
+    pi-Hall subgroup h_set, or None when there is none.
+
+    Classes grow from the subgroups of prime order, one single-element
+    extension at a time, and only through classes inside a conjugate of
+    h_set.  A minimal pi-subgroup outside every conjugate has all its
+    proper subgroups inside, so it is an extension of a class that grows;
+    the sweep stops there.  Extensions of K: with `primes` (every
+    pi-subgroup solvable) one x per coset of K in N_G(K) with x^p in K,
+    p in `primes`, since a solvable group has a normal subgroup of prime
+    index; without, one x per right coset of K in G."""
+    import numpy as np
+    m = len(h_set)
     orbits = _orbits_for(tbl)
     mask = _pi_order_mask(tbl, pi, m)
-    ident = tbl.identity_idx
-    triv = frozenset([ident])
-    cid0 = orbits.class_id(triv)
-    info_by_class: dict[int, dict] = {
-        cid0: {"set": triv, "has_ext": False}}
-    queue = [(triv, (), cid0)]
+    in_h = np.zeros(tbl.size, dtype=bool)
+    in_h[list(h_set)] = True
+
+    def inside(L: frozenset, cid: int) -> bool:
+        if len(prime_divisors(len(L))) == 1:
+            return True  # in a Sylow subgroup, hence in a conjugate of H
+        return bool(in_h[orbits.members(cid)].all(axis=1).any())
+
+    _, reps = tbl.classes()
+    seen: set[int] = set()
+    queue: deque = deque()
+    # level one: <x> for one x of prime order per element class
+    for x in reps:
+        if mask[x] and is_prime(tbl.element_order(x)):
+            L = tbl.closure([x])
+            cid = orbits.class_id(L)
+            if cid not in seen:
+                seen.add(cid)
+                queue.append((L, (x,)))
     while queue:
-        K, gens, cid = queue.pop(0)
-        info = info_by_class[cid]
-        if len(K) == m:
-            continue
-        # candidate extension elements normalize K: the stabilizer of K in
-        # the conjugation action, from Schreier generators on the set orbit
-        n_set = _set_stabilizer_elements(tbl, orbits, K)
-        # one candidate per coset of K (same coset, same extension)
-        covered = set(K)
-        for x in sorted(n_set):
-            if x in covered:
-                continue
-            covered.update(tbl.mul(k, x) for k in K)
-            if not mask[x]:
-                continue
-            o = tbl.element_order(x)
-            # normal extension of prime degree: x^p in K
-            if not any(o % p == 0 and _power_in_set(tbl, x, p, K)
-                       for p in effective):
-                continue
+        K, gens = queue.popleft()
+        if primes is None:
+            candidates = _coset_candidates(tbl, mask, K)
+        else:
+            candidates = _normal_prime_candidates(tbl, orbits, mask, K, primes)
+        for x in candidates:
             L = tbl.closure(list(gens) + [x], limit=m)
             if L is None or len(L) <= len(K) or m % len(L) != 0:
                 continue
-            info["has_ext"] = True
-            lcid = orbits.class_id(L)
-            if lcid not in info_by_class:
-                info_by_class[lcid] = {"set": L, "has_ext": False}
-                queue.append((L, tuple(sorted(gens + (x,))), lcid))
-    # maximality pass: a class with no normal extension may still lie in a
-    # larger class; check conjugate containment
-    by_size = sorted(info_by_class,
-                     key=lambda cid: len(info_by_class[cid]["set"]))
-    for kc in by_size:
-        k_set = info_by_class[kc]["set"]
-        if len(k_set) == m or info_by_class[kc]["has_ext"]:
-            continue
-        contained = False
-        for lc in by_size:
-            l_set = info_by_class[lc]["set"]
-            if len(l_set) <= len(k_set) or len(l_set) % len(k_set) != 0:
+            cid = orbits.class_id(L)
+            if cid in seen:
                 continue
-            if any(set(member.tolist()) <= l_set
-                   for member in orbits.members(kc)):
-                contained = True
-                break
-        if not contained:
-            return False
-    return True
+            seen.add(cid)
+            if not inside(L, cid):
+                return L
+            if len(L) < m:
+                queue.append((L, gens + (x,)))
+    return None
+
+
+def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
+    """One pi-element per right coset of K outside K that passes the
+    quick probe (a coset's elements all give the same extension)."""
+    k_sample = sorted(K)[:4]
+    for x in tbl.coset_reps(K):
+        if x not in K and mask[x] and _quick_probe(tbl, mask, k_sample, x):
+            yield x
+
+
+def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
+                             K: frozenset, primes: list[int]):
+    """One element per coset of K in N_G(K) outside K with x^p in K for a
+    p in `primes`: <K, x> then contains K with index p."""
+    covered = set(K)
+    for x in sorted(_set_stabilizer_elements(tbl, orbits, K)):
+        if x in covered:
+            continue
+        covered.update(tbl.mul(k, x) for k in K)
+        if not mask[x]:
+            continue
+        o = tbl.element_order(x)
+        if any(o % p == 0 and _power_in_set(tbl, x, p, K) for p in primes):
+            yield x
 
 
 def _power_in_set(tbl: ElementTable, x: int, p: int, K: frozenset) -> bool:
@@ -540,47 +579,6 @@ def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
     certify(closure is not None and len(closure) == target,
             "Schreier generators do not close to the normalizer")
     return set(closure)
-
-
-def _dominance_generic_sweep(tbl: ElementTable, pi: PiSet, m: int) -> bool:
-    """Fallback for three or more effective primes: single-element extension
-    growth over all pi-subgroup classes."""
-    orbits = _orbits_for(tbl)
-    mask = _pi_order_mask(tbl, pi, m)
-    ident = tbl.identity_idx
-    _, reps = tbl.classes()
-    from .arith import is_prime
-    info_by_class: dict[int, dict] = {}
-    queue = []
-    for rep in reps:
-        if rep == ident or not mask[rep] or not is_prime(tbl.element_order(rep)):
-            continue
-        K = tbl.closure([rep], limit=m)
-        cid = orbits.class_id(K)
-        if cid not in info_by_class:
-            info_by_class[cid] = {"set": K, "maximal": True}
-            queue.append((K, (rep,), cid))
-    while queue:
-        K, gens, cid = queue.pop(0)
-        info = info_by_class[cid]
-        if len(K) == m:
-            continue
-        k_sample = sorted(K)[:4]
-        for x in tbl.coset_reps(K):
-            if x in K or not mask[x]:
-                continue
-            if not _quick_probe(tbl, mask, k_sample, x):
-                continue
-            L = tbl.closure(list(gens) + [x], limit=m)
-            if L is None or len(L) <= len(K) or m % len(L) != 0:
-                continue
-            info["maximal"] = False
-            lcid = orbits.class_id(L)
-            if lcid not in info_by_class:
-                info_by_class[lcid] = {"set": L, "maximal": True}
-                queue.append((L, tuple(sorted(gens + (x,))), lcid))
-    return all(len(info["set"]) == m
-               for info in info_by_class.values() if info["maximal"])
 
 
 # -- induced Hall classes -----------------------------------------------------------

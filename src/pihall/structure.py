@@ -42,7 +42,7 @@ _table_cache: dict = {}
 def get_table(G: PermGroup, order_budget: int) -> ElementTable:
     # a cached table must not let a smaller budget skip its check
     require_order_within(G, order_budget)
-    key = G.canonical_key()
+    key = G.cache_key()
     tbl = _table_cache.get(key)
     if tbl is None:
         tbl = ElementTable(G, order_budget)

@@ -85,7 +85,7 @@ class CorpusContext:
         return self._normals[name]
 
     def quotient(self, name: str, A: PermGroup):
-        key = (name, A.canonical_key())
+        key = (name, A.cache_key())
         if key not in self._quotients:
             self._quotients[key] = coset_action(
                 self.group(name), A,

@@ -49,7 +49,7 @@ class ElementTable:
         self._class_reps: list[int] | None = None
         self._class_size: np.ndarray | None = None
         self._class_products: dict[tuple[int, int], frozenset] = {}
-        self._orders: dict[int, int] = {}
+        self._class_orders: dict[int, int] = {}
 
     @staticmethod
     def _enumerate(G: PermGroup, dtype) -> np.ndarray:
@@ -87,10 +87,14 @@ class ElementTable:
         return int(self._inv[i])
 
     def element_order(self, i: int) -> int:
-        got = self._orders.get(i)
+        """Order of element i, computed once per conjugacy class (from the
+        class representative: conjugates have equal orders)."""
+        class_id, reps = self.classes()
+        cid = int(class_id[i])
+        got = self._class_orders.get(cid)
         if got is None:
-            got = self.perm_of(i).order()
-            self._orders[i] = got
+            got = self.perm_of(reps[cid]).order()
+            self._class_orders[cid] = got
         return got
 
     # -- conjugation --------------------------------------------------------

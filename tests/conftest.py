@@ -5,8 +5,9 @@ import pytest
 from pihall.perms import Perm
 
 
-def brute_elements(generators, degree):
-    """Closure under multiplication, as a set of Perm (no chain involved)."""
+def brute_elements(generators, degree, limit=None):
+    """Closure under multiplication, as a set of Perm (no chain involved);
+    it stops early once it holds more than `limit` elements."""
     idt = Perm.identity(degree)
     seen = {idt}
     frontier = [idt]
@@ -19,6 +20,8 @@ def brute_elements(generators, degree):
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
+            if limit is not None and len(seen) > limit:
+                return seen
         frontier = nxt
     return seen
 
@@ -42,35 +45,36 @@ def brute_centralizer(G, H):
             if all(g * h == h * g for h in H.generators)}
 
 
-def brute_subgroups_of_order(G, order):
-    """All subgroups of the given order, as frozensets of elements."""
+def brute_subgroups_dividing(G, order):
+    """All subgroups whose order divides `order`, as frozensets of elements,
+    grown from the trivial group one element at a time."""
     els = sorted(brute_group_elements(G), key=lambda p: p.images)
-    found = set()
-    seen_sets = set()
-
-    def closure(gens):
-        out = brute_elements(gens, G.degree)
-        return frozenset(out)
-
-    # grow subgroups by adding elements; prune by divisibility
-    frontier = {frozenset([Perm.identity(G.degree)]): ()}
+    trivial = frozenset([Perm.identity(G.degree)])
+    found = {trivial}
+    frontier = {trivial: ()}
     while frontier:
         nxt = {}
         for sub, gens in frontier.items():
             if len(sub) == order:
-                found.add(sub)
                 continue
+            done = set(sub)
             for x in els:
-                if x in sub:
+                if x in done:
                     continue
-                bigger = closure(list(gens) + [x])
-                if order % len(bigger) != 0 or len(bigger) <= len(sub):
+                done.update(s * x for s in sub)  # <sub, s*x> = <sub, x>
+                bigger = frozenset(brute_elements(list(gens) + [x], G.degree,
+                                                  limit=order))
+                if order % len(bigger) != 0 or bigger in found:
                     continue
-                if bigger not in seen_sets:
-                    seen_sets.add(bigger)
-                    nxt[bigger] = tuple(list(gens) + [x])
+                found.add(bigger)
+                nxt[bigger] = gens + (x,)
         frontier = nxt
     return found
+
+
+def brute_subgroups_of_order(G, order):
+    """All subgroups of the given order, as frozensets of elements."""
+    return {s for s in brute_subgroups_dividing(G, order) if len(s) == order}
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_group_elements, brute_subgroups_of_order
-from pihall import zoo
+from conftest import (brute_group_elements, brute_subgroups_dividing,
+                      brute_subgroups_of_order)
+from pihall import hall, zoo
 from pihall.actions import coset_action
-from pihall.arith import PiSet
+from pihall.arith import PiSet, pi_part
 from pihall.backtrack import BudgetExceededError
 from pihall.config import Budgets
 from pihall.groups import PermGroup
@@ -196,6 +199,101 @@ def test_classify_three_effective_primes():
     assert rep.E and rep.C and rep.k == 1 and not rep.D
 
 
+@pytest.mark.parametrize("G,pi", [
+    (zoo.alt(5), PI23),
+    (zoo.direct_product(zoo.alt(5), zoo.cyclic(7)), PiSet([2, 3, 7])),
+])
+def test_dominance_witness_lies_in_no_hall_subgroup(G, pi):
+    rep = classify_ECD(G, pi)
+    assert rep.C and not rep.D
+    W = rep.d_witness
+    assert W is not None and W.is_subgroup_of(G)
+    assert pi_part(W.order(), pi) == W.order()
+    w_els = brute_group_elements(W)
+    halls = brute_subgroups_of_order(G, pi_part(G.order(), pi))
+    assert halls and not any(w_els <= h for h in halls)
+    assert "d_witness" not in rep.flags()
+
+
+def test_dominance_witness_only_when_c_holds():
+    assert classify_ECD(zoo.sym(4), PI23).d_witness is None
+    assert classify_ECD(zoo.gl(3, 2), PI23).d_witness is None  # C fails
+
+
+def _brute_D(G, pi):
+    """D by definition: the order-m subgroups form one conjugacy class and
+    every pi-subgroup (order dividing m) lies in one of them."""
+    m = pi_part(G.order(), pi)
+    subs = brute_subgroups_dividing(G, m)
+    halls = [s for s in subs if len(s) == m]
+    if not halls:
+        return False
+    h = halls[0]
+    orbit = {frozenset(g.inverse() * x * g for x in h)
+             for g in brute_group_elements(G)}
+    if len(orbit) != len(halls):
+        return False
+    return all(any(s <= h for h in halls) for s in subs)
+
+
+def _perm_group(n, images):
+    return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+
+@st.composite
+def _small_groups_and_pi(draw):
+    """Random subgroups of S_n (n <= 6) and small direct and wreath products,
+    of order at most 144; pi a nonempty subset of {2, 3, 5}."""
+    def sub(min_degree, max_degree, min_gens, max_gens):
+        n = draw(st.integers(min_degree, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=min_gens,
+                               max_size=max_gens))
+        return _perm_group(n, images)
+
+    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
+    if kind == "sym":
+        G = sub(4, 6, 2, 3)
+    elif kind == "direct":
+        G = zoo.direct_product(sub(2, 5, 1, 2), sub(2, 4, 1, 2))
+    else:
+        G = zoo.wreath(sub(2, 3, 1, 2), 2)
+    assume(1 < G.order() <= 144)
+    pi = PiSet(draw(st.sampled_from(
+        [[2, 3], [2, 5], [3, 5], [2, 3, 5], [2], [3], [5]])))
+    return G, pi
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_small_groups_and_pi())
+def test_dominance_matches_brute_force(case):
+    G, pi = case
+    rep = classify_ECD(G, pi)
+    assert rep.D is _brute_D(G, pi)
+    if rep.d_witness is not None:
+        w_els = brute_group_elements(rep.d_witness)
+        halls = brute_subgroups_of_order(G, pi_part(G.order(), pi))
+        assert not any(w_els <= h for h in halls)
+
+
+def test_dominance_work_gate(monkeypatch):
+    # the sweep stops at the first pi-subgroup outside the Hall class, and a
+    # single effective prime needs no sweep (Sylow)
+    calls = [0]
+    stabilizer = hall._set_stabilizer_elements
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return stabilizer(*args, **kwargs)
+
+    monkeypatch.setattr(hall, "_set_stabilizer_elements", counting)
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    assert classify_ECD(zoo.build_named("gl4_2"), PI23).D is False
+    assert calls[0] <= 25
+    calls[0] = 0
+    assert classify_ECD(zoo.build_named("sym4wr2"), PiSet([2])).D is True
+    assert calls[0] == 0
+
+
 # -- conjugacy ---------------------------------------------------------------------
 
 
@@ -384,12 +482,8 @@ def test_oracle_against_brute_force_enumeration():
 
 
 def test_dominance_sweeps_agree():
-    # the two-prime solvable sweep and the generic extension sweep must
-    # produce the same dominance verdict
-    from pihall.hall import (_dominance_generic_sweep,
-                             _dominance_solvable_sweep)
-    from pihall.structure import get_table
-    from pihall.arith import pi_part
+    # both candidate filters of the one growth routine (normal extensions of
+    # prime index, and one element per right coset) give the expected verdict
     for G, pi, expect in [
         (zoo.alt(5), PI23, False), (zoo.sym(4), PI23, True),
         (zoo.wreath(zoo.sym(3), 2), PI23, True),
@@ -397,8 +491,10 @@ def test_dominance_sweeps_agree():
         (zoo.psl2(7), PiSet([3, 7]), True),
     ]:
         tbl = get_table(G, 10 ** 6)
-        m = pi_part(G.order(), pi)
+        hc = all_hall_classes(G, pi)
+        assert hc.k == 1, (G.name, pi.key())
+        h_set = tbl.indices_of_subgroup(hc.class_reps[0])
         effective = [p for p in pi if G.order() % p == 0]
-        solvable = _dominance_solvable_sweep(tbl, pi, m, effective)
-        generic = _dominance_generic_sweep(tbl, pi, m)
-        assert solvable == generic == expect, (G.name, pi.key())
+        for primes in (effective, None):
+            witness = hall._grow_outside_hall(tbl, pi, h_set, primes)
+            assert (witness is None) == expect, (G.name, pi.key(), primes)

@@ -356,14 +356,24 @@ def small_groups(draw):
           deadline=None)
 @given(small_groups())
 def test_class_space_normal_structure_matches_reference(G):
-    # the table cache keys on the generator set, not its order, and a table's
-    # index order follows the generator order; start each example cold
-    structure._table_cache.clear()
     assert is_simple(G) is _reference_is_simple(G)
     assert ([_gens_of(M) for M in minimal_normal_subgroups(G)]
             == [_gens_of(M) for M in _reference_minimal_normals(G)])
     assert ([_gens_of(N) for N in normal_subgroups(G)]
             == [_gens_of(N) for N in _reference_normal_subgroups(G)])
+
+
+def test_table_cache_keeps_generator_order(monkeypatch):
+    # a table's index order follows the generator order, so two groups with
+    # the same generators in another order must not share a table
+    S4 = zoo.sym(4)
+    reversed_gens = PermGroup(4, list(reversed(S4.generators)))
+    monkeypatch.setattr(structure, "_table_cache", {})
+    cold = [_gens_of(M) for M in minimal_normal_subgroups(reversed_gens)]
+    monkeypatch.setattr(structure, "_table_cache", {})
+    minimal_normal_subgroups(S4)
+    warm = [_gens_of(M) for M in minimal_normal_subgroups(reversed_gens)]
+    assert cold == warm
 
 
 def test_normal_closure_classes_limit():
