@@ -34,9 +34,11 @@ class ActionHom:
             img = self._image_tuple(g.images)
             image_gens.append(img)
             combined.append(img + tuple(x + m for x in g.images))
+        # faithful on the original points, so the combined group is G
+        self._chain = _Chain(n + m, combined, hint=range(m), order=G.order())
         self.quotient = PermGroup(
-            m, [Perm(t, validate=False) for t in image_gens], name=name)
-        self._chain = _Chain(n + m, combined, hint=range(m))
+            m, [Perm(t, validate=False) for t in image_gens], name=name,
+            order=G.order() // self._chain.order(m))
         self._kernel: PermGroup | None = None
 
     def _image_tuple(self, g: tuple[int, ...]) -> tuple[int, ...]:
@@ -51,7 +53,8 @@ class ActionHom:
             m = self.domain_size
             gens = [Perm(tuple(x - m for x in w[m:]), validate=False)
                     for w in self._chain.strong_gens_from(m)]
-            self._kernel = PermGroup(self.source.degree, gens)
+            self._kernel = PermGroup(self.source.degree, gens,
+                                     order=self._chain.order(m))
         return self._kernel
 
     def preimage(self, q: Perm) -> Perm:
@@ -82,9 +85,11 @@ class ActionHom:
 
     def preimage_group(self, Qsub: PermGroup) -> PermGroup:
         """Full preimage of a subgroup of the image: kernel + pullbacks."""
-        gens = list(self.kernel().generators)
+        K = self.kernel()
+        gens = list(K.generators)
         gens += [self.preimage(q) for q in Qsub.generators]
-        return PermGroup(self.source.degree, gens)
+        return PermGroup(self.source.degree, gens,
+                         order=K.order() * Qsub.order())
 
 
 def identity_hom(G: PermGroup) -> ActionHom:

@@ -13,7 +13,9 @@ A node budget turns runaway instances into a clean
 
 from __future__ import annotations
 
-from .groups import PermGroup, _Chain, _ident, _inv, _mul
+# VerificationError and certify live in groups; re-exported here
+from .groups import (PermGroup, VerificationError, _Chain, _ident, _inv, _mul,
+                     certify)
 from .perms import Perm
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -29,18 +31,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{kind} budget exceeded{': ' + detail if detail else ''}")
         self.kind = kind
         self.detail = detail
-
-
-class VerificationError(RuntimeError):
-    """A result failed the check that certifies it.
-
-    A fault in the program, never an answer about the group."""
-
-
-def certify(ok: bool, what: str) -> None:
-    """Raise VerificationError unless ok; unlike assert, never stripped."""
-    if not ok:
-        raise VerificationError(what)
 
 
 class SearchProperty:
@@ -172,7 +162,8 @@ def subgroup_search(G: PermGroup, prop: SearchProperty,
             break
         searcher.add_known(g)
     return PermGroup(G.degree,
-                     [Perm(g, validate=False) for g in searcher.k_gens])
+                     [Perm(g, validate=False) for g in searcher.k_gens],
+                     order=searcher.k_chain.order())
 
 
 def element_search(G: PermGroup, prop: SearchProperty,

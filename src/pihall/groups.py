@@ -5,6 +5,14 @@ The stabilizer chain is built by a deterministic Schreier-Sims procedure
 point moved by the generator that creates the level.  Groups are immutable
 once the chain exists, so they are safe to share across threads.
 
+A chain told its group's exact order stops verifying Schreier generators
+once the product of its basic orbit lengths reaches that order.  The stop
+is certified, not sampled: each level's generators lie in the true
+stabilizer, so the product is at most |G|, with equality exactly when every
+level generates its full stabilizer, i.e. when the chain is complete.  From
+then on every Schreier generator sifts to the identity, so the base, level
+generators and orbits are those full verification gives.
+
 Internally the chain works on raw image tuples for speed; the public API
 speaks :class:`~pihall.perms.Perm`.
 """
@@ -40,6 +48,18 @@ def _inv(p):
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+class VerificationError(RuntimeError):
+    """A result failed the check that certifies it.
+
+    A fault in the program, never an answer about the group."""
+
+
+def certify(ok: bool, what: str) -> None:
+    """Raise VerificationError unless ok; unlike assert, never stripped."""
+    if not ok:
+        raise VerificationError(what)
 
 
 class _Level:
@@ -84,26 +104,25 @@ class _Level:
             frontier = nxt
 
     def _walk(self, point: int) -> tuple[int, ...]:
+        # up the tree to the nearest cached rep (the base point's at the
+        # latest), then down, caching each rep on the way when allowed
         path = []
         x = point
-        while True:
-            edge = self.tree[x]
-            if edge is None:
-                break
-            parent, gen = edge
-            path.append(gen)
+        while x not in self._reps:
+            parent, gen = self.tree[x]
+            path.append((x, gen))
             x = parent
-        r = _ident(self.degree)
-        for gen in reversed(path):
+        r = self._reps[x]
+        for x, gen in reversed(path):
             r = _mul(r, gen)
+            if self.cache_reps:
+                self._reps[x] = r
         return r
 
     def rep(self, point: int) -> tuple[int, ...]:
         r = self._reps.get(point)
         if r is None:
             r = self._walk(point)
-            if self.cache_reps:
-                self._reps[point] = r
         return r
 
     def rep_inv(self, point: int) -> tuple[int, ...]:
@@ -123,15 +142,28 @@ class _Chain:
     this to peel a quotient action off the front of a combined domain: the
     stabilizer of the whole hint block is then the chain suffix after the
     hint levels.  Pre-created levels that stay trivial cost O(1) each.
+
+    ``order``, when given, must be the exact order of the group the
+    generators generate, computed, never estimated: verification stops as
+    soon as the orbit-length product reaches it (see the module docstring).
+    A stated order that verification runs past or never reaches raises
+    VerificationError; one that is too small but equals an intermediate
+    product would stop the chain early undetected.  The sources used are:
+    the source group's order for an action's combined chain (the action is
+    faithful on the original points); a complete chain's orbit-length
+    product, or a suffix of it (stabilizers, action kernels, spans built
+    with ``extend``, backtrack results); |kernel|·|Q̄| for a preimage;
+    |G|/|kernel| for an action's image; |H| for a conjugate of H.
     """
 
-    __slots__ = ("degree", "levels", "hint_len")
+    __slots__ = ("degree", "levels", "hint_len", "_order")
 
     def __init__(self, degree: int, gens: Iterable[tuple[int, ...]],
-                 hint: Sequence[int] = ()):
+                 hint: Sequence[int] = (), order: int | None = None):
         self.degree = degree
         self.levels: list[_Level] = [_Level(h, degree) for h in hint]
         self.hint_len = len(hint)
+        self._order = order
         ident = _ident(degree)
         for g in gens:
             if g != ident:
@@ -141,9 +173,11 @@ class _Chain:
     def extend(self, w) -> bool:
         """Add w to the group: sift it and, when it is not already a member,
         install the residue and complete the chain again (incremental
-        Schreier-Sims).  True when the group grew."""
+        Schreier-Sims).  True when the group grew, which voids the stated
+        order."""
         if self._sift_add(0, w) is None:
             return False
+        self._order = None
         self._complete()
         return True
 
@@ -203,24 +237,32 @@ class _Chain:
                     j = self._sift_add(i + 1, s)
                     if j is not None:
                         deepest = j if deepest is None else max(deepest, j)
+                        if self._order_reached():
+                            return deepest
                 lvl.checked_upto[pt] = ngens
             idx += 1
         return deepest
 
+    def _order_reached(self) -> bool:
+        return self._order is not None and self.order() == self._order
+
     def _complete(self) -> None:
         i = len(self.levels) - 1
-        while i >= 0:
+        while i >= 0 and not self._order_reached():
             changed = self._check_level(i)
             if changed is None:
                 i -= 1
             else:
                 i = changed
+        certify(self._order is None or self.order() == self._order,
+                f"stated order {self._order}, chain order {self.order()}")
 
     # -- queries -----------------------------------------------------------
 
-    def order(self) -> int:
+    def order(self, level: int = 0) -> int:
+        """Order of the stabilizer of the first `level` base points."""
         n = 1
-        for lvl in self.levels:
+        for lvl in self.levels[level:]:
             n *= len(lvl.orbit_list)
         return n
 
@@ -281,7 +323,7 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (),
-                 name: str | None = None):
+                 name: str | None = None, order: int | None = None):
         gens = []
         seen = set()
         for g in generators:
@@ -296,6 +338,8 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.name = name
+        # exact order (see _Chain); read off the chain when not stated
+        self._order = order
         self._chain_cache: _Chain | None = None
         self._fingerprint = None
 
@@ -304,13 +348,14 @@ class PermGroup:
     def chain(self) -> _Chain:
         if self._chain_cache is None:
             self._chain_cache = _Chain(
-                self.degree, [g.images for g in self.generators])
+                self.degree, [g.images for g in self.generators],
+                order=self._order)
         return self._chain_cache
 
     def fresh_chain(self, hint: Sequence[int] = ()) -> _Chain:
         """A private chain with a prescribed base prefix; never cached."""
         return _Chain(self.degree, [g.images for g in self.generators],
-                      hint=hint)
+                      hint=hint, order=self._order)
 
     def gen_tuples(self) -> list[tuple[int, ...]]:
         return [g.images for g in self.generators]
@@ -318,7 +363,9 @@ class PermGroup:
     # -- basic structure ----------------------------------------------------
 
     def order(self) -> int:
-        return self.chain().order()
+        if self._order is None:
+            self._order = self.chain().order()
+        return self._order
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -394,14 +441,16 @@ class PermGroup:
         self._check_point(point)
         chain = self.fresh_chain(hint=[point])
         gens = chain.strong_gens_from(1)
-        return PermGroup(self.degree, [Perm(g, validate=False) for g in gens])
+        return PermGroup(self.degree, [Perm(g, validate=False) for g in gens],
+                         order=chain.order(1))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         for p in points:
             self._check_point(p)
         chain = self.fresh_chain(hint=list(points))
         gens = chain.strong_gens_from(len(points))
-        return PermGroup(self.degree, [Perm(g, validate=False) for g in gens])
+        return PermGroup(self.degree, [Perm(g, validate=False) for g in gens],
+                         order=chain.order(len(points)))
 
     # -- elements ------------------------------------------------------------
 

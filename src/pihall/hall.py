@@ -118,7 +118,7 @@ def intersect_subgroups(H: PermGroup, A: PermGroup,
     for x in small.elements():
         if big.contains(x) and span.extend(x.images):
             gens.append(x)
-    return PermGroup(H.degree, gens)
+    return PermGroup(H.degree, gens, order=span.order())
 
 
 # -- the oracle ---------------------------------------------------------------------
@@ -655,7 +655,8 @@ def class_is_G_invariant(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
     for g in G.generators:
         if A.contains(g):
             continue
-        Mg = PermGroup(G.degree, [h.conjugate(g) for h in M.generators])
+        Mg = PermGroup(G.degree, [h.conjugate(g) for h in M.generators],
+                       order=M.order())
         if are_conjugate(A, Mg, M, budgets) is None:
             return False
     return True
@@ -686,7 +687,8 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
     if not inter.same_group_as(M):
         x = are_conjugate(A, inter, M, budgets)
         certify(x is not None, "H ∩ A must be A-conjugate to M")
-        H = PermGroup(G.degree, [h.conjugate(x) for h in H.generators])
+        H = PermGroup(G.degree, [h.conjugate(x) for h in H.generators],
+                      order=H.order())
         inter = intersect_subgroups(H, A, budgets.order_budget)
         certify(inter.same_group_as(M), "conjugated H ∩ A is not M")
     return H

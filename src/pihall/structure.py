@@ -71,7 +71,7 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         gens.append(x)
         for g in G.generators:
             queue.append(x.conjugate(g))
-    return PermGroup(G.degree, gens)
+    return PermGroup(G.degree, gens, order=span.order())
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:

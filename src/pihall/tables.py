@@ -281,7 +281,7 @@ class ElementTable:
             p = self.perm_of(i)
             if span.extend(p.images):
                 gens.append(p)
-        return PermGroup(self.degree, gens, name=name)
+        return PermGroup(self.degree, gens, name=name, order=span.order())
 
     def indices_of_subgroup(self, H: PermGroup) -> frozenset:
         got = self.closure([self.idx_of_perm(g) for g in H.generators])

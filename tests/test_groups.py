@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_elements, brute_group_elements
-from pihall import zoo
-from pihall.groups import PermGroup, _Chain
+from pihall import groups, zoo
+from pihall.actions import coset_action
+from pihall.groups import PermGroup, VerificationError, _Chain
 from pihall.perms import Perm
+from pihall.structure import normal_closure
+from pihall.tables import ElementTable
 
 
 def test_trivial_group():
@@ -163,3 +166,110 @@ def test_chain_extend_matches_fresh_chain(case):
         assert grown.base()[:len(hint)] == hint
         assert all(grown.contains(w) for w in fresh.iter_tuples())
         assert all(grown.contains(p) == fresh.contains(p) for p in probes)
+
+
+# -- stated orders: early stop, certified --------------------------------------
+
+
+def test_stated_order_is_returned_without_a_chain():
+    G = PermGroup(4, zoo.sym(4).generators, order=24)
+    assert G.order() == 24
+    assert G._chain_cache is None
+    assert G.chain().order() == 24
+
+
+@pytest.mark.parametrize("wrong", [48, 23])
+def test_wrong_stated_order_raises(wrong):
+    # verification runs to the end without meeting the stated order
+    with pytest.raises(VerificationError):
+        PermGroup(4, zoo.sym(4).generators, order=wrong).chain()
+
+
+def test_extend_after_early_stop_voids_the_order():
+    S4 = zoo.sym(4)
+    chain = _Chain(5, [g.images + (4,) for g in S4.generators], order=24)
+    assert chain.extend((0, 1, 2, 4, 3))
+    assert chain.order() == 120
+
+
+def _shape(chain):
+    return [(lvl.point, list(lvl.gens), list(lvl.orbit_list))
+            for lvl in chain.levels]
+
+
+def _chains_built(run, stated):
+    """run() with every chain it builds recorded; with stated=False each
+    chain ignores its stated order and verifies in full."""
+    built = []
+    init = groups._Chain.__init__
+
+    def recording(self, degree, gens, hint=(), order=None):
+        init(self, degree, gens, hint, order if stated else None)
+        built.append((self, order))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups._Chain, "__init__", recording)
+        snapshots = run()
+    return built, snapshots
+
+
+@st.composite
+def small_groups_up_to_degree_8(draw):
+    """Random subgroups of S_n (n <= 7), and direct and wreath products of
+    small ones, as generator image lists."""
+    def sub(max_degree, max_gens):
+        n = draw(st.integers(2, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=max_gens))
+        return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
+    if kind == "sym":
+        G = sub(7, 3)
+    elif kind == "direct":
+        G = zoo.direct_product(sub(4, 2), sub(4, 2))
+    else:
+        G = zoo.wreath(sub(3, 2), 2)
+    return G.degree, G.gen_tuples()
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
+def test_stated_order_chain_is_identical(group, seed):
+    degree, gens = group
+
+    def run():
+        rng = random.Random(seed)
+        G = PermGroup(degree, gens)
+        order = G.order()
+        stated = PermGroup(degree, gens, order=order)
+        point = rng.randrange(degree)
+        stab = stated.stabilizer(point)
+        stab.chain()
+        x = stated.random_element(rng)
+        N = normal_closure(G, [x])
+        if order // N.order() <= 120:
+            hom = coset_action(stated, N)
+            hom.kernel().chain()
+            Q = hom.quotient
+            Q.chain()
+            Qsub = PermGroup(Q.degree, [hom.image(stated.random_element(rng))])
+            hom.preimage_group(Qsub).chain()
+        tbl = ElementTable(G)
+        y = stated.random_element(rng)
+        tbl.subgroup(tbl.closure([tbl.idx_of_perm(y)])).chain()
+        # extend after the early stop, by an element of S_n usually outside G
+        before = _shape(stated.chain())
+        images = list(range(degree))
+        rng.shuffle(images)
+        stated.chain().extend(tuple(images))
+        return before
+
+    early, early_before = _chains_built(run, stated=True)
+    full, full_before = _chains_built(run, stated=False)
+    assert early_before == full_before
+    assert len(early) == len(full)
+    assert any(order is not None for _, order in early)
+    for (a, _), (b, _) in zip(early, full):
+        assert a.base() == b.base()
+        assert _shape(a) == _shape(b)

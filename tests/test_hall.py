@@ -9,7 +9,7 @@ from conftest import (brute_group_elements, brute_subgroups_dividing,
 from pihall import hall, zoo
 from pihall.actions import coset_action
 from pihall.arith import PiSet, pi_part
-from pihall.backtrack import BudgetExceededError
+from pihall.backtrack import BudgetExceededError, conjugating_element
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.hall import (all_hall_classes, are_conjugate, class_is_G_invariant,
@@ -322,6 +322,32 @@ def test_are_conjugate_distinguishes_hall_classes():
     assert are_conjugate(zoo.gl(3, 2), a, b) is None
     # the fast reject already fires: orbit structures over the 7 points differ
     assert sorted(map(len, a.orbits())) != sorted(map(len, b.orbits()))
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in zoo.corpus_manifest() if e["order"] <= 800],
+    ids=lambda e: f"{e['name']}-{e['pi']}")
+def test_are_conjugate_table_route_matches_backtrack(entry):
+    # independent evidence: the element-table transporter against the
+    # backtrack search, on every pair of Hall class representatives and on
+    # a conjugate of each
+    G = zoo.build_named(entry["name"])
+    reps = all_hall_classes(G, PiSet.parse(entry["pi"])).class_reps
+    rng = random.Random(entry["name"])
+    cases = [(H, K) for i, H in enumerate(reps) for K in reps[i:]]
+    for H in reps:
+        g = G.random_element(rng)
+        cases.append((H, PermGroup(G.degree,
+                                   [h.conjugate(g) for h in H.generators])))
+    for H, K in cases:
+        by_table = are_conjugate(G, H, K)
+        by_search = conjugating_element(G, H, K)
+        assert (by_table is None) == (by_search is None)
+        for x in (by_table, by_search):
+            if x is not None:
+                assert PermGroup(G.degree, [h.conjugate(x)
+                                            for h in H.generators]
+                                 ).same_group_as(K)
 
 
 # -- k_induced ----------------------------------------------------------------------

@@ -435,3 +435,23 @@ def test_reduction_chain_build_gate(monkeypatch):
     builds = _count_chain_builds(monkeypatch)
     assert cpi_reduce(_fresh("alt5xsym4"), PiSet([2, 3])).verdict is True
     assert builds[0] <= 60
+
+
+def test_reduction_sift_gate(monkeypatch):
+    # chains given their exact order stop verifying once it is reached; a
+    # full verification of every action and span chain sifts about 2,500
+    # times here
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    G = _fresh("alt5xsym4")
+    G.order()
+    sifts = [0]
+    sift_add = groups._Chain._sift_add
+
+    def counting(self, *args):
+        sifts[0] += 1
+        return sift_add(self, *args)
+
+    monkeypatch.setattr(groups._Chain, "_sift_add", counting)
+    assert cpi_reduce(G, PiSet([2, 3])).verdict is True
+    assert sifts[0] <= 1000
