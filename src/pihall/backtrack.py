@@ -191,57 +191,9 @@ class ColorProperty(SearchProperty):
         return all(colors[y] == colors[x] for x, y in enumerate(g))
 
 
-class NormalizerProperty(SearchProperty):
-    """g^-1 H g == H, pruned by H's orbit partition."""
-
-    def __init__(self, H: PermGroup):
-        self.h_gens = H.gen_tuples()
-        self.h_chain = H.chain()
-        oid = [-1] * H.degree
-        sizes = {}
-        for i, orb in enumerate(H.orbits()):
-            for x in orb:
-                oid[x] = i
-            sizes[i] = len(orb)
-        self.oid = oid
-        self.osize = sizes
-        self.omap: dict[int, int] = {}
-        self.otargets: set[int] = set()
-        self.trail: list[tuple[int, int] | None] = []
-
-    def veto(self, level, b, c):
-        ob, oc = self.oid[b], self.oid[c]
-        if self.osize[ob] != self.osize[oc]:
-            return True
-        mapped = self.omap.get(ob)
-        if mapped is not None:
-            return mapped != oc
-        return oc in self.otargets
-
-    def push(self, level, b, c):
-        ob, oc = self.oid[b], self.oid[c]
-        if ob in self.omap:
-            self.trail.append(None)
-        else:
-            self.omap[ob] = oc
-            self.otargets.add(oc)
-            self.trail.append((ob, oc))
-
-    def pop(self, level):
-        entry = self.trail.pop()
-        if entry is not None:
-            ob, oc = entry
-            del self.omap[ob]
-            self.otargets.discard(oc)
-
-    def accept(self, g):
-        g_inv = _inv(g)
-        contains = self.h_chain.contains
-        return all(contains(_mul(_mul(g_inv, h), g)) for h in self.h_gens)
-
-
 class ConjugacyProperty(SearchProperty):
-    """g^-1 H g == K; prunes by matching H-orbits onto K-orbits."""
+    """g^-1 H g == K; prunes by matching H-orbits onto K-orbits.  With
+    K = H it is the normalizer's property."""
 
     def __init__(self, H: PermGroup, K: PermGroup):
         self.h_gens = H.gen_tuples()
@@ -373,12 +325,6 @@ def partition_stabilizer(G: PermGroup, colors, known=(),
                            node_budget=node_budget)
 
 
-def setwise_stabilizer(G: PermGroup, points, known=(),
-                       node_budget: int | None = None) -> PermGroup:
-    colors = [1 if x in set(points) else 0 for x in range(G.degree)]
-    return partition_stabilizer(G, colors, known=known, node_budget=node_budget)
-
-
 def normalizer(G: PermGroup, H: PermGroup,
                node_budget: int | None = None) -> PermGroup:
     """Full normalizer of H in G."""
@@ -390,7 +336,7 @@ def normalizer(G: PermGroup, H: PermGroup,
         for g in G.generators)
     if g_inv_conj_ok:
         return G
-    return subgroup_search(G, NormalizerProperty(H), known=H.gen_tuples(),
+    return subgroup_search(G, ConjugacyProperty(H, H), known=H.gen_tuples(),
                            node_budget=node_budget)
 
 

@@ -15,14 +15,13 @@ from pathlib import Path
 
 from . import zoo
 from .arith import PiSet
-from .backtrack import BudgetExceededError, VerificationError
+from .backtrack import BudgetExceededError, VerificationError, centralizer
 from .config import Budgets
 from .groups import PermGroup, join_subgroups
 from .hall import classify_ECD, k_induced
 from .perms import Perm
 from .reduction import compare_with_oracle, cpi_reduce
 from .report import Report, class_fingerprints, make_report
-from .structure import center as center_of
 from .structure import derived_subgroup, is_normal, minimal_normal_subgroups
 
 EXIT_OK = 0
@@ -85,7 +84,7 @@ def resolve_normal(G: PermGroup, spec: str, budgets: Budgets) -> PermGroup:
     if spec == "derived":
         return derived_subgroup(G)
     if spec == "center":
-        return center_of(G, node_budget=budgets.node_budget)
+        return centralizer(G, G, node_budget=budgets.node_budget)
     if spec == "socle":
         return join_subgroups(G, minimal_normal_subgroups(G, budgets))
     if spec.startswith("minimal:"):

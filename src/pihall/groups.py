@@ -444,14 +444,6 @@ class PermGroup:
         return PermGroup(self.degree, [Perm(g, validate=False) for g in gens],
                          order=chain.order(1))
 
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        for p in points:
-            self._check_point(p)
-        chain = self.fresh_chain(hint=list(points))
-        gens = chain.strong_gens_from(len(points))
-        return PermGroup(self.degree, [Perm(g, validate=False) for g in gens],
-                         order=chain.order(len(points)))
-
     # -- elements ------------------------------------------------------------
 
     def random_element(self, rng: random.Random | int) -> Perm:

@@ -1,18 +1,22 @@
 """Hall subgroup analysis for a set of primes pi.
 
+One extension sweep (`_grow`) serves the oracle and dominance: from seed
+subgroups it grows pi-subgroups by single-element extensions, one class at
+a time, keeping one member per conjugacy class.  Classes are orbits of
+element-index sets under conjugation (`_SetOrbits`), by G here and by a
+normal subgroup A when `k_induced` and the suites count the A-classes of
+the intersections H ∩ A.
+
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
-budget: starting from a Sylow subgroup for one pi-prime it grows
-pi-overgroups by single-element extensions, deduplicating conjugacy
-classes exactly via orbits of element-index sets.  Every Hall class has a
-representative through that Sylow subgroup, so the sweep finds all of
-them.  Dominance (C, and every pi-subgroup inside a Hall subgroup) is read
-only once C holds, so it fails exactly when some pi-subgroup lies in no
-conjugate of the one Hall class's representative H.  With one effective
-prime it holds by Sylow.  Otherwise pi-subgroup classes grow from prime
-order by single-element extensions, only through classes inside a
-conjugate of H, and the sweep stops at the first class outside, which it
-keeps as a witness.  With two effective primes every pi-subgroup is
-solvable, so only normal extensions of prime index are tried.
+budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
+Hall class has a member through it.  Dominance (C, and every pi-subgroup
+inside a Hall subgroup) is read only once C holds, so it fails exactly
+when some pi-subgroup lies in no conjugate of the one Hall class's
+representative H.  With one effective prime it holds by Sylow.  Otherwise
+the sweep starts at the subgroups of prime order, grows only through
+classes inside a conjugate of H, and stops at the first class outside,
+which it keeps as a witness.  With two effective primes every pi-subgroup
+is solvable, so only normal extensions of prime index are tried.
 
 Negative answers are certificates; running out of a budget raises
 BudgetExceededError instead.
@@ -141,16 +145,21 @@ class HallClassSet:
 
 
 class _SetOrbits:
-    """Conjugation orbits of element-index sets, memoized per class.
+    """Orbits of element-index sets under conjugation by the subgroup that
+    the elements `by` (indices) generate, memoized per class.
 
     Each distinct class triggers one orbit BFS; every member's sorted-index
     byte string is then registered, so later queries for conjugate sets are
-    dictionary hits.  Words (generator index lists) conjugate the class
-    root to each member."""
+    dictionary hits.  Words in `by` conjugate the class root to each
+    member."""
 
-    def __init__(self, tbl: ElementTable):
+    def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
         self.tbl = tbl
-        self.maps = tbl.conj_maps()
+        self.by = by
+        # G's own maps through conj_maps, where perfbench's tables.conj_maps
+        # span counts them
+        self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
+                     else [tbl.conj_map(t) for t in by])
         self.class_of: dict[bytes, int] = {}
         self.class_reps: list[dict[bytes, int]] = []  # member -> transporter
         self.class_canon: list[frozenset] = []
@@ -179,7 +188,7 @@ class _SetOrbits:
                 conj = np.sort(M[a])
                 nk = conj.tobytes()
                 if nk not in reps:
-                    reps[nk] = tbl.mul(base, tbl.gen_idxs[gi])
+                    reps[nk] = tbl.mul(base, self.by[gi])
                     queue.append((nk, conj))
                     if nk < canon_key:
                         canon_key, canon_arr = nk, conj
@@ -218,11 +227,14 @@ class _SetOrbits:
         return tbl.perm_of(x)
 
 
-def _orbits_for(tbl: ElementTable) -> "_SetOrbits":
-    orb = getattr(tbl, "_set_orbits", None)
+def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
+    """Index-set orbits under conjugation by G, or by its subgroup A; one
+    memo per generating tuple, kept on the table."""
+    by = tuple(tbl.gen_idxs if A is None
+               else (tbl.idx_of_perm(g) for g in A.generators))
+    orb = tbl.set_orbits.get(by)
     if orb is None:
-        orb = _SetOrbits(tbl)
-        tbl._set_orbits = orb
+        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by)
     return orb
 
 
@@ -248,34 +260,58 @@ def _quick_probe(tbl: ElementTable, mask, k_sample, x: int) -> bool:
     return True
 
 
-def _grow_from_sylow(tbl: ElementTable, pi: PiSet, m: int,
-                     seed_set: frozenset, seed_gens: tuple,
-                     first_only: bool):
-    """Classes of order-m pi-subgroups containing a fixed Sylow subgroup;
-    single-element extension BFS, conjugacy-deduped.  Returns a list of
-    (canonical set, orbit words) per Hall class."""
-    orbits = _orbits_for(tbl)
-    mask = _pi_order_mask(tbl, pi, m)
-    seen = {orbits.class_id(seed_set)}
-    queue = [(seed_set, seed_gens)]
-    found: list[tuple[frozenset, int]] = []
+def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
+    """Classes of subgroups of order dividing m reached from the seeds, as
+    (index set, class id), each new class yielded in breadth-first order.
+
+    A class is represented by the first member reached, with the elements
+    that generate it; `seeds` gives such pairs.  Each is extended by the
+    elements `candidates(K)` gives, one closure each; classes of order m
+    are not extended."""
+    seen: set[int] = set()
+    queue: deque = deque()
+    for K, gens in seeds:
+        cid = orbits.class_id(K)
+        if cid not in seen:
+            seen.add(cid)
+            queue.append((K, gens))
     while queue:
-        K, gens = queue.pop(0)
-        if len(K) == m:
-            cid = orbits.class_id(K)
-            found.append((orbits.canon(cid), orbits.size(cid)))
-            if first_only:
-                return found
-            continue
-        for x in _coset_candidates(tbl, mask, K):
-            L = tbl.closure(list(gens) + [x], limit=m)
-            if L is None or m % len(L) != 0 or len(L) <= len(K):
+        K, gens = queue.popleft()
+        for x in candidates(K):
+            L = tbl.closure(gens + (x,), limit=m)
+            if L is None or len(L) <= len(K) or m % len(L) != 0:
                 continue
             cid = orbits.class_id(L)
-            if cid not in seen:
-                seen.add(cid)
-                queue.append((L, tuple(sorted(gens + (x,)))))
-    return found
+            if cid in seen:
+                continue
+            seen.add(cid)
+            yield L, cid
+            if len(L) < m:
+                queue.append((L, gens + (x,)))
+
+
+def _sylow_seed(G: PermGroup, pi: PiSet, budgets: Budgets, seed: int):
+    """The table of G, and a Sylow subgroup P, with its index set, for the
+    pi-prime with the largest Sylow subgroup (fewest cosets).  Every Hall
+    class has a member containing P."""
+    order = G.order()
+    tbl = get_table(G, budgets.order_budget)
+    effective = [p for p in pi if order % p == 0]
+    pstar = max(effective, key=lambda p: (p_part(order, p), p))
+    P = sylow(G, pstar, seed, budgets)
+    return tbl, P, tbl.indices_of_subgroup(P)
+
+
+def _hall_classes_over(tbl: ElementTable, pi: PiSet, m: int, P: PermGroup,
+                       p_set: frozenset):
+    """Ids of the classes of order-m pi-subgroups with a member containing
+    P (not itself of order m), in the order the sweep from P finds them."""
+    orbits = _orbits_for(tbl)
+    mask = _pi_order_mask(tbl, pi, m)
+    p_gens = tuple(tbl.idx_of_perm(g) for g in P.generators)
+    grown = _grow(tbl, orbits, m, [(p_set, p_gens)],
+                  lambda K: _coset_candidates(tbl, mask, K))
+    return (cid for L, cid in grown if len(L) == m)
 
 
 def all_hall_classes(G: PermGroup, pi: PiSet,
@@ -288,23 +324,15 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
         return HallClassSet(G, pi, [PermGroup(G.degree, [])], [1], True, 1)
     if m == order:
         return HallClassSet(G, pi, [G], [1], True, 1)
-    tbl = get_table(G, budgets.order_budget)
-    effective = [p for p in pi if order % p == 0]
-    # Sylow seed: the prime whose Sylow subgroup is largest (fewest cosets)
-    pstar = max(effective, key=lambda p: (p_part(order, p), p))
-    P = sylow(G, pstar, seed, budgets)
-    p_set = tbl.indices_of_subgroup(P)
-    p_gens = tuple(sorted(tbl.idx_of_perm(g) for g in P.generators))
+    tbl, P, p_set = _sylow_seed(G, pi, budgets, seed)
+    orbits = _orbits_for(tbl)
     if len(p_set) == m:
-        orbits = _orbits_for(tbl)
-        cid = orbits.class_id(p_set)
-        rep = tbl.subgroup(orbits.canon(cid))
-        size = orbits.size(cid)
-        return HallClassSet(G, pi, [rep], [size], True, size)
-    found = _grow_from_sylow(tbl, pi, m, p_set, p_gens, first_only=False)
-    found.sort(key=lambda t: tuple(sorted(t[0])))
-    reps = [tbl.subgroup(canon) for canon, _ in found]
-    sizes = [size for _, size in found]
+        cids = [orbits.class_id(p_set)]
+    else:
+        cids = sorted(_hall_classes_over(tbl, pi, m, P, p_set),
+                      key=lambda cid: sorted(orbits.canon(cid)))
+    reps = [tbl.subgroup(orbits.canon(cid)) for cid in cids]
+    sizes = [orbits.size(cid) for cid in cids]
     return HallClassSet(G, pi, reps, sizes, True, sum(sizes))
 
 
@@ -325,19 +353,11 @@ def find_hall(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
         hit = known.lookup_hall(G, pi)
         if hit is not None:
             return hit
-    tbl = get_table(G, budgets.order_budget)
-    effective = [p for p in pi if order % p == 0]
-    pstar = max(effective, key=lambda p: (p_part(order, p), p))
-    P = sylow(G, pstar, seed, budgets)
-    p_set = tbl.indices_of_subgroup(P)
+    tbl, P, p_set = _sylow_seed(G, pi, budgets, seed)
     if len(p_set) == m:
         return P
-    p_gens = tuple(sorted(tbl.idx_of_perm(g) for g in P.generators))
-    found = _grow_from_sylow(tbl, pi, m, p_set, p_gens, first_only=True)
-    if not found:
-        return None
-    canon, _ = found[0]
-    return tbl.subgroup(canon)
+    cid = next(_hall_classes_over(tbl, pi, m, P, p_set), None)
+    return None if cid is None else tbl.subgroup(_orbits_for(tbl).canon(cid))
 
 
 # -- subgroup conjugacy ---------------------------------------------------------------
@@ -483,41 +503,22 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
     mask = _pi_order_mask(tbl, pi, m)
     in_h = np.zeros(tbl.size, dtype=bool)
     in_h[list(h_set)] = True
-
-    def inside(L: frozenset, cid: int) -> bool:
-        if len(prime_divisors(len(L))) == 1:
-            return True  # in a Sylow subgroup, hence in a conjugate of H
-        return bool(in_h[orbits.members(cid)].all(axis=1).any())
-
-    _, reps = tbl.classes()
-    seen: set[int] = set()
-    queue: deque = deque()
     # level one: <x> for one x of prime order per element class
-    for x in reps:
-        if mask[x] and is_prime(tbl.element_order(x)):
-            L = tbl.closure([x])
-            cid = orbits.class_id(L)
-            if cid not in seen:
-                seen.add(cid)
-                queue.append((L, (x,)))
-    while queue:
-        K, gens = queue.popleft()
+    _, reps = tbl.classes()
+    seeds = ((tbl.closure([x]), (x,)) for x in reps
+             if mask[x] and is_prime(tbl.element_order(x)))
+
+    def candidates(K):
         if primes is None:
-            candidates = _coset_candidates(tbl, mask, K)
-        else:
-            candidates = _normal_prime_candidates(tbl, orbits, mask, K, primes)
-        for x in candidates:
-            L = tbl.closure(list(gens) + [x], limit=m)
-            if L is None or len(L) <= len(K) or m % len(L) != 0:
-                continue
-            cid = orbits.class_id(L)
-            if cid in seen:
-                continue
-            seen.add(cid)
-            if not inside(L, cid):
-                return L
-            if len(L) < m:
-                queue.append((L, gens + (x,)))
+            return _coset_candidates(tbl, mask, K)
+        return _normal_prime_candidates(tbl, orbits, mask, K, primes)
+
+    for L, cid in _grow(tbl, orbits, m, seeds, candidates):
+        # a subgroup of prime-power order lies in a Sylow subgroup, hence
+        # in a conjugate of H
+        if (len(prime_divisors(len(L))) > 1
+                and not in_h[orbits.members(cid)].all(axis=1).any()):
+            return L
     return None
 
 
@@ -570,7 +571,7 @@ def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
         arr = np.frombuffer(key, dtype=np.int64)
         for gi, M in enumerate(orbits.maps):
             image_key = np.sort(M[arr]).tobytes()
-            s = tbl.mul(tbl.mul(rep, tbl.gen_idxs[gi]),
+            s = tbl.mul(tbl.mul(rep, orbits.by[gi]),
                         tbl.inv(reps[image_key]))
             gens.add(s)
         if len(gens) >= target:
@@ -609,37 +610,17 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
         return KReport(G, A, pi, 0, k_total, [], e_holds=False)
     tbl = get_table(G, budgets.order_budget)
     a_set = tbl.indices_of_subgroup(A)
-    a_gen_idx = [tbl.idx_of_perm(g) for g in A.generators]
-    import numpy as np
-    canon_seen = {}
-    for H in halls.class_reps:
-        h_set = tbl.indices_of_subgroup(H)
-        inter = frozenset(h_set & a_set)
-        canon = _canonical_under(tbl, inter, a_gen_idx)
-        canon_seen.setdefault(canon, inter)
-    reps = [tbl.subgroup(s) for s in sorted(canon_seen, key=lambda s: sorted(s))]
-    return KReport(G, A, pi, len(canon_seen), k_total, reps)
+    orbits = _orbits_for(tbl, A)
+    cids = {orbits.class_id(tbl.indices_of_subgroup(H) & a_set)
+            for H in halls.class_reps}
+    # each induced A-class on its least member as a sorted index tuple
+    least = sorted(min(map(tuple, orbits.members(cid).tolist()))
+                   for cid in cids)
+    reps = [tbl.subgroup(s) for s in least]
+    return KReport(G, A, pi, len(cids), k_total, reps)
 
 
-def _canonical_under(tbl: ElementTable, idxs: frozenset,
-                     conj_gen_idxs: list[int]) -> frozenset:
-    """Canonical form of a subgroup index set under conjugation by the
-    subgroup generated by the given elements."""
-    import numpy as np
-    seen = {idxs}
-    queue = [np.asarray(sorted(idxs), dtype=np.int64)]
-    while queue:
-        arr = queue.pop()
-        for t in conj_gen_idxs:
-            conj = tbl.conjugate_indices(arr, t)
-            key = frozenset(int(v) for v in conj)
-            if key not in seen:
-                seen.add(key)
-                queue.append(np.sort(conj))
-    return min(seen, key=lambda s: tuple(sorted(s)))
-
-
-# -- class invariance, extension, lifting ---------------------------------------------
+# -- class invariance and extension ---------------------------------------------
 
 
 def class_is_G_invariant(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
@@ -691,22 +672,6 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
                       order=H.order())
         inter = intersect_subgroups(H, A, budgets.order_budget)
         certify(inter.same_group_as(M), "conjugated H ∩ A is not M")
-    return H
-
-
-def lift_hall(G: PermGroup, A: PermGroup, hom, Kbar: PermGroup, pi: PiSet,
-              budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
-              known: SpecialCaseRegistry | None = None) -> PermGroup:
-    """A pi-Hall subgroup H of G whose image modulo A is Kbar, given the
-    coset action hom of G on A.  Kbar must be pi-Hall in the quotient;
-    `known` is passed to find_hall for a preimage past the budget."""
-    if not is_hall(hom.quotient, Kbar, pi):
-        raise ValueError("Kbar is not a pi-Hall subgroup of the quotient")
-    K = hom.preimage_group(Kbar)
-    H = find_hall(K, pi, budgets, seed, known)
-    if H is None:
-        raise ValueError("no Hall subgroup in the preimage: source is not E_pi")
-    certify(is_hall(G, H, pi), "lifted subgroup is not Hall")
     return H
 
 

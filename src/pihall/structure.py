@@ -80,10 +80,6 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return normal_closure(G, comms)
 
 
-def center(G: PermGroup) -> PermGroup:
-    return centralizer(G, G)
-
-
 def is_normal(G: PermGroup, H: PermGroup) -> bool:
     return all(H.contains(h.conjugate(g))
                for g in G.generators for h in H.generators)
@@ -337,9 +333,6 @@ class ChiefSeries:
         return all(B.contains(a.commutator(b))
                    for idx, a in enumerate(A.generators)
                    for b in A.generators[idx + 1:])
-
-    def factor_orders(self) -> list[int]:
-        return [self.factor_order(i) for i in range(1, len(self) + 1)]
 
 
 def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,

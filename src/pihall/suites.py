@@ -18,7 +18,7 @@ from .arith import PiSet, is_pi_number
 from .backtrack import BudgetExceededError, centralizer, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
-from .hall import (all_hall_classes, are_conjugate, classify_EC,
+from .hall import (_orbits_for, all_hall_classes, are_conjugate, classify_EC,
                    intersect_subgroups, is_hall, k_induced,
                    pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut, theorem1_suite
@@ -259,36 +259,22 @@ def _ha_instances(entries, ctx: CorpusContext):
                 yield e, G, pi, H, A, HA
 
 
-def _induced_class_keys(G: PermGroup, A: PermGroup, pi: PiSet,
-                        ctx: CorpusContext) -> set:
-    """Canonical keys of the A-classes of G-induced Hall subgroups."""
-    from .hall import _canonical_under
-    tbl = get_table(G, ctx.budgets.order_budget)
-    a_set = tbl.indices_of_subgroup(A)
-    a_gens = [tbl.idx_of_perm(g) for g in A.generators]
-    keys = set()
-    for H in ctx.classify(G, pi).classes.class_reps:
-        h_set = tbl.indices_of_subgroup(H)
-        keys.add(_canonical_under(tbl, frozenset(h_set & a_set), a_gens))
-    return keys
-
-
 def suite_lemma11(entries, ctx: CorpusContext) -> SuiteResult:
     res = SuiteResult("lemma-11", "induced-iff-invariant")
-    from .hall import _canonical_under
     for e, G, pi, H, A, HA in _ha_instances(entries, ctx):
         C = centralizer(G, A, node_budget=ctx.budgets.node_budget)
         HAC = join_subgroups(G, [H, A, C])
         if not is_normal(G, HAC):
             continue
         res.checked += 1
-        induced = _induced_class_keys(G, A, pi, ctx)
         tbl = get_table(G, ctx.budgets.order_budget)
-        a_gens = [tbl.idx_of_perm(g) for g in A.generators]
+        a_set = tbl.indices_of_subgroup(A)
+        orbits = _orbits_for(tbl, A)
+        # the A-classes of the G-induced Hall subgroups H^g ∩ A
+        induced = {orbits.class_id(tbl.indices_of_subgroup(K) & a_set)
+                   for K in ctx.classify(G, pi).classes.class_reps}
         for M in ctx.classify(A, pi).classes.class_reps:
-            m_set = tbl.indices_of_subgroup(M)
-            key = _canonical_under(tbl, m_set, a_gens)
-            is_induced = key in induced
+            is_induced = orbits.class_id(tbl.indices_of_subgroup(M)) in induced
             h_invariant = all(
                 are_conjugate(
                     A, PermGroup(G.degree,
@@ -331,30 +317,14 @@ def suite_lemma13(entries, ctx: CorpusContext) -> SuiteResult:
         if rep.k == 1:
             tbl = get_table(G, ctx.budgets.order_budget)
             h_set = tbl.indices_of_subgroup(rep.classes.class_reps[0])
-            a_gens = [tbl.idx_of_perm(g) for g in A.generators]
-            from .hall import _canonical_under
-            a_orbit = _a_orbit_size(tbl, h_set, a_gens)
-            cond3 = a_orbit == rep.classes.class_sizes[0]
+            orbits = _orbits_for(tbl, A)
+            cond3 = (orbits.size(orbits.class_id(h_set))
+                     == rep.classes.class_sizes[0])
         if not (cond1 == cond2 == cond3):
             res.violations.append(
                 f"{e['name']}/{e['pi']}: |A|={A.order()} "
                 f"k=1:{cond1} HA-conj:{cond2} A-conj:{cond3}")
     return res
-
-
-def _a_orbit_size(tbl, h_set: frozenset, a_gen_idxs) -> int:
-    import numpy as np
-    seen = {h_set}
-    queue = [np.asarray(sorted(h_set), dtype=np.int64)]
-    while queue:
-        arr = queue.pop()
-        for t in a_gen_idxs:
-            conj = tbl.conjugate_indices(arr, t)
-            key = frozenset(conj.tolist())
-            if key not in seen:
-                seen.add(key)
-                queue.append(np.sort(conj))
-    return len(seen)
 
 
 def suite_lemma15(entries, ctx: CorpusContext) -> SuiteResult:

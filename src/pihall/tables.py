@@ -1,9 +1,9 @@
 """Exhaustive element tables for groups within the enumeration budget.
 
 Rows of a numpy matrix hold every element's image list; a bytes-keyed dict
-maps rows back to indices.  Conjugation maps per generator are the basis
-for conjugacy classes and for orbits of subgroups (as index sets) under
-conjugation, which the Hall oracle uses for exact class deduplication.
+maps rows back to indices.  Conjugation maps, one per element conjugated
+by, are the basis for conjugacy classes and for the Hall oracle's orbits
+of subgroups (as index sets) under G or a subgroup of it.
 """
 
 from __future__ import annotations
@@ -44,12 +44,15 @@ class ElementTable:
         self.gen_idxs = [self.index[np.array(g.images, dtype=dtype).tobytes()]
                          for g in G.generators]
         self._inv: np.ndarray | None = None
+        self._conj_by: dict[int, np.ndarray] = {}
         self._conj_maps: list[np.ndarray] | None = None
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
         self._class_size: np.ndarray | None = None
         self._class_products: dict[tuple[int, int], frozenset] = {}
         self._class_orders: dict[int, int] = {}
+        # hall._SetOrbits per generating tuple, filled by hall._orbits_for
+        self.set_orbits: dict[tuple[int, ...], object] = {}
 
     @staticmethod
     def _enumerate(G: PermGroup, dtype) -> np.ndarray:
@@ -99,29 +102,23 @@ class ElementTable:
 
     # -- conjugation --------------------------------------------------------
 
-    def conj_maps(self) -> list[np.ndarray]:
-        """For each generator g, the index map x -> g^-1 x g."""
-        if self._conj_maps is None:
-            maps = []
-            for gi in self.gen_idxs:
-                g = self.rows[gi]
-                g_inv = np.argsort(g)
-                conj_rows = g[self.rows[:, g_inv]]
-                maps.append(np.fromiter(
-                    (self.index[conj_rows[i].tobytes()] for i in range(self.size)),
-                    dtype=np.int64, count=self.size))
-            self._conj_maps = maps
-        return self._conj_maps
+    def conj_map(self, t: int) -> np.ndarray:
+        """The index map x -> t^-1 x t (t given by index), memoized."""
+        got = self._conj_by.get(t)
+        if got is None:
+            g = self.rows[t]
+            conj_rows = g[self.rows[:, np.argsort(g)]]
+            got = np.fromiter(
+                (self.index[conj_rows[i].tobytes()] for i in range(self.size)),
+                dtype=np.int64, count=self.size)
+            self._conj_by[t] = got
+        return got
 
-    def conjugate_indices(self, idxs, by: int) -> np.ndarray:
-        """Indices of t^-1 x t for each x in idxs (t given by index)."""
-        t = self.rows[by]
-        t_inv = np.argsort(t)
-        sub = self.rows[np.asarray(idxs, dtype=np.int64)]
-        conj_rows = t[sub[:, t_inv]]
-        return np.fromiter(
-            (self.index[conj_rows[i].tobytes()] for i in range(len(conj_rows))),
-            dtype=np.int64, count=len(conj_rows))
+    def conj_maps(self) -> list[np.ndarray]:
+        """For each generator g of G, the index map x -> g^-1 x g."""
+        if self._conj_maps is None:
+            self._conj_maps = [self.conj_map(gi) for gi in self.gen_idxs]
+        return self._conj_maps
 
     def classes(self) -> tuple[np.ndarray, list[int]]:
         """(class_id per element, class representative indices)."""
@@ -235,24 +232,6 @@ class ElementTable:
                     return None
             frontier = nxt
         return frozenset(seen)
-
-    def subgroup_orbit(self, idxs: frozenset) -> list[frozenset]:
-        """Orbit of a subgroup (as an index set) under conjugation by G."""
-        maps = self.conj_maps()
-        start = np.asarray(sorted(idxs), dtype=np.int64)
-        seen = {idxs}
-        queue = [start]
-        out = [idxs]
-        while queue:
-            arr = queue.pop()
-            for M in maps:
-                conj = M[arr]
-                key = frozenset(int(x) for x in conj)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-                    queue.append(np.sort(conj))
-        return out
 
     def coset_reps(self, sub: frozenset) -> list[int]:
         """Minimal-index representatives of the right cosets of the subgroup."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .backtrack import partition_stabilizer
-from .groups import PermGroup
+from .groups import PermGroup, certify
 from .linalg import gf, mat_identity, mat_inverse, mat_mul, mat_transpose
 from .perms import Perm
 
@@ -183,8 +183,7 @@ def flag_stabilizer(n: int, q: int, dims, node_budget: int | None = None) -> Per
     colors = standard_flag_colors(n, q, dims)
     H = partition_stabilizer(G, colors, node_budget=node_budget)
     expected = parabolic_order(dims, q)
-    if H.order() != expected:
-        raise AssertionError(
+    certify(H.order() == expected,
             f"flag stabilizer order {H.order()} != parabolic order {expected}")
     H.name = f"flag{n}_{q}_" + "".join(map(str, dims))
     return H
@@ -446,8 +445,7 @@ def dual_flag_conjugator(H_a: PermGroup, H_b: PermGroup, n: int = 5,
     B = adapted_basis(chain_b)
     M = mat_mul(field, mat_inverse(field, A), B)
     g = Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
-    # verify H_a^g == H_b
     g_inv = g.inverse()
-    if not all(H_b.contains(g_inv * h * g) for h in H_a.generators):
-        raise AssertionError("flag conjugator failed verification")
+    certify(all(H_b.contains(g_inv * h * g) for h in H_a.generators),
+            "flag conjugator does not conjugate H_a onto H_b")
     return g

@@ -82,6 +82,15 @@ def test_k_rejects_non_normal(capsys, tmp_path):
     assert code == 6
 
 
+def test_k_over_the_center(capsys, tmp_path):
+    out_path = tmp_path / "k.json"
+    code, out, _ = run(["k", "psl2_7xc2", "--normal", "center",
+                        "--pi", "2,3", "--json", str(out_path)], capsys)
+    assert code == 0 and "k_induced=1 k_total=1" in out
+    normal = json.loads(out_path.read_text())["results"]["normal_subgroup"]
+    assert normal == {"spec": "center", "order": 2}
+
+
 def test_k_direct_product_factor(capsys):
     code, out, _ = run(["k", "alt5xalt5", "--normal", "minimal:0",
                         "--pi", "2,3"], capsys)

@@ -56,14 +56,14 @@ def test_report_is_json_serializable(gl52_example_report):
 
 
 def test_lift_through_extension_quotient(gl52_known):
-    # lifting the order-2 quotient's (trivially Hall) top through the inner
-    # copy produces the registered order-18432 Hall subgroup
+    # a Hall subgroup of the preimage of the order-2 quotient's (trivially
+    # Hall) top over the inner copy is the registered order-18432 one
     from pihall.actions import coset_action
-    from pihall.hall import find_hall, is_hall, lift_hall
+    from pihall.hall import find_hall, is_hall
     hat = zoo.gl52_hat()
     hom = coset_action(hat.group, hat.inner, check_subgroup=False)
     kbar = find_hall(hom.quotient, PI23)
-    H = lift_hall(hat.group, hat.inner, hom, kbar, PI23, known=gl52_known)
+    H = find_hall(hom.preimage_group(kbar), PI23, known=gl52_known)
     assert H.order() == 18432
     assert is_hall(hat.group, H, PI23)
 

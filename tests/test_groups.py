@@ -122,13 +122,6 @@ def test_random_element_uniformity_sym3():
         assert abs(value - expect) <= 5 * sigma
 
 
-def test_pointwise_stabilizer():
-    G = zoo.sym(5)
-    S = G.pointwise_stabilizer([0, 1])
-    assert S.order() == 6
-    assert all(g(0) == 0 and g(1) == 1 for g in S.generators)
-
-
 def test_fingerprint_invariance_under_conjugation():
     G = zoo.sym(5)
     H = PermGroup(5, [Perm.from_cycles(5, (0, 1, 2, 3))])

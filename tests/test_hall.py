@@ -1,23 +1,23 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_group_elements, brute_subgroups_dividing,
                       brute_subgroups_of_order)
 from pihall import hall, zoo
-from pihall.actions import coset_action
-from pihall.arith import PiSet, pi_part
+from pihall.arith import PiSet, pi_part, prime_divisors
 from pihall.backtrack import BudgetExceededError, conjugating_element
 from pihall.config import Budgets
 from pihall.groups import PermGroup
-from pihall.hall import (all_hall_classes, are_conjugate, class_is_G_invariant,
-                         classify_ECD, extend_hall, find_hall,
-                         intersect_subgroups, is_hall, k_induced, lift_hall,
-                         pi_separable_series, sylow)
+from pihall.hall import (_orbits_for, all_hall_classes, are_conjugate,
+                         class_is_G_invariant, classify_EC, classify_ECD,
+                         extend_hall, find_hall, intersect_subgroups, is_hall,
+                         k_induced, pi_separable_series, sylow)
 from pihall.perms import Perm
-from pihall.structure import get_table, minimal_normal_subgroups
+from pihall.structure import (get_table, minimal_normal_subgroups,
+                              normal_subgroups)
 
 PI23 = PiSet([2, 3])
 PI25 = PiSet([2, 5])
@@ -236,6 +236,18 @@ def _brute_D(G, pi):
     return all(any(s <= h for h in halls) for s in subs)
 
 
+def _brute_classes(subs, by):
+    """The classes of a set of subgroups (element frozensets) under
+    conjugation by the elements `by`, by brute conjugation."""
+    classes, remaining = [], set(subs)
+    while remaining:
+        rep = remaining.pop()
+        orbit = {frozenset(g.inverse() * h * g for h in rep) for g in by}
+        remaining -= orbit
+        classes.append(orbit)
+    return classes
+
+
 def _perm_group(n, images):
     return PermGroup(n, [Perm(tuple(p)) for p in images])
 
@@ -372,6 +384,47 @@ def test_k_induced_bound():
     assert rep.k_induced <= rep.k_total
 
 
+@st.composite
+def _small_groups_normal_and_pi(draw):
+    """A group G from _small_groups_and_pi, a proper nontrivial normal
+    subgroup A, and pi a proper subset of the primes dividing |G|."""
+    G, _ = draw(_small_groups_and_pi())
+    primes = prime_divisors(G.order())
+    normals = [A for A in normal_subgroups(G) if 1 < A.order() < G.order()]
+    assume(len(primes) > 1 and normals)
+    pi = PiSet(draw(st.lists(st.sampled_from(primes), min_size=1,
+                             max_size=len(primes) - 1, unique=True)))
+    return G, draw(st.sampled_from(normals)), pi
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_small_groups_normal_and_pi())
+# two induced classes, which no drawn group has (they are of order <= 144)
+@example((zoo.gl(3, 2), zoo.gl(3, 2), PI23))
+def test_k_induced_matches_brute_force(case):
+    # k_induced by its definition: the A-classes of {H ∩ A : H Hall in G},
+    # over every Hall subgroup of G, by brute conjugation under A
+    G, A, pi = case
+    a_els = brute_group_elements(A)
+    halls = brute_subgroups_of_order(G, pi_part(G.order(), pi))
+    classes = _brute_classes({h & a_els for h in halls}, a_els)
+    a_halls = brute_subgroups_of_order(A, pi_part(A.order(), pi))
+    rep = k_induced(G, A, pi)
+    assert rep.k_induced == len(classes)
+    assert rep.k_total == len(_brute_classes(a_halls, a_els))
+    # one representative in each induced class
+    found = [next(i for i, c in enumerate(classes)
+                  if frozenset(brute_group_elements(R)) in c)
+             for R in rep.induced_class_reps]
+    assert sorted(found) == list(range(len(classes)))
+    # the A-orbit sizes of the index-set orbits
+    tbl = get_table(G, 10 ** 6)
+    orbits = _orbits_for(tbl, A)
+    for c in classes:
+        member = frozenset(tbl.idx_of_perm(x) for x in next(iter(c)))
+        assert orbits.size(orbits.class_id(member)) == len(c)
+
+
 def test_k_induced_requires_normal():
     G = zoo.sym(4)
     H = PermGroup(4, [Perm.from_cycles(4, (0, 1))])
@@ -379,7 +432,7 @@ def test_k_induced_requires_normal():
         k_induced(G, H, PI23)
 
 
-# -- invariance / extension / lift ----------------------------------------------------
+# -- invariance / extension -----------------------------------------------------------
 
 
 def test_class_invariance_inside_the_group_itself():
@@ -419,34 +472,6 @@ def test_extend_hall_none_iff_not_invariant():
         inv = class_is_G_invariant(W, socle, M, PI23)
         got = extend_hall(W, socle, M, PI23)
         assert (got is not None) == inv
-
-
-def test_lift_hall_through_v4():
-    S4 = zoo.sym(4)
-    V4 = minimal_normal_subgroups(S4)[0]
-    hom = coset_action(S4, V4)
-    pi3 = PiSet([3])
-    kbar = find_hall(hom.quotient, pi3)
-    H = lift_hall(S4, V4, hom, kbar, pi3)
-    assert H.order() == 3
-    assert is_hall(S4, H, pi3)
-
-
-def test_lift_hall_trivial_kernel():
-    A5 = zoo.alt(5)
-    from pihall.actions import identity_hom
-    hom = identity_hom(A5)
-    kbar = find_hall(A5, PI23)
-    H = lift_hall(A5, PermGroup(5, []), hom, kbar, PI23)
-    assert H.order() == 12
-
-
-def test_lift_hall_rejects_non_hall():
-    S4 = zoo.sym(4)
-    V4 = minimal_normal_subgroups(S4)[0]
-    hom = coset_action(S4, V4)
-    with pytest.raises(ValueError):
-        lift_hall(S4, V4, hom, PermGroup(hom.domain_size, []), PiSet([3]))
 
 
 # -- pi-separable series ---------------------------------------------------------------
@@ -489,22 +514,41 @@ def test_oracle_against_brute_force_enumeration():
         (zoo.alt(5), PiSet([2])), (zoo.alt(5), PiSet([5])),
         (zoo.gl(3, 2), PI23),
     ]
-    from pihall.arith import pi_part
     for G, pi in cases:
         m = pi_part(G.order(), pi)
         subs = brute_subgroups_of_order(G, m)
-        els = brute_group_elements(G)
-        classes = []
-        remaining = set(subs)
-        while remaining:
-            rep = remaining.pop()
-            orbit = {frozenset(g.inverse() * h * g for h in rep)
-                     for g in els}
-            remaining -= orbit
-            classes.append(len(orbit))
+        classes = [len(c) for c in
+                   _brute_classes(subs, brute_group_elements(G))]
         hc = all_hall_classes(G, pi)
         assert hc.k == len(classes), (G.name, pi.key())
         assert sorted(hc.class_sizes) == sorted(classes), (G.name, pi.key())
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_small_groups_and_pi())
+# a Hall subgroup S3 x S3 two extensions above the Sylow seed; one extension
+# reaches a Hall subgroup in every group drawn here
+@example((zoo.direct_product(zoo.direct_product(zoo.sym(3), zoo.sym(3)),
+                             zoo.cyclic(5)), PI23))
+def test_sweep_matches_brute_force(case):
+    # both callers of the Sylow-seeded sweep: the oracle's classes, and
+    # find_hall's one Hall subgroup or None
+    G, pi = case
+    m = pi_part(G.order(), pi)
+    assume(1 < m < G.order())  # past the exits before the sweep
+    halls = brute_subgroups_of_order(G, m)
+    sizes = sorted(len(c) for c in
+                   _brute_classes(halls, brute_group_elements(G)))
+    rep = classify_EC(G, pi)
+    assert (rep.E, rep.C, rep.k) == (bool(sizes), len(sizes) == 1,
+                                     len(sizes))
+    assert sorted(rep.classes.class_sizes) == sizes
+    assert {frozenset(brute_group_elements(H))
+            for H in rep.classes.class_reps} <= halls
+    H = find_hall(G, pi)
+    assert (H is not None) == bool(halls)
+    if H is not None:
+        assert frozenset(brute_group_elements(H)) in halls
 
 
 def test_dominance_sweeps_agree():

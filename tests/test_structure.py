@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from conftest import brute_group_elements
 from pihall import groups, hall, structure, zoo
 from pihall.arith import PiSet, is_prime
-from pihall.backtrack import BudgetExceededError
+from pihall.backtrack import BudgetExceededError, centralizer
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
 from pihall.reduction import cpi_reduce
 from pihall.tables import ElementTable
-from pihall.structure import (center, chief_factor_decomposition, chief_series,
+from pihall.structure import (chief_factor_decomposition, chief_series,
                               derived_subgroup, induced_automizer, is_normal,
                               is_simple, minimal_normal_subgroups,
                               normal_closure, normal_subgroups)
@@ -36,9 +36,9 @@ def test_derived_subgroup_sym4():
 
 
 def test_center_dihedral4():
-    assert center(zoo.dihedral(4)).order() == 2
-    assert center(zoo.sym(4)).order() == 1
-    assert center(zoo.cyclic(12)).order() == 12
+    for G, order in [(zoo.dihedral(4), 2), (zoo.sym(4), 1),
+                     (zoo.cyclic(12), 12)]:
+        assert centralizer(G, G).order() == order
 
 
 @pytest.mark.parametrize("G,expect", [
@@ -97,7 +97,7 @@ def test_minimal_normals_above_budget():
 def test_chief_series_sym4():
     cs = chief_series(zoo.sym(4))
     assert [t.order() for t in cs.terms] == [24, 12, 4, 1]
-    assert cs.factor_orders() == [2, 3, 4]
+    assert [cs.factor_order(i) for i in range(1, 4)] == [2, 3, 4]
     assert all(cs.factor_is_abelian(i) for i in range(1, 4))
     for term in cs.terms:
         assert is_normal(zoo.sym(4), term)
@@ -141,8 +141,8 @@ def test_series_factor_product_is_group_order():
               zoo.direct_product(zoo.alt(5), zoo.sym(4))]:
         cs = chief_series(G)
         total = 1
-        for fo in cs.factor_orders():
-            total *= fo
+        for i in range(1, len(cs) + 1):
+            total *= cs.factor_order(i)
         assert total == G.order()
 
 

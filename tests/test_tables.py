@@ -53,12 +53,13 @@ def test_subgroup_roundtrip():
 
 
 def test_subgroup_orbit_counts_conjugates():
-    G = zoo.sym(4)
-    tbl = ElementTable(G)
+    from pihall.hall import _orbits_for
     from pihall.perms import Perm
+    tbl = ElementTable(zoo.sym(4))
     H = PermGroup(4, [Perm.from_cycles(4, (0, 1, 2))])
-    orbit = tbl.subgroup_orbit(tbl.indices_of_subgroup(H))
-    assert len(orbit) == 4  # four Sylow-3 subgroups
+    orbits = _orbits_for(tbl)
+    cid = orbits.class_id(tbl.indices_of_subgroup(H))
+    assert orbits.size(cid) == 4  # four Sylow-3 subgroups
 
 
 def test_order_budget():

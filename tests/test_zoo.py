@@ -1,6 +1,7 @@
 import pytest
 
 from pihall import zoo
+from pihall.groups import VerificationError
 from pihall.linalg import gf, mat_identity, mat_inverse, mat_mul, \
     mat_transpose, point_to_vec, vec_to_point
 from pihall.perms import Perm
@@ -73,6 +74,12 @@ def test_flag_stabilizer_small_case():
     assert H.order() == zoo.parabolic_order((1, 2), 2) == 24
 
 
+def test_flag_stabilizer_order_mismatch_fails_verification(monkeypatch):
+    monkeypatch.setattr(zoo, "parabolic_order", lambda dims, q: 48)
+    with pytest.raises(VerificationError):
+        zoo.flag_stabilizer(3, 2, (1, 2))
+
+
 def test_gl52_hat_structure():
     hat = zoo.gl52_hat()
     assert hat.group.degree == 62
@@ -115,6 +122,17 @@ def test_dual_flag_conjugator_on_conjugate():
     g = zoo.dual_flag_conjugator(Ht, H1)
     assert g is not None
     assert all(H1.contains(h.conjugate(g)) for h in Ht.generators)
+
+
+def test_dual_flag_conjugator_failure_fails_verification(monkeypatch):
+    # a wrong basis change (the identity) must not pass as a conjugator
+    G = zoo.gl(5, 2)
+    H1 = zoo.flag_stabilizer(5, 2, (2, 1, 2))
+    t = G.random_element(9)
+    Ht = type(H1)(31, [h.conjugate(t) for h in H1.generators])
+    monkeypatch.setattr(zoo, "mat_mul", lambda field, A, B: mat_identity(5))
+    with pytest.raises(VerificationError):
+        zoo.dual_flag_conjugator(Ht, H1)
 
 
 def test_build_from_spec_matches_names():
