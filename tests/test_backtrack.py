@@ -54,16 +54,23 @@ def test_centralizer_of_inner_copy_in_extension_is_trivial():
     assert centralizer(hat.group, hat.inner).is_trivial()
 
 
+def test_setwise_stabilizer_sym5():
+    # a setwise stabilizer is the stabilizer of a two-colour partition
+    G = zoo.sym(5)
+    S = partition_stabilizer(G, [1, 1, 0, 0, 0])
+    assert S.order() == 12  # Sym{0,1} x Sym{2,3,4}
+    brute = [g for g in brute_group_elements(G)
+             if {g(0), g(1)} == {0, 1}]
+    assert S.order() == len(brute)
+
+
 def test_partition_stabilizer_matches_brute():
-    for G, colors, expect in [
-        (zoo.sym(6), [0, 0, 1, 1, 2, 2], 8),
-        # a setwise stabilizer: Sym{0,1} x Sym{2,3,4}
-        (zoo.sym(5), [1, 1, 0, 0, 0], 12),
-    ]:
-        S = partition_stabilizer(G, colors)
-        brute = [g for g in brute_group_elements(G)
-                 if all(colors[g(x)] == colors[x] for x in range(G.degree))]
-        assert S.order() == len(brute) == expect
+    G = zoo.sym(6)
+    colors = [0, 0, 1, 1, 2, 2]
+    S = partition_stabilizer(G, colors)
+    brute = [g for g in brute_group_elements(G)
+             if all(colors[g(x)] == colors[x] for x in range(6))]
+    assert S.order() == len(brute) == 8
 
 
 def test_conjugating_element_sylow2_sym4():
