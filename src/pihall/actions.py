@@ -92,12 +92,6 @@ class ActionHom:
                          order=K.order() * Qsub.order())
 
 
-def identity_hom(G: PermGroup) -> ActionHom:
-    """G acting on its own points; image == source, trivial kernel."""
-    return ActionHom(G, list(range(G.degree)), lambda x, g: g[x],
-                     name=G.name)
-
-
 # -- coset actions ---------------------------------------------------------------
 
 

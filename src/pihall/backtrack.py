@@ -167,10 +167,9 @@ def subgroup_search(G: PermGroup, prop: SearchProperty,
 
 
 def element_search(G: PermGroup, prop: SearchProperty,
-                   node_budget: int | None = None,
-                   chain: _Chain | None = None) -> tuple[int, ...] | None:
+                   node_budget: int | None = None) -> tuple[int, ...] | None:
     """First element of G satisfying the property, or None (exhausted)."""
-    searcher = _Searcher(G.degree, chain or G.chain(), prop, node_budget)
+    searcher = _Searcher(G.degree, G.chain(), prop, node_budget)
     return searcher.find()
 
 
@@ -318,11 +317,10 @@ class PredicateProperty(SearchProperty):
 # -- public operations ---------------------------------------------------------
 
 
-def partition_stabilizer(G: PermGroup, colors, known=(),
+def partition_stabilizer(G: PermGroup, colors,
                          node_budget: int | None = None) -> PermGroup:
     """Subgroup of G preserving every color class setwise."""
-    return subgroup_search(G, ColorProperty(colors), known=known,
-                           node_budget=node_budget)
+    return subgroup_search(G, ColorProperty(colors), node_budget=node_budget)
 
 
 def normalizer(G: PermGroup, H: PermGroup,

@@ -17,12 +17,16 @@ from .config import DEFAULT_BUDGETS
 from .hall import classify_ECD
 
 
-def build_manifest(seed: int = 1) -> dict:
+SEED = 1
+
+
+def build_manifest() -> dict:
+    """Every corpus pair with its oracle flags at SEED."""
     entries = []
     for name, pi_key in zoo.CORPUS_PAIRS:
         G = zoo.build_named(name)
         pi = PiSet.parse(pi_key)
-        rep = classify_ECD(G, pi, DEFAULT_BUDGETS, seed)
+        rep = classify_ECD(G, pi, DEFAULT_BUDGETS, SEED)
         entries.append({
             "name": name,
             "builder": zoo.ZOO_NAMES[name],
@@ -30,9 +34,9 @@ def build_manifest(seed: int = 1) -> dict:
             "order": G.order(),
             "pi": pi_key,
             "expected": rep.flags(),
-            "provenance": f"oracle-bootstrap seed={seed}",
+            "provenance": f"oracle-bootstrap seed={SEED}",
         })
-    return {"schema_version": "1", "seed": seed, "entries": entries}
+    return {"schema_version": "1", "seed": SEED, "entries": entries}
 
 
 def main(argv=None) -> int:

@@ -87,21 +87,28 @@ def resolve_normal(G: PermGroup, spec: str, budgets: Budgets) -> PermGroup:
         return centralizer(G, G, node_budget=budgets.node_budget)
     if spec == "socle":
         return join_subgroups(G, minimal_normal_subgroups(G, budgets))
-    if spec.startswith("minimal:"):
-        idx = int(spec.split(":", 1)[1])
+    kind, _, arg = spec.partition(":")
+    if kind == "minimal":
+        try:
+            idx = int(arg)
+        except ValueError:
+            raise CliError(EXIT_BAD_SUBGROUP,
+                           f"minimal:{arg} is not an integer index")
         mins = minimal_normal_subgroups(G, budgets)
         if not 0 <= idx < len(mins):
             raise CliError(EXIT_BAD_SUBGROUP,
                            f"minimal:{idx} out of range (found {len(mins)})")
         return mins[idx]
-    if spec.startswith("zoo:"):
-        H = zoo.build_named(spec.split(":", 1)[1])
+    if kind == "zoo" and arg not in zoo.ZOO_NAMES:
+        raise CliError(EXIT_BAD_SUBGROUP, f"unknown zoo name {arg!r}")
+    if kind in ("zoo", "file"):
+        H = zoo.build_named(arg) if kind == "zoo" \
+            else load_group_file(Path(arg))
         if H.degree != G.degree:
             raise CliError(EXIT_BAD_SUBGROUP,
-                           "zoo subgroup degree does not match the group")
+                           f"{kind} subgroup degree {H.degree} does not "
+                           f"match the group's {G.degree}")
         return H
-    if spec.startswith("file:"):
-        return load_group_file(Path(spec.split(":", 1)[1]))
     raise CliError(EXIT_BAD_SUBGROUP, f"unknown subgroup spec {spec!r}")
 
 

@@ -95,7 +95,8 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     _claim(report, "involution", (hat.iota * hat.iota).is_identity(),
            "the block swap is an involution")
 
-    reps = [zoo.flag_stabilizer(5, 2, dims) for dims in DIMS]
+    reps = [zoo.flag_stabilizer(5, 2, dims, node_budget=budgets.node_budget)
+            for dims in DIMS]
     hall_order = pi_part(G.order(), PI)
     for H, dims in zip(reps, DIMS):
         _claim(report, f"hall-{''.join(map(str, dims))}",

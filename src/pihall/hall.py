@@ -9,7 +9,9 @@ the intersections H ∩ A.
 
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
-Hall class has a member through it.  Dominance (C, and every pi-subgroup
+Hall class has a member through it.  It is reached only through
+`classify_EC` / `classify_ECD`, whose cache answers a repeated (G, pi,
+seed, budgets) without a second sweep.  Dominance (C, and every pi-subgroup
 inside a Hall subgroup) is read only once C holds, so it fails exactly
 when some pi-subgroup lies in no conjugate of the one Hall class's
 representative H.  With one effective prime it holds by Sylow.  Otherwise
@@ -317,7 +319,8 @@ def _hall_classes_over(tbl: ElementTable, pi: PiSet, m: int, P: PermGroup,
 def all_hall_classes(G: PermGroup, pi: PiSet,
                      budgets: Budgets = DEFAULT_BUDGETS,
                      seed: int = 1) -> HallClassSet:
-    """Every conjugacy class of pi-Hall subgroups (the oracle; exhaustive)."""
+    """Every conjugacy class of pi-Hall subgroups (the oracle; exhaustive).
+    The worker behind classify_EC, which callers use instead."""
     order = G.order()
     m = pi_part(order, pi)
     if m == 1:
@@ -604,8 +607,8 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
     require_subgroup(G, A, "A")
     if not is_normal(G, A):
         raise ValueError("A must be normal in G")
-    k_total = all_hall_classes(A, pi, budgets, seed).k
-    halls = all_hall_classes(G, pi, budgets, seed)
+    k_total = classify_EC(A, pi, budgets, seed).k
+    halls = classify_EC(G, pi, budgets, seed).classes
     if halls.k == 0:
         return KReport(G, A, pi, 0, k_total, [], e_holds=False)
     tbl = get_table(G, budgets.order_budget)

@@ -23,8 +23,7 @@ from .arith import PiSet, is_pi_number, pi_part
 from .backtrack import BudgetExceededError, certify, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
-from .hall import (all_hall_classes, class_is_G_invariant, classify_EC,
-                   extend_hall, is_hall)
+from .hall import classify_EC, extend_hall, is_hall
 from .registry import SpecialCaseRegistry
 from .structure import (ChiefSeries, chief_factor_decomposition, chief_series,
                         induced_automizer, normal_subgroups)
@@ -137,22 +136,14 @@ def _factor_orbit_reps(Hi: PermGroup, factors: list[PermGroup],
     return out
 
 
-def automizer_cpi_check(Hi: PermGroup, A: PermGroup, B: PermGroup,
+def automizer_cpi_check(Hi: PermGroup, B: PermGroup,
                         factors: list[PermGroup], pi: PiSet,
                         budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
-                        known: SpecialCaseRegistry | None = None,
-                        abelian: bool | None = None) -> list[AutomizerCheck]:
+                        known: SpecialCaseRegistry | None = None
+                        ) -> list[AutomizerCheck]:
     """Conjugacy-property verdicts for the automorphism groups induced by
-    Hi on the simple factors of the chief factor A/B (one representative
-    per Hi-orbit of factors; abelian factors pass without work)."""
-    if abelian is None:
-        abelian = all(B.contains(a.commutator(b))
-                      for i, a in enumerate(A.generators)
-                      for b in A.generators[i + 1:])
-    if abelian:
-        return [AutomizerCheck(factor_index=j, automizer_order=1,
-                               cpi_verdict=True, orbit_size=1)
-                for j in range(len(factors))]
+    Hi on the simple factors of a nonabelian chief factor over B (one
+    representative per Hi-orbit of factors)."""
     checks = []
     for j, orbit_size in _factor_orbit_reps(Hi, factors, B):
         Fj = factors[j]
@@ -192,10 +183,9 @@ def _hall_in_pi_extension(X: PermGroup, A: PermGroup, pi: PiSet,
         hit = known.lookup_hall(X, pi)
         if hit is not None:
             return hit, True
-    classes = all_hall_classes(A, pi, budgets, seed)
-    for M in classes.class_reps:
-        if class_is_G_invariant(X, A, M, pi, budgets):
-            H = extend_hall(X, A, M, pi, budgets, seed)
+    for M in classify_EC(A, pi, budgets, seed).classes.class_reps:
+        H = extend_hall(X, A, M, pi, budgets, seed)
+        if H is not None:
             return H, False
     return None, False
 
@@ -223,16 +213,13 @@ def _level_hall(Hi: PermGroup, Gi: PermGroup, Gprev: PermGroup, pi: PiSet,
 
 
 def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
-               seed: int = 1, known: SpecialCaseRegistry | None = None,
-               series: ChiefSeries | None = None) -> ReductionTrace:
+               seed: int = 1,
+               known: SpecialCaseRegistry | None = None) -> ReductionTrace:
     """Decide the conjugacy property by chief-series descent; on success the
     trace carries a pi-Hall subgroup witness.  `known` supplies
     special-cased verdicts and Hall subgroups for groups past the budgets."""
-    shortcut = None
-    if 2 not in pi or 3 not in pi:
-        shortcut = corollary18_shortcut(G, pi, budgets, seed)
-    if series is None:
-        series = chief_series(G, budgets, seed)
+    series = chief_series(G, budgets, seed)
+    shortcut = corollary18_shortcut(series, pi)
     Hi = G
     levels: list[LevelRecord] = []
     verdict = True
@@ -242,16 +229,14 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
         certify(Hi.order() == A.order() * pi_part(G.order() // A.order(), pi),
                 f"level {i}: H_i is not Hall over the previous term")
         abelian = series.factor_is_abelian(i)
+        factors = chief_factor_decomposition(series, i)
+        count = len(factors)
         if abelian:
-            factors = []
-            count = len(chief_factor_decomposition(series, i, budgets, seed))
             checks = [AutomizerCheck(factor_index=0, automizer_order=1,
                                      cpi_verdict=True, orbit_size=count)]
         else:
-            factors = chief_factor_decomposition(series, i, budgets, seed)
-            count = len(factors)
-            checks = automizer_cpi_check(Hi, A, B, factors, pi, budgets,
-                                         seed, known, abelian=False)
+            checks = automizer_cpi_check(Hi, B, factors, pi, budgets, seed,
+                                         known)
         record = LevelRecord(index=i, factor_order=series.factor_order(i),
                              factor_kind="abelian" if abelian else "semisimple",
                              simple_factor_count=count,
@@ -282,19 +267,18 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     return trace
 
 
-def corollary18_shortcut(G: PermGroup, pi: PiSet,
-                         budgets: Budgets = DEFAULT_BUDGETS,
-                         seed: int = 1) -> bool | None:
-    """Composition-factor criterion, valid when 2 or 3 is missing from pi:
-    the conjugacy property holds iff every nonabelian composition factor
-    has it (checked on the factor alone, not its automizer)."""
+def corollary18_shortcut(series: ChiefSeries, pi: PiSet) -> bool | None:
+    """Composition-factor criterion, valid when 2 or 3 is missing from pi
+    (None otherwise): the conjugacy property of the series' group holds iff
+    every nonabelian composition factor has it (checked on the factor
+    alone, not its automizer), under the series' budgets and seed."""
     if 2 in pi and 3 in pi:
         return None
-    series = chief_series(G, budgets, seed)
+    budgets, seed = series.budgets, series.seed
     for i in range(1, len(series) + 1):
         if series.factor_is_abelian(i):
             continue
-        factors = chief_factor_decomposition(series, i, budgets, seed)
+        factors = chief_factor_decomposition(series, i)
         # factors of one chief factor are conjugate; check one
         Fj = factors[0]
         B = series.terms[i]

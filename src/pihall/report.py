@@ -39,8 +39,8 @@ class Report:
             "timings": self.timings,
         }
 
-    def to_json(self, indent: int | None = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 def make_report(command: str, input_desc: dict, pi, seed: int,

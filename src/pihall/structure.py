@@ -21,9 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .actions import (ActionHom, block_action, coset_action, identity_hom,
-                      nontrivial_block_system, orbit_restriction,
-                      section_action)
+from .actions import (block_action, coset_action, nontrivial_block_system,
+                      orbit_restriction, section_action)
 from .arith import is_prime, p_part, prime_divisors
 from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
@@ -35,6 +34,7 @@ from .tables import ElementTable, require_order_within
 
 _SPIN_CHECK_LIMIT = 4096
 _SAMPLE_DRAWS = 48
+_NORMAL_SUBGROUP_LIMIT = 512
 
 _table_cache: dict = {}
 
@@ -273,11 +273,12 @@ def _transitive_on_factors(G: PermGroup, factors: list[PermGroup]) -> bool:
     return len(seen) == len(factors)
 
 
-def normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
-                     limit: int = 512) -> list[PermGroup]:
-    """All normal subgroups (within the enumeration budget): the join
-    semilattice generated by the normal closures of single classes, as sets
-    of class ids, each kept with the classes that generate it."""
+def normal_subgroups(G: PermGroup,
+                     budgets: Budgets = DEFAULT_BUDGETS) -> list[PermGroup]:
+    """All normal subgroups (within the enumeration budget and
+    _NORMAL_SUBGROUP_LIMIT of them): the join semilattice generated by the
+    normal closures of single classes, as sets of class ids, each kept with
+    the classes that generate it."""
     tbl = get_table(G, budgets.order_budget)
     class_id, reps = tbl.classes()
     ident = frozenset([int(class_id[tbl.identity_idx])])
@@ -297,9 +298,10 @@ def normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
             if join not in found:
                 found[join] = jgens
                 worklist.append((join, jgens))
-                if len(found) > limit:
-                    raise BudgetExceededError("normal-subgroups",
-                                              f"more than {limit} found")
+                if len(found) > _NORMAL_SUBGROUP_LIMIT:
+                    raise BudgetExceededError(
+                        "normal-subgroups",
+                        f"more than {_NORMAL_SUBGROUP_LIMIT} found")
     idx_sets = [tbl.union_of_classes(s) for s in found]
     ordered = sorted(idx_sets, key=lambda s: (len(s), tuple(sorted(s))))
     return [tbl.subgroup(s) for s in ordered]
@@ -311,10 +313,14 @@ def normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
 @dataclass
 class ChiefSeries:
     """Descending normal series G = terms[0] > ... > terms[n] = 1 whose
-    factors are minimal normal subgroups of the corresponding quotients."""
+    factors are minimal normal subgroups of the corresponding quotients,
+    with the budgets and seed it was built under; everything computed from
+    the series (its factor decompositions) uses those."""
 
     group: PermGroup
     terms: list[PermGroup]
+    budgets: Budgets
+    seed: int
     _decompositions: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -355,18 +361,20 @@ def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
             nxt = hom.preimage_group(mins[0])
         terms_up.append(nxt)
         current = nxt
-    return ChiefSeries(group=G, terms=list(reversed(terms_up)))
+    return ChiefSeries(group=G, terms=list(reversed(terms_up)),
+                       budgets=budgets, seed=seed)
 
 
-def chief_factor_decomposition(series: ChiefSeries, i: int,
-                               budgets: Budgets = DEFAULT_BUDGETS,
-                               seed: int = 1) -> list[PermGroup]:
+def chief_factor_decomposition(series: ChiefSeries,
+                               i: int) -> list[PermGroup]:
     """Subgroups of terms[i-1] containing terms[i] whose images modulo
     terms[i] are the simple direct factors of the chief factor (cyclic
-    factors for an abelian one)."""
+    factors for an abelian one); computed once per series, under its
+    budgets and seed."""
     got = series._decompositions.get(i)
     if got is not None:
         return got
+    budgets, seed = series.budgets, series.seed
     A, B = series.factor_pair(i)
     hom = None
     if B.is_trivial():
@@ -417,11 +425,9 @@ class InducedAutomizer:
     """Automorphisms of a section A/B induced by conjugation in the ambient
     group, realized faithfully as a permutation group."""
 
-    ambient: PermGroup
     section_image: PermGroup
     inner_image: PermGroup
     kernel: PermGroup
-    hom: ActionHom
     route: str
 
 
@@ -443,10 +449,8 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
     if B.is_trivial():
         cent = centralizer(G, A, node_budget=budgets.node_budget)
         if cent.is_trivial():
-            hom = identity_hom(G)
-            return InducedAutomizer(ambient=G, section_image=G,
-                                    inner_image=A, kernel=cent, hom=hom,
-                                    route="ambient-faithful")
+            return InducedAutomizer(section_image=G, inner_image=A,
+                                    kernel=cent, route="ambient-faithful")
 
     section_size = A.order() // B.order()
     if section_size <= budgets.element_action_budget:
@@ -454,17 +458,16 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
                              element_budget=budgets.element_action_budget)
         inner = PermGroup(sec.domain_size,
                           [sec.image(a) for a in A.generators])
-        return InducedAutomizer(ambient=G, section_image=sec.quotient,
+        return InducedAutomizer(section_image=sec.quotient,
                                 inner_image=inner, kernel=sec.kernel(),
-                                hom=sec, route="element-action")
+                                route="element-action")
 
     cent = _section_centralizer(G, A, B, budgets)
     hom = coset_action(G, cent, degree_budget=budgets.coset_degree_budget,
                        check_subgroup=False)
     inner = PermGroup(hom.domain_size, [hom.image(a) for a in A.generators])
-    return InducedAutomizer(ambient=G, section_image=hom.quotient,
-                            inner_image=inner, kernel=cent, hom=hom,
-                            route="coset-on-centralizer")
+    return InducedAutomizer(section_image=hom.quotient, inner_image=inner,
+                            kernel=cent, route="coset-on-centralizer")
 
 
 def _section_centralizer(G: PermGroup, A: PermGroup, B: PermGroup,

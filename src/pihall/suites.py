@@ -18,12 +18,12 @@ from .arith import PiSet, is_pi_number
 from .backtrack import BudgetExceededError, centralizer, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
-from .hall import (_orbits_for, all_hall_classes, are_conjugate, classify_EC,
+from .hall import (_orbits_for, are_conjugate, classify_EC,
                    intersect_subgroups, is_hall, k_induced,
                    pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut, theorem1_suite
-from .structure import get_table, is_normal, minimal_normal_subgroups, \
-    normal_subgroups
+from .structure import chief_series, get_table, is_normal, \
+    minimal_normal_subgroups, normal_subgroups
 
 COROLLARY18_PI_SETS = ("2,5", "3,5", "5,7")
 
@@ -344,8 +344,8 @@ def suite_lemma15(entries, ctx: CorpusContext) -> SuiteResult:
             continue
         res.checked += 1
         k = ctx.classify(G, pi).k
-        k1 = all_hall_classes(A1, pi, ctx.budgets, ctx.seed).k
-        k2 = all_hall_classes(A2, pi, ctx.budgets, ctx.seed).k
+        k1 = ctx.classify(A1, pi).k
+        k2 = ctx.classify(A2, pi).k
         if k != k1 * k2:
             res.violations.append(
                 f"{e['name']}/{e['pi']}: k={k} but factors give {k1}*{k2}")
@@ -453,10 +453,11 @@ def suite_corollary18(entries, ctx: CorpusContext) -> SuiteResult:
     names = _entry_groups(entries)
     for name in names:
         G = ctx.group(name)
+        series = chief_series(G, ctx.budgets, ctx.seed)
         for pi_key in COROLLARY18_PI_SETS:
             pi = PiSet.parse(pi_key)
             res.checked += 1
-            crit = corollary18_shortcut(G, pi, ctx.budgets, ctx.seed)
+            crit = corollary18_shortcut(series, pi)
             oracle = ctx.classify(G, pi).C
             if crit != oracle:
                 res.violations.append(
@@ -472,8 +473,8 @@ def suite_oracle_selfcheck(entries, ctx: CorpusContext) -> SuiteResult:
         G = ctx.group(e["name"])
         pi = PiSet.parse(e["pi"])
         res.checked += 1
-        a = all_hall_classes(G, pi, ctx.budgets, seed=ctx.seed)
-        b = all_hall_classes(G, pi, ctx.budgets, seed=ctx.seed + 1)
+        a = classify_EC(G, pi, ctx.budgets, ctx.seed).classes
+        b = classify_EC(G, pi, ctx.budgets, ctx.seed + 1).classes
         sig_a = sorted((r.order(), r.orbit_sizes()) for r in a.class_reps)
         sig_b = sorted((r.order(), r.orbit_sizes()) for r in b.class_reps)
         if a.k != b.k or sorted(a.class_sizes) != sorted(b.class_sizes) \
@@ -524,8 +525,7 @@ class CorpusRunResult:
 
 
 def run_corpus(entries=None, budgets: Budgets = DEFAULT_BUDGETS,
-               seed: int = 1, jobs: int = 1,
-               with_suites: bool = True) -> CorpusRunResult:
+               seed: int = 1, jobs: int = 1) -> CorpusRunResult:
     t0 = time.perf_counter()
     if entries is None:
         entries = zoo.corpus_manifest()
@@ -534,10 +534,7 @@ def run_corpus(entries=None, budgets: Budgets = DEFAULT_BUDGETS,
         results = _run_entries_parallel(entries, budgets, seed, jobs)
     else:
         results = run_entry_comparisons(entries, ctx)
-    suite_results = []
-    if with_suites:
-        for suite in SUITES:
-            suite_results.append(suite(entries, ctx))
+    suite_results = [suite(entries, ctx) for suite in SUITES]
     return CorpusRunResult(entries=results, suites=suite_results,
                            elapsed_ms=int((time.perf_counter() - t0) * 1000))
 

@@ -248,7 +248,7 @@ class ElementTable:
                 assigned[self.index[coset_rows[i].tobytes()]] = True
         return reps
 
-    def subgroup(self, idxs, name: str | None = None) -> PermGroup:
+    def subgroup(self, idxs) -> PermGroup:
         """PermGroup from an element index set, generated by the elements,
         in index order, that enlarge the span of those before them."""
         target = len(idxs)
@@ -260,7 +260,7 @@ class ElementTable:
             p = self.perm_of(i)
             if span.extend(p.images):
                 gens.append(p)
-        return PermGroup(self.degree, gens, name=name, order=span.order())
+        return PermGroup(self.degree, gens, order=span.order())
 
     def indices_of_subgroup(self, H: PermGroup) -> frozenset:
         got = self.closure([self.idx_of_perm(g) for g in H.generators])

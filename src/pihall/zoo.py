@@ -241,10 +241,9 @@ class GLHat:
             raise ValueError("element does not preserve the vector block")
         return Perm(g.images[:self.block])
 
-    def restrict_subgroup(self, H: PermGroup, name=None) -> PermGroup:
+    def restrict_subgroup(self, H: PermGroup) -> PermGroup:
         return PermGroup(self.block,
-                         [self.restrict_perm(g) for g in H.generators],
-                         name=name)
+                         [self.restrict_perm(g) for g in H.generators])
 
     def perm_to_matrix(self, g: Perm):
         """Matrix of a degree-(q^n-1) permutation that is linear on vectors."""
@@ -418,11 +417,11 @@ def flag_of_subgroup(H: PermGroup, n: int, q: int):
     return tuple(dims), chain
 
 
-def dual_flag_conjugator(H_a: PermGroup, H_b: PermGroup, n: int = 5,
-                         q: int = 2):
-    """An element g of gl(n,q) with H_a^g == H_b for two flag stabilizers,
+def dual_flag_conjugator(H_a: PermGroup, H_b: PermGroup):
+    """An element g of gl(5,2) with H_a^g == H_b for two flag stabilizers,
     found by mapping one invariant flag onto the other; None (with the
     orbit-structure certificate implied) when the dimension sequences differ."""
+    n, q = 5, 2
     rec_a = flag_of_subgroup(H_a, n, q)
     rec_b = flag_of_subgroup(H_b, n, q)
     if rec_a is None or rec_b is None:

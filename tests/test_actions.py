@@ -3,9 +3,9 @@ import random
 import pytest
 
 from pihall import zoo
-from pihall.actions import (block_action, coset_action, identity_hom,
-                            minimal_block_system, nontrivial_block_system,
-                            orbit_restriction, section_action)
+from pihall.actions import (block_action, coset_action, minimal_block_system,
+                            nontrivial_block_system, orbit_restriction,
+                            section_action)
 from pihall.backtrack import BudgetExceededError
 from pihall.groups import PermGroup
 from pihall.perms import Perm
@@ -89,13 +89,6 @@ def test_section_action_sym5_on_alt5():
     assert sec.kernel().is_trivial()
     inner = PermGroup(59, [sec.image(a) for a in A5.generators])
     assert inner.order() == 60
-
-
-def test_identity_hom():
-    G = zoo.alt(5)
-    hom = identity_hom(G)
-    assert hom.quotient.same_group_as(G)
-    assert hom.kernel().is_trivial()
 
 
 def test_orbit_restriction():

@@ -82,6 +82,19 @@ def test_k_rejects_non_normal(capsys, tmp_path):
     assert code == 6
 
 
+def test_k_bad_subgroup_specs_exit_6(capsys, tmp_path):
+    # a group file of the wrong degree, a non-integer minimal index and an
+    # unknown zoo name are bad subgroup specs, not tracebacks
+    small = tmp_path / "s4.json"
+    code, _, _ = run(["zoo", "emit", "sym4", "--out", str(small)], capsys)
+    assert code == 0
+    for spec in (f"file:{small}", "minimal:x", "zoo:no-such-group"):
+        code, _, err = run(["k", "sym5", "--normal", spec, "--pi", "2,3"],
+                           capsys)
+        assert code == 6, spec
+        assert err.startswith("error: "), spec
+
+
 def test_k_over_the_center(capsys, tmp_path):
     out_path = tmp_path / "k.json"
     code, out, _ = run(["k", "psl2_7xc2", "--normal", "center",

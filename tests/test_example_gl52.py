@@ -81,3 +81,24 @@ def test_registry_feeds_generic_reduction(gl52_example_report, gl52_known):
                if lvl.special_cased_hall
                or any(c.special_cased for c in lvl.automizer_checks)]
     assert flagged, "injected results must be marked in the trace"
+
+
+def test_every_search_gets_the_node_budget(monkeypatch):
+    # --budget-nodes must reach every backtrack search of the example,
+    # the three flag-stabilizer searches included
+    from pihall import backtrack
+    from pihall.config import Budgets
+    from pihall.example_gl52 import run_example
+
+    seen = []
+    init = backtrack._Searcher.__init__
+
+    def record(self, degree, chain, prop, node_budget):
+        seen.append(node_budget)
+        init(self, degree, chain, prop, node_budget)
+
+    monkeypatch.setattr(backtrack._Searcher, "__init__", record)
+    budget = 1_999_999
+    report = run_example(Budgets(node_budget=budget))
+    assert report["verdict"] is True
+    assert len(seen) >= 4 and set(seen) == {budget}

@@ -279,6 +279,7 @@ def _small_groups_and_pi(draw):
 @given(_small_groups_and_pi())
 def test_dominance_matches_brute_force(case):
     G, pi = case
+    assume(1 < pi_part(G.order(), pi) < G.order())  # past the D = True exits
     rep = classify_ECD(G, pi)
     assert rep.D is _brute_D(G, pi)
     if rep.d_witness is not None:
@@ -382,6 +383,24 @@ def test_k_induced_bound():
     A = minimal_normal_subgroups(DP)[0]
     rep = k_induced(DP, A, PI23)
     assert rep.k_induced <= rep.k_total
+
+
+def test_k_induced_repeat_reads_the_classify_cache(monkeypatch):
+    # a work-count gate: the Hall classes of A and G come from classify_EC,
+    # so a repeated call runs the oracle zero times
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    G = zoo.sym(5)
+    first = k_induced(G, zoo.alt(5), PI23)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hall classes computed twice")
+
+    monkeypatch.setattr(hall, "all_hall_classes", refuse)
+    again = k_induced(G, zoo.alt(5), PI23)
+    assert (again.k_induced, again.k_total) == (first.k_induced,
+                                                first.k_total)
+    assert [H.generators for H in again.induced_class_reps] == \
+        [H.generators for H in first.induced_class_reps]
 
 
 @st.composite

@@ -79,8 +79,7 @@ def test_automizer_check_operation():
     series = chief_series(S5)
     # level 2 of Sym(5) > Alt(5) > 1
     factors = chief_factor_decomposition(series, 2)
-    checks = automizer_cpi_check(S5, zoo.alt(5), PermGroup(5, []), factors,
-                                 PI23)
+    checks = automizer_cpi_check(S5, PermGroup(5, []), factors, PI23)
     assert len(checks) == 1
     assert checks[0].cpi_verdict
     assert checks[0].automizer_order == 120
@@ -90,33 +89,28 @@ def test_automizer_check_failing_factor():
     G = zoo.gl(3, 2)
     series = chief_series(G)
     factors = chief_factor_decomposition(series, 1)
-    checks = automizer_cpi_check(G, G, PermGroup(7, []), factors, PI23)
+    checks = automizer_cpi_check(G, PermGroup(7, []), factors, PI23)
     assert len(checks) == 1 and not checks[0].cpi_verdict
 
 
-def test_abelian_factors_pass_without_work():
-    checks = automizer_cpi_check(zoo.sym(4), zoo.sym(4), zoo.alt(4), [],
-                                 PI23, abelian=True)
-    assert all(c.cpi_verdict for c in checks)
-
-
 def test_corollary18_requires_missing_prime():
-    assert corollary18_shortcut(zoo.sym(4), PI23) is None
+    assert corollary18_shortcut(chief_series(zoo.sym(4)), PI23) is None
 
 
 def test_corollary18_solvable():
-    assert corollary18_shortcut(zoo.sym(4), PI35) is True
+    assert corollary18_shortcut(chief_series(zoo.sym(4)), PI35) is True
 
 
 def test_corollary18_alt5_25():
-    assert corollary18_shortcut(zoo.alt(5), PI25) is False
+    assert corollary18_shortcut(chief_series(zoo.alt(5)), PI25) is False
     assert classify_ECD(zoo.alt(5), PI25).C is False
 
 
 def test_corollary18_matches_oracle_on_products():
     G = zoo.direct_product(zoo.sym(5), zoo.cyclic(7))
+    series = chief_series(G)
     for pi in [PI35, PI25, PiSet([5, 7])]:
-        assert corollary18_shortcut(G, pi) == classify_ECD(G, pi).C
+        assert corollary18_shortcut(series, pi) == classify_ECD(G, pi).C
 
 
 def test_shortcut_recorded_in_trace():
@@ -231,6 +225,25 @@ def test_reduction_does_no_dominance_or_fingerprint_work(monkeypatch):
     tr = cpi_reduce(G, PI23)
     assert tr.verdict is True and is_hall(G, tr.hall_witness, PI23)
     assert cpi_reduce(zoo.build_named("psl2_13"), PI23).verdict is False
+
+
+def test_cold_reduction_builds_one_chief_series(monkeypatch):
+    # a work-count gate: the Corollary 18 shortcut reads the series the
+    # reduction walks instead of building its own
+    from pihall import hall, reduction, structure
+
+    builds = []
+
+    def counting(G, *args, **kwargs):
+        builds.append(G.name)
+        return chief_series(G, *args, **kwargs)
+
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(reduction, "chief_series", counting)
+    tr = cpi_reduce(zoo.alt(5), PI25)
+    assert tr.verdict is False and tr.shortcut_agrees is True
+    assert len(builds) == 1
 
 
 def test_trace_serialization_includes_generators():

@@ -3,9 +3,10 @@ import json
 from pihall import zoo
 from pihall.config import DEFAULT_BUDGETS
 from pihall.suites import (COROLLARY18_PI_SETS, CorpusContext,
-                           run_entry_comparisons, suite_lemma4_1,
-                           suite_lemma5, suite_lemma12, suite_lemma13,
-                           suite_lemma15, suite_lemma16, suite_theorem10)
+                           run_entry_comparisons, suite_corollary18,
+                           suite_lemma4_1, suite_lemma5, suite_lemma12,
+                           suite_lemma13, suite_lemma15, suite_lemma16,
+                           suite_theorem10)
 
 
 def mini_entries(names_pis):
@@ -65,3 +66,23 @@ def test_theorem10_sees_almost_simple_entries():
 
 def test_corollary18_pi_sets_are_the_required_three():
     assert COROLLARY18_PI_SETS == ("2,5", "3,5", "5,7")
+
+
+def test_corollary18_builds_one_chief_series_per_group(monkeypatch):
+    # a work-count gate: the three prime sets share one series per group
+    from pihall import reduction, structure, suites
+
+    builds = []
+    build = structure.chief_series
+
+    def counting(G, *args, **kwargs):
+        builds.append(G.name)
+        return build(G, *args, **kwargs)
+
+    for module in (reduction, suites):
+        monkeypatch.setattr(module, "chief_series", counting, raising=False)
+    ctx = CorpusContext(DEFAULT_BUDGETS, 1)
+    entries = mini_entries([("sym5", "2,3"), ("sym5", "2,5"), ("alt5", "2,3")])
+    res = suite_corollary18(entries, ctx)
+    assert res.checked == 6 and res.passed
+    assert sorted(builds) == ["alt5", "sym5"]
