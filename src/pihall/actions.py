@@ -11,10 +11,9 @@ through the domain levels and reading off the original-point part.
 from __future__ import annotations
 
 from .backtrack import BudgetExceededError
-from .groups import PermGroup, _Chain, _ident, _inv, _mul, require_subgroup
+from .config import DEFAULT_BUDGETS, Budgets
+from .groups import PermGroup, _Chain, _ident, _inv, _mul
 from .perms import Perm
-
-DEFAULT_COSET_DEGREE_BUDGET = 100_000
 
 
 class ActionHom:
@@ -107,15 +106,12 @@ def canonical_coset_rep(H: PermGroup, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def coset_action(G: PermGroup, H: PermGroup,
-                 degree_budget: int | None = None,
-                 check_subgroup: bool = True) -> ActionHom:
+                 budgets: Budgets = DEFAULT_BUDGETS) -> ActionHom:
     """Action of G on the right cosets of H by right multiplication.
 
-    The kernel is the normal core of H in G; for normal H the image is a
-    faithful copy of G/H."""
-    budget = DEFAULT_COSET_DEGREE_BUDGET if degree_budget is None else degree_budget
-    if check_subgroup:
-        require_subgroup(G, H, "H")
+    Requires H <= G (unchecked).  The kernel is the normal core of H in G;
+    for normal H the image is a faithful copy of G/H."""
+    budget = budgets.coset_degree_budget
     index = G.order() // H.order()
     if index > budget:
         raise BudgetExceededError("coset-degree", f"index {index} > {budget}")
@@ -141,15 +137,16 @@ def coset_action(G: PermGroup, H: PermGroup,
 
 
 def section_action(G: PermGroup, A: PermGroup, B: PermGroup,
-                   element_budget: int = 10_000) -> ActionHom:
+                   budgets: Budgets = DEFAULT_BUDGETS) -> ActionHom:
     """Conjugation action of G on the nonidentity cosets of B in A.
 
     Requires B normal in A and both normalized by G; the kernel is the
     subgroup of G centralizing every coset of B in A."""
     section_size = A.order() // B.order()
-    if section_size > element_budget:
+    budget = budgets.element_action_budget
+    if section_size > budget:
         raise BudgetExceededError(
-            "element-action", f"section size {section_size} > {element_budget}")
+            "element-action", f"section size {section_size} > {budget}")
 
     identity_label = canonical_coset_rep(B, _ident(G.degree))
     labels = [identity_label]

@@ -7,18 +7,17 @@ each level are the translated fundamental orbit.  Subgroup-type searches
 grow a known subgroup K and prune identity-prefix levels to K-orbit minima,
 which keeps the leaf count near the number of missing generators.
 
-A node budget turns runaway instances into a clean
-:class:`BudgetExceededError` instead of an open-ended search.
+The run's node budget (``Budgets.node_budget``) turns runaway instances
+into a clean :class:`BudgetExceededError` instead of an open-ended search.
 """
 
 from __future__ import annotations
 
+from .config import DEFAULT_BUDGETS, Budgets
 # VerificationError and certify live in groups; re-exported here
 from .groups import (PermGroup, VerificationError, _Chain, _ident, _inv, _mul,
                      certify)
 from .perms import Perm
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -51,14 +50,14 @@ class SearchProperty:
 
 class _Searcher:
     def __init__(self, degree: int, chain: _Chain, prop: SearchProperty,
-                 node_budget: int | None):
+                 budgets: Budgets = DEFAULT_BUDGETS):
         self.degree = degree
         # levels with a single-point orbit offer no choice; dropping them
         # keeps the tree depth at the number of genuine decisions
         self.levels = [lvl for lvl in chain.levels if len(lvl.orbit_list) > 1]
         self.base = [lvl.point for lvl in self.levels]
         self.prop = prop
-        self.budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        self.budget = budgets.node_budget
         self.nodes = 0
         # subgroup-search state (None when searching for a single element)
         self.k_gens: list[tuple[int, ...]] | None = None
@@ -151,10 +150,10 @@ class _Searcher:
 
 def subgroup_search(G: PermGroup, prop: SearchProperty,
                     known: list[tuple[int, ...]] = (),
-                    node_budget: int | None = None,
+                    budgets: Budgets = DEFAULT_BUDGETS,
                     chain: _Chain | None = None) -> PermGroup:
     """The subgroup {g in G : property holds}; `known` seeds the result."""
-    searcher = _Searcher(G.degree, chain or G.chain(), prop, node_budget)
+    searcher = _Searcher(G.degree, chain or G.chain(), prop, budgets)
     searcher.set_known([g for g in known if g != _ident(G.degree)])
     while True:
         g = searcher.find()
@@ -167,9 +166,9 @@ def subgroup_search(G: PermGroup, prop: SearchProperty,
 
 
 def element_search(G: PermGroup, prop: SearchProperty,
-                   node_budget: int | None = None) -> tuple[int, ...] | None:
+                   budgets: Budgets = DEFAULT_BUDGETS) -> tuple[int, ...] | None:
     """First element of G satisfying the property, or None (exhausted)."""
-    searcher = _Searcher(G.degree, G.chain(), prop, node_budget)
+    searcher = _Searcher(G.degree, G.chain(), prop, budgets)
     return searcher.find()
 
 
@@ -318,13 +317,13 @@ class PredicateProperty(SearchProperty):
 
 
 def partition_stabilizer(G: PermGroup, colors,
-                         node_budget: int | None = None) -> PermGroup:
+                         budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """Subgroup of G preserving every color class setwise."""
-    return subgroup_search(G, ColorProperty(colors), node_budget=node_budget)
+    return subgroup_search(G, ColorProperty(colors), budgets=budgets)
 
 
 def normalizer(G: PermGroup, H: PermGroup,
-               node_budget: int | None = None) -> PermGroup:
+               budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """Full normalizer of H in G."""
     if H.is_trivial():
         return G
@@ -335,11 +334,11 @@ def normalizer(G: PermGroup, H: PermGroup,
     if g_inv_conj_ok:
         return G
     return subgroup_search(G, ConjugacyProperty(H, H), known=H.gen_tuples(),
-                           node_budget=node_budget)
+                           budgets=budgets)
 
 
 def element_centralizer(G: PermGroup, z: Perm,
-                        node_budget: int | None = None) -> PermGroup:
+                        budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """Centralizer of a single element, searched on a z-adapted base."""
     zt = z.images
     if all(_mul(g.images, zt) == _mul(zt, g.images) for g in G.generators):
@@ -357,24 +356,24 @@ def element_centralizer(G: PermGroup, z: Perm,
             x = zt[x]
     chain = G.fresh_chain(hint=hint)
     prop = CentralizerProperty(zt, [lvl.point for lvl in chain.levels])
-    return subgroup_search(G, prop, node_budget=node_budget, chain=chain)
+    return subgroup_search(G, prop, budgets=budgets, chain=chain)
 
 
 def centralizer(G: PermGroup, H: PermGroup,
-                node_budget: int | None = None) -> PermGroup:
+                budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """Centralizer of H in G, via iterated element centralizers."""
     current = G
     for h in H.generators:
-        current = element_centralizer(current, h, node_budget=node_budget)
+        current = element_centralizer(current, h, budgets)
     return current
 
 
 def conjugating_element(G: PermGroup, H: PermGroup, K: PermGroup,
-                        node_budget: int | None = None) -> Perm | None:
+                        budgets: Budgets = DEFAULT_BUDGETS) -> Perm | None:
     """Some g in G with g^-1 H g == K, or None when the search exhausts."""
     if H.order() != K.order():
         return None
     if sorted(map(len, H.orbits())) != sorted(map(len, K.orbits())):
         return None
-    got = element_search(G, ConjugacyProperty(H, K), node_budget=node_budget)
+    got = element_search(G, ConjugacyProperty(H, K), budgets)
     return None if got is None else Perm(got, validate=False)

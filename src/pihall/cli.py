@@ -16,7 +16,7 @@ from pathlib import Path
 from . import zoo
 from .arith import PiSet
 from .backtrack import BudgetExceededError, VerificationError, centralizer
-from .config import Budgets
+from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, join_subgroups
 from .hall import classify_ECD, k_induced
 from .perms import Perm
@@ -79,14 +79,15 @@ def resolve_group(spec: str) -> tuple[PermGroup, dict]:
                    f"{spec!r} is neither a zoo name nor an existing file")
 
 
-def resolve_normal(G: PermGroup, spec: str, budgets: Budgets) -> PermGroup:
+def resolve_normal(G: PermGroup, spec: str, budgets: Budgets,
+                   seed: int) -> PermGroup:
     """Named constructions for the normal-subgroup argument."""
     if spec == "derived":
         return derived_subgroup(G)
     if spec == "center":
-        return centralizer(G, G, node_budget=budgets.node_budget)
+        return centralizer(G, G, budgets)
     if spec == "socle":
-        return join_subgroups(G, minimal_normal_subgroups(G, budgets))
+        return join_subgroups(G, minimal_normal_subgroups(G, budgets, seed))
     kind, _, arg = spec.partition(":")
     if kind == "minimal":
         try:
@@ -94,7 +95,7 @@ def resolve_normal(G: PermGroup, spec: str, budgets: Budgets) -> PermGroup:
         except ValueError:
             raise CliError(EXIT_BAD_SUBGROUP,
                            f"minimal:{arg} is not an integer index")
-        mins = minimal_normal_subgroups(G, budgets)
+        mins = minimal_normal_subgroups(G, budgets, seed)
         if not 0 <= idx < len(mins):
             raise CliError(EXIT_BAD_SUBGROUP,
                            f"minimal:{idx} out of range (found {len(mins)})")
@@ -210,7 +211,7 @@ def cmd_k(args) -> int:
     budgets = _budgets(args)
     pi = parse_pi(args.pi)
     G, input_desc = resolve_group(args.group)
-    A = resolve_normal(G, args.normal, budgets)
+    A = resolve_normal(G, args.normal, budgets, args.seed)
     if not A.is_subgroup_of(G) or not is_normal(G, A):
         print(f"k {args.group}: subgroup spec {args.normal!r} is not normal")
         return EXIT_BAD_SUBGROUP
@@ -332,8 +333,10 @@ def _add_common(p: argparse.ArgumentParser, with_pi: bool = True) -> None:
         p.add_argument("--pi", required=True,
                        help="comma-separated primes, e.g. 2,3")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget-nodes", type=int, default=2_000_000)
-    p.add_argument("--budget-order", type=int, default=1_000_000)
+    p.add_argument("--budget-nodes", type=int,
+                   default=DEFAULT_BUDGETS.node_budget)
+    p.add_argument("--budget-order", type=int,
+                   default=DEFAULT_BUDGETS.order_budget)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the full JSON report to PATH")
 

@@ -17,13 +17,5 @@ class Budgets:
     coset_degree_budget: int = 100_000  # index bound for coset actions
     element_action_budget: int = 10_000 # section size for element actions
 
-    def to_dict(self) -> dict:
-        return {
-            "node_budget": self.node_budget,
-            "order_budget": self.order_budget,
-            "coset_degree_budget": self.coset_degree_budget,
-            "element_action_budget": self.element_action_budget,
-        }
-
 
 DEFAULT_BUDGETS = Budgets()

@@ -95,8 +95,7 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     _claim(report, "involution", (hat.iota * hat.iota).is_identity(),
            "the block swap is an involution")
 
-    reps = [zoo.flag_stabilizer(5, 2, dims, node_budget=budgets.node_budget)
-            for dims in DIMS]
+    reps = [zoo.flag_stabilizer(5, 2, dims, budgets) for dims in DIMS]
     hall_order = pi_part(G.order(), PI)
     for H, dims in zip(reps, DIMS):
         _claim(report, f"hall-{''.join(map(str, dims))}",
@@ -154,7 +153,7 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     # part self-normalizing, x outside the inner copy) pins the order, and
     # the generic backtrack confirms it
     from .backtrack import normalizer
-    N = normalizer(hat.group, H1_lift, node_budget=budgets.node_budget)
+    N = normalizer(hat.group, H1_lift, budgets)
     _claim(report, "normalizer-in-extension",
            N.same_group_as(H) and N.order() == 18432,
            "the normalizer of the lifted first representative in the "

@@ -38,7 +38,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _Chain, require_subgroup
 from .perms import Perm
 from .registry import SpecialCaseRegistry
-from .structure import chief_series, get_table, is_normal
+from .structure import ChiefSeries, get_table, is_normal
 from .tables import ElementTable
 
 
@@ -65,8 +65,8 @@ def _p_element(G: PermGroup, p: int, rng: random.Random) -> Perm:
     raise RuntimeError(f"no element of order divisible by {p} found")
 
 
-def sylow(G: PermGroup, p: int, seed: int = 1,
-          budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
+def sylow(G: PermGroup, p: int, budgets: Budgets = DEFAULT_BUDGETS,
+          seed: int = 1) -> PermGroup:
     """A Sylow p-subgroup, by centralizer descent and normalizer ascent."""
     from .backtrack import element_centralizer
 
@@ -81,7 +81,7 @@ def sylow(G: PermGroup, p: int, seed: int = 1,
     best = None
     for _ in range(6):
         z = _p_element(G, p, rng)
-        C = element_centralizer(G, z, node_budget=budgets.node_budget)
+        C = element_centralizer(G, z, budgets)
         key = p_part(C.order(), p)
         if best is None or key > best[0]:
             best = (key, C)
@@ -89,23 +89,21 @@ def sylow(G: PermGroup, p: int, seed: int = 1,
             break
     _, C = best
     if C.order() < order:
-        P = sylow(C, p, seed, budgets)
+        P = sylow(C, p, budgets, seed)
     else:
         # z is central; pass to the quotient by <z>
         from .actions import coset_action
         Z = PermGroup(G.degree, [z])
-        hom = coset_action(G, Z, degree_budget=budgets.coset_degree_budget,
-                           check_subgroup=False)
-        P = hom.preimage_group(sylow(hom.quotient, p, seed, budgets))
+        hom = coset_action(G, Z, budgets)
+        P = hom.preimage_group(sylow(hom.quotient, p, budgets, seed))
     while P.order() < target:
-        N = normalizer(G, P, node_budget=budgets.node_budget)
+        N = normalizer(G, P, budgets)
         if N.order() == order:
             # P is normal; a Sylow subgroup is the preimage of one in G/P
             from .actions import coset_action
-            hom = coset_action(G, P, degree_budget=budgets.coset_degree_budget,
-                               check_subgroup=False)
-            return hom.preimage_group(sylow(hom.quotient, p, seed, budgets))
-        P = sylow(N, p, seed, budgets)
+            hom = coset_action(G, P, budgets)
+            return hom.preimage_group(sylow(hom.quotient, p, budgets, seed))
+        P = sylow(N, p, budgets, seed)
     return P
 
 
@@ -113,12 +111,12 @@ def sylow(G: PermGroup, p: int, seed: int = 1,
 
 
 def intersect_subgroups(H: PermGroup, A: PermGroup,
-                        limit: int = 1_000_000) -> PermGroup:
+                        budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """H intersect A by enumerating the smaller subgroup's elements."""
     small, big = (H, A) if H.order() <= A.order() else (A, H)
-    if small.order() > limit:
-        raise BudgetExceededError("intersection",
-                                  f"|smaller side| = {small.order()} > {limit}")
+    if small.order() > budgets.order_budget:
+        raise BudgetExceededError("intersection", f"|smaller side| = "
+                                  f"{small.order()} > {budgets.order_budget}")
     gens: list[Perm] = []
     span = _Chain(H.degree, [])
     for x in small.elements():
@@ -138,8 +136,6 @@ class HallClassSet:
     pi: PiSet
     class_reps: list[PermGroup]
     class_sizes: list[int]
-    exhaustive: bool
-    total_found: int = 0
 
     @property
     def k(self) -> int:
@@ -297,10 +293,10 @@ def _sylow_seed(G: PermGroup, pi: PiSet, budgets: Budgets, seed: int):
     pi-prime with the largest Sylow subgroup (fewest cosets).  Every Hall
     class has a member containing P."""
     order = G.order()
-    tbl = get_table(G, budgets.order_budget)
+    tbl = get_table(G, budgets)
     effective = [p for p in pi if order % p == 0]
     pstar = max(effective, key=lambda p: (p_part(order, p), p))
-    P = sylow(G, pstar, seed, budgets)
+    P = sylow(G, pstar, budgets, seed)
     return tbl, P, tbl.indices_of_subgroup(P)
 
 
@@ -324,9 +320,9 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
     order = G.order()
     m = pi_part(order, pi)
     if m == 1:
-        return HallClassSet(G, pi, [PermGroup(G.degree, [])], [1], True, 1)
+        return HallClassSet(G, pi, [PermGroup(G.degree, [])], [1])
     if m == order:
-        return HallClassSet(G, pi, [G], [1], True, 1)
+        return HallClassSet(G, pi, [G], [1])
     tbl, P, p_set = _sylow_seed(G, pi, budgets, seed)
     orbits = _orbits_for(tbl)
     if len(p_set) == m:
@@ -336,7 +332,7 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
                       key=lambda cid: sorted(orbits.canon(cid)))
     reps = [tbl.subgroup(orbits.canon(cid)) for cid in cids]
     sizes = [orbits.size(cid) for cid in cids]
-    return HallClassSet(G, pi, reps, sizes, True, sum(sizes))
+    return HallClassSet(G, pi, reps, sizes)
 
 
 def find_hall(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
@@ -383,7 +379,7 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
     if H.order() <= 1000 and H.fingerprint() != K.fingerprint():
         return None
     if G.order() <= budgets.order_budget:
-        tbl = get_table(G, budgets.order_budget)
+        tbl = get_table(G, budgets)
         orbits = _orbits_for(tbl)
         h_set = tbl.indices_of_subgroup(H)
         k_set = tbl.indices_of_subgroup(K)
@@ -392,7 +388,7 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
             certify(all(K.contains(h.conjugate(x)) for h in H.generators),
                     "transporter does not conjugate H onto K")
         return x
-    return conjugating_element(G, H, K, node_budget=budgets.node_budget)
+    return conjugating_element(G, H, K, budgets)
 
 
 # -- E / C / D classification ------------------------------------------------------
@@ -480,7 +476,7 @@ def _dominance_check(G: PermGroup, pi: PiSet, H: PermGroup,
     effective = [p for p in pi if G.order() % p == 0]
     if len(effective) <= 1:
         return None  # Sylow: every p-subgroup lies in a conjugate of H
-    tbl = get_table(G, budgets.order_budget)
+    tbl = get_table(G, budgets)
     # pi-subgroups of at most two primes are solvable (Burnside)
     primes = effective if len(effective) == 2 else None
     witness = _grow_outside_hall(tbl, pi, tbl.indices_of_subgroup(H), primes)
@@ -611,7 +607,7 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
     halls = classify_EC(G, pi, budgets, seed).classes
     if halls.k == 0:
         return KReport(G, A, pi, 0, k_total, [], e_holds=False)
-    tbl = get_table(G, budgets.order_budget)
+    tbl = get_table(G, budgets)
     a_set = tbl.indices_of_subgroup(A)
     orbits = _orbits_for(tbl, A)
     cids = {orbits.class_id(tbl.indices_of_subgroup(H) & a_set)
@@ -658,8 +654,8 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
         return None
     if A.same_group_as(G):
         return M
-    N = normalizer(G, M, node_budget=budgets.node_budget)
-    NA = normalizer(A, M, node_budget=budgets.node_budget)
+    N = normalizer(G, M, budgets)
+    NA = normalizer(A, M, budgets)
     # Frattini argument: G = N * A
     certify(N.order() * A.order() // NA.order() == G.order(),
             "Frattini factorization failed")
@@ -667,28 +663,24 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
     certify(H is not None,
             "normalizer is pi-separable, yet no Hall subgroup was found")
     certify(is_hall(G, H, pi), "the normalizer's Hall subgroup is not Hall")
-    inter = intersect_subgroups(H, A, budgets.order_budget)
+    inter = intersect_subgroups(H, A, budgets)
     if not inter.same_group_as(M):
         x = are_conjugate(A, inter, M, budgets)
         certify(x is not None, "H ∩ A must be A-conjugate to M")
         H = PermGroup(G.degree, [h.conjugate(x) for h in H.generators],
                       order=H.order())
-        inter = intersect_subgroups(H, A, budgets.order_budget)
+        inter = intersect_subgroups(H, A, budgets)
         certify(inter.same_group_as(M), "conjugated H ∩ A is not M")
     return H
 
 
-def pi_separable_series(G: PermGroup, pi: PiSet,
-                        budgets: Budgets = DEFAULT_BUDGETS,
-                        seed: int = 1) -> list[PermGroup] | None:
-    """A normal series with every factor a pi- or pi'-group, or None.
+def pi_separable_series(series: ChiefSeries,
+                        pi: PiSet) -> list[PermGroup] | None:
+    """The chief series' terms when every factor is a pi- or pi'-group (a
+    pi-separable series), else None.
 
     Groups admitting one satisfy all three Hall properties, so this is a
     fast path for solvable inputs."""
-    order = G.order()
-    if is_pi_number(order, pi) or pi_part(order, pi) == 1:
-        return [G, PermGroup(G.degree, [])]
-    series = chief_series(G, budgets, seed)
     for i in range(1, len(series) + 1):
         fo = series.factor_order(i)
         if not (is_pi_number(fo, pi) or pi_part(fo, pi) == 1):

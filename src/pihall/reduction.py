@@ -26,7 +26,7 @@ from .groups import PermGroup, join_subgroups
 from .hall import classify_EC, extend_hall, is_hall
 from .registry import SpecialCaseRegistry
 from .structure import (ChiefSeries, chief_factor_decomposition, chief_series,
-                        induced_automizer, normal_subgroups)
+                        factor_orbits, induced_automizer, normal_subgroups)
 
 
 @dataclass
@@ -103,39 +103,6 @@ class ReductionTrace:
 # -- automizer checks ------------------------------------------------------------
 
 
-def _factor_orbit_reps(Hi: PermGroup, factors: list[PermGroup],
-                       B: PermGroup) -> list[tuple[int, int]]:
-    """(representative index, orbit size) for the action of Hi on the
-    simple factors of the chief factor."""
-    probes = []
-    for f in factors:
-        probe = next(g for g in f.generators if not B.contains(g))
-        probes.append(probe)
-
-    def locate(p) -> int:
-        for j, f in enumerate(factors):
-            if f.contains(p):
-                return j
-        raise RuntimeError("conjugate landed outside the factor list")
-
-    unseen = set(range(len(factors)))
-    out = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            j = queue.pop()
-            for h in Hi.generators:
-                l = locate(probes[j].conjugate(h))
-                if l not in orbit:
-                    orbit.add(l)
-                    queue.append(l)
-        unseen -= orbit
-        out.append((start, len(orbit)))
-    return out
-
-
 def automizer_cpi_check(Hi: PermGroup, B: PermGroup,
                         factors: list[PermGroup], pi: PiSet,
                         budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
@@ -144,10 +111,13 @@ def automizer_cpi_check(Hi: PermGroup, B: PermGroup,
     """Conjugacy-property verdicts for the automorphism groups induced by
     Hi on the simple factors of a nonabelian chief factor over B (one
     representative per Hi-orbit of factors)."""
+    orbits = factor_orbits(Hi, factors, B)
+    certify(orbits is not None,
+            "a conjugate of a simple factor lies in no factor")
     checks = []
-    for j, orbit_size in _factor_orbit_reps(Hi, factors, B):
+    for j, orbit_size in orbits:
         Fj = factors[j]
-        Nj = normalizer(Hi, Fj, node_budget=budgets.node_budget)
+        Nj = normalizer(Hi, Fj, budgets)
         aut = induced_automizer(Nj, Fj, B, budgets)
         target = aut.section_image
         verdict = None
@@ -198,8 +168,7 @@ def _level_hall(Hi: PermGroup, Gi: PermGroup, Gprev: PermGroup, pi: PiSet,
     the section exists."""
     if Gi.is_trivial():
         return _hall_in_pi_extension(Hi, Gprev, pi, budgets, seed, known)
-    hom = coset_action(Hi, Gi, degree_budget=budgets.coset_degree_budget,
-                       check_subgroup=False)
+    hom = coset_action(Hi, Gi, budgets)
     Abar = PermGroup(hom.domain_size,
                      [hom.image(a) for a in Gprev.generators])
     Hbar, special = _hall_in_pi_extension(hom.quotient, Abar, pi, budgets,
@@ -285,9 +254,7 @@ def corollary18_shortcut(series: ChiefSeries, pi: PiSet) -> bool | None:
         if B.is_trivial():
             section = Fj
         else:
-            section = coset_action(Fj, B,
-                                   degree_budget=budgets.coset_degree_budget,
-                                   check_subgroup=False).quotient
+            section = coset_action(Fj, B, budgets).quotient
         if not classify_EC(section, pi, budgets, seed).C:
             return False
     return True

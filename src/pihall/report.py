@@ -8,7 +8,7 @@ timings live outside it so reports can be compared byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .config import Budgets
 from .hall import HallClassSet
@@ -48,7 +48,7 @@ def make_report(command: str, input_desc: dict, pi, seed: int,
                 timings: dict | None = None) -> Report:
     return Report(command=command, input=input_desc,
                   pi=None if pi is None else pi.key(), seed=seed,
-                  budgets=budgets.to_dict(), results=results,
+                  budgets=asdict(budgets), results=results,
                   timings=timings or {})
 
 

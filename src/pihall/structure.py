@@ -39,13 +39,13 @@ _NORMAL_SUBGROUP_LIMIT = 512
 _table_cache: dict = {}
 
 
-def get_table(G: PermGroup, order_budget: int) -> ElementTable:
+def get_table(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS) -> ElementTable:
     # a cached table must not let a smaller budget skip its check
-    require_order_within(G, order_budget)
+    require_order_within(G, budgets)
     key = G.cache_key()
     tbl = _table_cache.get(key)
     if tbl is None:
-        tbl = ElementTable(G, order_budget)
+        tbl = ElementTable(G, budgets)
         if len(_table_cache) > 48:
             _table_cache.clear()
         _table_cache[key] = tbl
@@ -110,7 +110,7 @@ def is_simple(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
     if is_prime(order):
         return True
     if order <= budgets.order_budget:
-        tbl = get_table(G, budgets.order_budget)
+        tbl = get_table(G, budgets)
         # a proper subgroup has order at most |G|/2
         return all(tbl.normal_closure_classes([cid], limit=order // 2) is None
                    for cid in _prime_order_classes(tbl))
@@ -177,7 +177,7 @@ def minimal_normal_subgroups(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
     if order <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     if order <= budgets.order_budget:
-        tbl = get_table(G, budgets.order_budget)
+        tbl = get_table(G, budgets)
         closures = {tbl.normal_closure_classes([cid])
                     for cid in _prime_order_classes(tbl)}
         out = [tbl.subgroup(tbl.union_of_classes(s)) for s in closures
@@ -222,7 +222,7 @@ def _minimal_normals_large(G: PermGroup, budgets: Budgets,
             raise BudgetExceededError("minimal-normal",
                                       "candidate failed minimality check")
     socle = join_subgroups(G, minimal)
-    if not centralizer(G, socle, node_budget=budgets.node_budget).is_trivial():
+    if not centralizer(G, socle, budgets).is_trivial():
         raise BudgetExceededError("minimal-normal",
                                   "completeness check inconclusive")
     return sorted(minimal, key=_subgroup_sort_key)
@@ -246,12 +246,18 @@ def _verify_minimal_normal(G: PermGroup, M: PermGroup, budgets: Budgets,
         total *= f.order()
     if total != M.order():
         return False
-    return _transitive_on_factors(G, factors)
+    orbits = factor_orbits(G, factors, PermGroup(G.degree, []))
+    return orbits is not None and len(orbits) == 1
 
 
-def _transitive_on_factors(G: PermGroup, factors: list[PermGroup]) -> bool:
-    probe = [next(g for g in f.generators if not g.is_identity())
-             for f in factors]
+def factor_orbits(G: PermGroup, factors: list[PermGroup],
+                  B: PermGroup) -> list[tuple[int, int]] | None:
+    """(representative index, orbit size) for the orbits of G, acting by
+    conjugation, on the direct factors of a section over B (subgroups
+    containing B), least unseen index first; None when a conjugate lands
+    in no factor."""
+    probes = [next(g for g in f.generators if not B.contains(g))
+              for f in factors]
 
     def locate(p: Perm) -> int | None:
         for j, f in enumerate(factors):
@@ -259,18 +265,24 @@ def _transitive_on_factors(G: PermGroup, factors: list[PermGroup]) -> bool:
                 return j
         return None
 
-    seen = {0}
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for g in G.generators:
-            j = locate(probe[i].conjugate(g))
-            if j is None:
-                return False
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == len(factors)
+    unseen = set(range(len(factors)))
+    out = []
+    while unseen:
+        start = min(unseen)
+        orbit = {start}
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for g in G.generators:
+                j = locate(probes[i].conjugate(g))
+                if j is None:
+                    return None
+                if j not in orbit:
+                    orbit.add(j)
+                    queue.append(j)
+        unseen -= orbit
+        out.append((start, len(orbit)))
+    return out
 
 
 def normal_subgroups(G: PermGroup,
@@ -279,7 +291,7 @@ def normal_subgroups(G: PermGroup,
     _NORMAL_SUBGROUP_LIMIT of them): the join semilattice generated by the
     normal closures of single classes, as sets of class ids, each kept with
     the classes that generate it."""
-    tbl = get_table(G, budgets.order_budget)
+    tbl = get_table(G, budgets)
     class_id, reps = tbl.classes()
     ident = frozenset([int(class_id[tbl.identity_idx])])
     found: dict[frozenset, frozenset] = {ident: frozenset()}
@@ -354,9 +366,7 @@ def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
             mins = minimal_normal_subgroups(G, budgets, seed)
             nxt = mins[0]
         else:
-            hom = coset_action(G, current,
-                               degree_budget=budgets.coset_degree_budget,
-                               check_subgroup=False)
+            hom = coset_action(G, current, budgets)
             mins = minimal_normal_subgroups(hom.quotient, budgets, seed)
             nxt = hom.preimage_group(mins[0])
         terms_up.append(nxt)
@@ -380,8 +390,7 @@ def chief_factor_decomposition(series: ChiefSeries,
     if B.is_trivial():
         Q = A
     else:
-        hom = coset_action(A, B, degree_budget=budgets.coset_degree_budget,
-                           check_subgroup=False)
+        hom = coset_action(A, B, budgets)
         Q = hom.quotient
 
     if series.factor_is_abelian(i):
@@ -447,15 +456,14 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
         raise ValueError("A and B must be normalized by the ambient group")
 
     if B.is_trivial():
-        cent = centralizer(G, A, node_budget=budgets.node_budget)
+        cent = centralizer(G, A, budgets)
         if cent.is_trivial():
             return InducedAutomizer(section_image=G, inner_image=A,
                                     kernel=cent, route="ambient-faithful")
 
     section_size = A.order() // B.order()
     if section_size <= budgets.element_action_budget:
-        sec = section_action(G, A, B,
-                             element_budget=budgets.element_action_budget)
+        sec = section_action(G, A, B, budgets)
         inner = PermGroup(sec.domain_size,
                           [sec.image(a) for a in A.generators])
         return InducedAutomizer(section_image=sec.quotient,
@@ -463,8 +471,7 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
                                 route="element-action")
 
     cent = _section_centralizer(G, A, B, budgets)
-    hom = coset_action(G, cent, degree_budget=budgets.coset_degree_budget,
-                       check_subgroup=False)
+    hom = coset_action(G, cent, budgets)
     inner = PermGroup(hom.domain_size, [hom.image(a) for a in A.generators])
     return InducedAutomizer(section_image=hom.quotient, inner_image=inner,
                             kernel=cent, route="coset-on-centralizer")
@@ -484,5 +491,4 @@ def _section_centralizer(G: PermGroup, A: PermGroup, B: PermGroup,
                 return False
         return True
 
-    return subgroup_search(G, PredicateProperty(pred),
-                           node_budget=budgets.node_budget)
+    return subgroup_search(G, PredicateProperty(pred), budgets=budgets)

@@ -9,7 +9,6 @@ or recomputed here); nothing is hand-written.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from . import zoo
@@ -22,7 +21,7 @@ from .hall import (_orbits_for, are_conjugate, classify_EC,
                    intersect_subgroups, is_hall, k_induced,
                    pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut, theorem1_suite
-from .structure import chief_series, get_table, is_normal, \
+from .structure import ChiefSeries, chief_series, get_table, is_normal, \
     minimal_normal_subgroups, normal_subgroups
 
 COROLLARY18_PI_SETS = ("2,5", "3,5", "5,7")
@@ -64,13 +63,16 @@ class CorpusEntryResult:
 
 
 class CorpusContext:
-    """Shared per-run caches: built groups, normal subgroup lists, tables."""
+    """Shared per-run caches: built groups, normal subgroup lists, chief
+    series and quotients, each built once under the run's budgets and
+    seed."""
 
     def __init__(self, budgets: Budgets, seed: int):
         self.budgets = budgets
         self.seed = seed
         self._groups: dict[str, PermGroup] = {}
         self._normals: dict[str, list[PermGroup]] = {}
+        self._series: dict[str, ChiefSeries] = {}
         self._quotients: dict = {}
 
     def group(self, name: str) -> PermGroup:
@@ -84,13 +86,17 @@ class CorpusContext:
                                                    self.budgets)
         return self._normals[name]
 
+    def series(self, name: str) -> ChiefSeries:
+        if name not in self._series:
+            self._series[name] = chief_series(self.group(name), self.budgets,
+                                              self.seed)
+        return self._series[name]
+
     def quotient(self, name: str, A: PermGroup):
         key = (name, A.cache_key())
         if key not in self._quotients:
-            self._quotients[key] = coset_action(
-                self.group(name), A,
-                degree_budget=self.budgets.coset_degree_budget,
-                check_subgroup=False)
+            self._quotients[key] = coset_action(self.group(name), A,
+                                                self.budgets)
         return self._quotients[key]
 
     def classify(self, G: PermGroup, pi: PiSet):
@@ -144,7 +150,7 @@ def suite_lemma4_1(entries, ctx: CorpusContext) -> SuiteResult:
             if A.order() in (1, G.order()):
                 continue
             res.checked += 1
-            inter = intersect_subgroups(H, A, ctx.budgets.order_budget)
+            inter = intersect_subgroups(H, A, ctx.budgets)
             if not is_hall(A, inter, pi):
                 res.violations.append(
                     f"{e['name']}/{e['pi']}: H∩A not Hall in A "
@@ -164,8 +170,7 @@ def suite_lemma4_2(entries, ctx: CorpusContext) -> SuiteResult:
     for e in entries:
         G = ctx.group(e["name"])
         pi = PiSet.parse(e["pi"])
-        series = pi_separable_series(G, pi, ctx.budgets, ctx.seed)
-        if series is None:
+        if pi_separable_series(ctx.series(e["name"]), pi) is None:
             continue
         res.checked += 1
         rep = ctx.classify(G, pi)
@@ -210,12 +215,12 @@ def suite_lemma7(entries, ctx: CorpusContext) -> SuiteResult:
                 continue
             res.checked += 1
             HA = join_subgroups(G, [H, A])
-            N1 = normalizer(G, HA, node_budget=ctx.budgets.node_budget)
+            N1 = normalizer(G, HA, ctx.budgets)
             if not ctx.classify(N1, pi).C:
                 res.violations.append(
                     f"{e['name']}/{e['pi']}: N_G(HA) fails (|A|={A.order()})")
-            inter = intersect_subgroups(H, A, ctx.budgets.order_budget)
-            N2 = normalizer(G, inter, node_budget=ctx.budgets.node_budget)
+            inter = intersect_subgroups(H, A, ctx.budgets)
+            N2 = normalizer(G, inter, ctx.budgets)
             if not ctx.classify(N2, pi).C:
                 res.violations.append(
                     f"{e['name']}/{e['pi']}: N_G(H∩A) fails (|A|={A.order()})")
@@ -262,12 +267,12 @@ def _ha_instances(entries, ctx: CorpusContext):
 def suite_lemma11(entries, ctx: CorpusContext) -> SuiteResult:
     res = SuiteResult("lemma-11", "induced-iff-invariant")
     for e, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        C = centralizer(G, A, node_budget=ctx.budgets.node_budget)
+        C = centralizer(G, A, ctx.budgets)
         HAC = join_subgroups(G, [H, A, C])
         if not is_normal(G, HAC):
             continue
         res.checked += 1
-        tbl = get_table(G, ctx.budgets.order_budget)
+        tbl = get_table(G, ctx.budgets)
         a_set = tbl.indices_of_subgroup(A)
         orbits = _orbits_for(tbl, A)
         # the A-classes of the G-induced Hall subgroups H^g ∩ A
@@ -315,7 +320,7 @@ def suite_lemma13(entries, ctx: CorpusContext) -> SuiteResult:
         rep = ctx.classify(G, pi)
         cond3 = False
         if rep.k == 1:
-            tbl = get_table(G, ctx.budgets.order_budget)
+            tbl = get_table(G, ctx.budgets)
             h_set = tbl.indices_of_subgroup(rep.classes.class_reps[0])
             orbits = _orbits_for(tbl, A)
             cond3 = (orbits.size(orbits.class_id(h_set))
@@ -369,13 +374,13 @@ def suite_lemma16(entries, ctx: CorpusContext) -> SuiteResult:
                 if A.order() > 1 and not A.same_group_as(G) else []
             if len(subs) < 2:
                 continue
-            C = centralizer(G, A, node_budget=ctx.budgets.node_budget)
+            C = centralizer(G, A, ctx.budgets)
             HAC = join_subgroups(G, [H, A, C])
             if HAC.order() != G.order():
                 continue
             res.checked += 1
             S1 = subs[0]
-            N = normalizer(G, S1, node_budget=ctx.budgets.node_budget)
+            N = normalizer(G, S1, ctx.budgets)
             kGA = k_induced(G, A, pi, ctx.budgets, ctx.seed).k_induced
             kNS = k_induced(N, S1, pi, ctx.budgets, ctx.seed).k_induced
             if kGA != kNS:
@@ -412,7 +417,7 @@ def _almost_simple_socle(G: PermGroup, ctx: CorpusContext) -> PermGroup | None:
         return None
     if not is_simple(S, ctx.budgets, ctx.seed):
         return None
-    if not centralizer(G, S, node_budget=ctx.budgets.node_budget).is_trivial():
+    if not centralizer(G, S, ctx.budgets).is_trivial():
         return None
     return S
 
@@ -453,7 +458,7 @@ def suite_corollary18(entries, ctx: CorpusContext) -> SuiteResult:
     names = _entry_groups(entries)
     for name in names:
         G = ctx.group(name)
-        series = chief_series(G, ctx.budgets, ctx.seed)
+        series = ctx.series(name)
         for pi_key in COROLLARY18_PI_SETS:
             pi = PiSet.parse(pi_key)
             res.checked += 1
@@ -494,7 +499,6 @@ SUITES = [
 class CorpusRunResult:
     entries: list[CorpusEntryResult]
     suites: list[SuiteResult]
-    elapsed_ms: int
 
     @property
     def all_agree(self) -> bool:
@@ -526,7 +530,6 @@ class CorpusRunResult:
 
 def run_corpus(entries=None, budgets: Budgets = DEFAULT_BUDGETS,
                seed: int = 1, jobs: int = 1) -> CorpusRunResult:
-    t0 = time.perf_counter()
     if entries is None:
         entries = zoo.corpus_manifest()
     ctx = CorpusContext(budgets, seed)
@@ -535,13 +538,11 @@ def run_corpus(entries=None, budgets: Budgets = DEFAULT_BUDGETS,
     else:
         results = run_entry_comparisons(entries, ctx)
     suite_results = [suite(entries, ctx) for suite in SUITES]
-    return CorpusRunResult(entries=results, suites=suite_results,
-                           elapsed_ms=int((time.perf_counter() - t0) * 1000))
+    return CorpusRunResult(entries=results, suites=suite_results)
 
 
 def _entry_job(args):
-    entry, budget_dict, seed = args
-    budgets = Budgets(**budget_dict)
+    entry, budgets, seed = args
     ctx = CorpusContext(budgets, seed)
     result = run_entry_comparisons([entry], ctx)[0]
     return result.to_dict(), result.timings_ms
@@ -549,7 +550,7 @@ def _entry_job(args):
 
 def _run_entries_parallel(entries, budgets, seed, jobs):
     from concurrent.futures import ProcessPoolExecutor
-    args = [(e, budgets.to_dict(), seed) for e in entries]
+    args = [(e, budgets, seed) for e in entries]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         jobs_out = list(pool.map(_entry_job, args))
     out = []

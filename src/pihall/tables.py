@@ -11,25 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 from .backtrack import BudgetExceededError, certify
+from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _Chain
 from .perms import Perm
 
-DEFAULT_ORDER_BUDGET = 1_000_000
 
-
-def require_order_within(G: PermGroup, order_budget: int) -> int:
+def require_order_within(G: PermGroup,
+                         budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """|G|, or BudgetExceededError when it is past the enumeration budget."""
     order = G.order()
-    if order > order_budget:
-        raise BudgetExceededError("enumeration-order",
-                                  f"|G| = {order} > {order_budget}")
+    if order > budgets.order_budget:
+        raise BudgetExceededError(
+            "enumeration-order", f"|G| = {order} > {budgets.order_budget}")
     return order
 
 
 class ElementTable:
-    def __init__(self, G: PermGroup, order_budget: int | None = None):
-        budget = DEFAULT_ORDER_BUDGET if order_budget is None else order_budget
-        order = require_order_within(G, budget)
+    def __init__(self, G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS):
+        order = require_order_within(G, budgets)
         self.group = G
         self.degree = G.degree
         dtype = np.uint16 if G.degree < 65536 else np.uint32

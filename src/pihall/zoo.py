@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .backtrack import partition_stabilizer
+from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, certify
 from .linalg import gf, mat_identity, mat_inverse, mat_mul, mat_transpose
 from .perms import Perm
@@ -172,7 +173,8 @@ def parabolic_order(dims, q: int) -> int:
     return out
 
 
-def flag_stabilizer(n: int, q: int, dims, node_budget: int | None = None) -> PermGroup:
+def flag_stabilizer(n: int, q: int, dims,
+                    budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
     """Stabilizer in gl(n,q) of the standard flag with the given dimension
     sequence, computed as the setwise stabilizer of the subspace point sets
     and checked against the closed-form parabolic order."""
@@ -181,7 +183,7 @@ def flag_stabilizer(n: int, q: int, dims, node_budget: int | None = None) -> Per
     if len(dims) == 1:
         return G
     colors = standard_flag_colors(n, q, dims)
-    H = partition_stabilizer(G, colors, node_budget=node_budget)
+    H = partition_stabilizer(G, colors, budgets)
     expected = parabolic_order(dims, q)
     certify(H.order() == expected,
             f"flag stabilizer order {H.order()} != parabolic order {expected}")

@@ -7,6 +7,7 @@ from pihall.actions import (block_action, coset_action, minimal_block_system,
                             nontrivial_block_system, orbit_restriction,
                             section_action)
 from pihall.backtrack import BudgetExceededError
+from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
 
@@ -70,7 +71,8 @@ def test_preimage_group_pulls_back_subgroup():
 
 def test_degree_budget():
     with pytest.raises(BudgetExceededError):
-        coset_action(zoo.sym(6), PermGroup(6, []), degree_budget=100)
+        coset_action(zoo.sym(6), PermGroup(6, []),
+                     Budgets(coset_degree_budget=100))
 
 
 def test_section_action_sym4_on_v4():

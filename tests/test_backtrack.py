@@ -7,6 +7,7 @@ from pihall import zoo
 from pihall.backtrack import (BudgetExceededError, centralizer,
                               conjugating_element, normalizer,
                               partition_stabilizer)
+from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
 
@@ -96,7 +97,7 @@ def test_node_budget_raises():
     G = zoo.sym(6)
     H = PermGroup(6, [Perm.from_cycles(6, (0, 1, 2))])
     with pytest.raises(BudgetExceededError):
-        normalizer(G, H, node_budget=3)
+        normalizer(G, H, Budgets(node_budget=3))
 
 
 def test_normalizer_of_parabolic_is_itself():

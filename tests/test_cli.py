@@ -1,6 +1,7 @@
 import json
 
 from pihall import cli, hall, structure
+from pihall.config import DEFAULT_BUDGETS
 from pihall.tables import ElementTable
 
 
@@ -93,6 +94,24 @@ def test_k_bad_subgroup_specs_exit_6(capsys, tmp_path):
                            capsys)
         assert code == 6, spec
         assert err.startswith("error: "), spec
+
+
+def test_k_normal_specs_get_the_seed(monkeypatch, capsys):
+    # --seed must reach the minimal normal subgroups behind socle and
+    # minimal:<i>: past the order budget they are found by sampling
+    seen = []
+    real = cli.minimal_normal_subgroups
+
+    def record(G, budgets=DEFAULT_BUDGETS, seed=1):
+        seen.append(seed)
+        return real(G, budgets, seed)
+
+    monkeypatch.setattr(cli, "minimal_normal_subgroups", record)
+    for spec in ("minimal:0", "socle"):
+        code, _, _ = run(["k", "sym5", "--pi", "2,3", "--seed", "7",
+                          "--normal", spec], capsys)
+        assert code == 0, spec
+    assert seen == [7, 7]
 
 
 def test_k_over_the_center(capsys, tmp_path):

@@ -5,6 +5,7 @@ definition or an option only tests use is dead code that tests keep
 alive."""
 
 import ast
+import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -138,3 +139,100 @@ def test_no_unpassed_defaulted_parameters():
                 if key not in ALLOWED_PARAMS:
                     dead.append(f"{fname}: {key}")
     assert not dead, "defaulted parameters no call passes: " + ", ".join(dead)
+
+
+# -- budgets and seed -------------------------------------------------------------
+
+RUN_PARAMS = ("budgets", "seed")
+PER_FIELD_PARAMS = {"node_budget", "order_budget", "degree_budget",
+                    "element_budget", "check_subgroup"}
+
+
+def _called_name(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _run_param_positions(trees):
+    """Per called name (as in _calls), one {parameter: position} dict for
+    each definition of that name that takes `budgets` or `seed`; the
+    position is None for a keyword-only parameter."""
+    wanted = defaultdict(list)
+    for tree in trees.values():
+        for qual, fn in _definitions(tree):
+            if isinstance(fn, ast.ClassDef):
+                continue
+            cls = qual.split(".")[-2] if "." in qual else None
+            called = cls if fn.name == "__init__" else fn.name
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0  # self, cls
+            args = fn.args.posonlyargs + fn.args.args
+            params = {arg.arg: i - skip for i, arg in enumerate(args)
+                      if arg.arg in RUN_PARAMS}
+            params.update({arg.arg: None for arg in fn.args.kwonlyargs
+                           if arg.arg in RUN_PARAMS})
+            if params:
+                wanted[called].append(params)
+    return wanted
+
+
+def test_every_call_passes_the_runs_budgets_and_seed():
+    # a call that leaves out `budgets` or `seed` runs under the defaults,
+    # not the run's.  Calls match definitions by bare name, as in _calls;
+    # a call is flagged only when it passes the parameter to no definition
+    # of that name that takes it
+    trees = _trees()
+    wanted = _run_param_positions(trees)
+    missing = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            if name not in wanted:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                continue
+            passed = {k.arg for k in node.keywords}
+            for param in RUN_PARAMS:
+                positions = [d[param] for d in wanted[name] if param in d]
+                if positions and param not in passed and not any(
+                        pos is not None and len(node.args) > pos
+                        for pos in positions):
+                    missing.append(f"{fname}:{node.lineno}: {name}({param})")
+    assert not missing, "calls that drop the run's budgets or seed: " + \
+        ", ".join(missing)
+
+
+def test_only_config_decides_a_limit():
+    # a module-level default or a per-field parameter lets a layer run
+    # under a limit the run was not given
+    trees = _trees()
+    found = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            bound = []
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.append(node.id)
+            elif isinstance(node, ast.alias):
+                bound.append(node.asname or node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                bound.append(node.name)
+            if fname != "config.py":
+                found += [f"{fname}:{node.lineno}: binds {name}"
+                          for name in bound
+                          if re.fullmatch(r"DEFAULT_\w*BUDGET", name)]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                found += [f"{fname}:{node.lineno}: parameter {arg.arg}"
+                          for arg in a.posonlyargs + a.args + a.kwonlyargs
+                          if arg.arg in PER_FIELD_PARAMS]
+    assert not found, "limits decided outside pihall.config: " + \
+        ", ".join(found)

@@ -61,7 +61,7 @@ def test_lift_through_extension_quotient(gl52_known):
     from pihall.actions import coset_action
     from pihall.hall import find_hall, is_hall
     hat = zoo.gl52_hat()
-    hom = coset_action(hat.group, hat.inner, check_subgroup=False)
+    hom = coset_action(hat.group, hat.inner)
     kbar = find_hall(hom.quotient, PI23)
     H = find_hall(hom.preimage_group(kbar), PI23, known=gl52_known)
     assert H.order() == 18432
@@ -93,9 +93,9 @@ def test_every_search_gets_the_node_budget(monkeypatch):
     seen = []
     init = backtrack._Searcher.__init__
 
-    def record(self, degree, chain, prop, node_budget):
-        seen.append(node_budget)
-        init(self, degree, chain, prop, node_budget)
+    def record(self, degree, chain, prop, budgets):
+        seen.append(budgets.node_budget)
+        init(self, degree, chain, prop, budgets)
 
     monkeypatch.setattr(backtrack._Searcher, "__init__", record)
     budget = 1_999_999

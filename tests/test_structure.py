@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from conftest import brute_group_elements
 from pihall import groups, hall, structure, zoo
 from pihall.arith import PiSet, is_prime
-from pihall.backtrack import BudgetExceededError, centralizer
+from pihall.backtrack import (BudgetExceededError, VerificationError,
+                              centralizer)
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
-from pihall.reduction import cpi_reduce
+from pihall.reduction import automizer_cpi_check, cpi_reduce
 from pihall.tables import ElementTable
 from pihall.structure import (chief_factor_decomposition, chief_series,
-                              derived_subgroup, induced_automizer, is_normal,
+                              derived_subgroup, factor_orbits,
+                              induced_automizer, is_normal,
                               is_simple, minimal_normal_subgroups,
                               normal_closure, normal_subgroups)
 
@@ -85,6 +87,28 @@ def test_minimal_normals_direct_product():
     mins = minimal_normal_subgroups(DP)
     assert len(mins) == 2
     assert sorted(m.order() for m in mins) == [60, 60]
+
+
+def test_factor_orbits():
+    # Alt(5) wr 2: its socle Alt(5) x Alt(5) splits into two simple factors
+    # that the top involution swaps; the base group fixes each
+    G = zoo.build_named("alt5wr2")
+    (socle,) = minimal_normal_subgroups(G)
+    factors = minimal_normal_subgroups(socle)
+    trivial = PermGroup(G.degree, [])
+    assert factor_orbits(G, factors, trivial) == [(0, 2)]
+    assert factor_orbits(socle, factors, trivial) == [(0, 1), (1, 1)]
+    # a conjugate of the first factor lies in no listed factor
+    assert factor_orbits(G, factors[:1], trivial) is None
+
+
+def test_automizer_check_certifies_the_factor_list():
+    G = zoo.build_named("alt5wr2")
+    (socle,) = minimal_normal_subgroups(G)
+    factors = minimal_normal_subgroups(socle)
+    with pytest.raises(VerificationError):
+        automizer_cpi_check(G, PermGroup(G.degree, []), factors[:1],
+                            PiSet([2, 3]))
 
 
 def test_minimal_normals_above_budget():

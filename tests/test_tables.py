@@ -5,6 +5,7 @@ import pytest
 from conftest import brute_group_elements
 from pihall import zoo
 from pihall.backtrack import BudgetExceededError, VerificationError
+from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.tables import ElementTable
 
@@ -64,7 +65,7 @@ def test_subgroup_orbit_counts_conjugates():
 
 def test_order_budget():
     with pytest.raises(BudgetExceededError):
-        ElementTable(zoo.sym(8), order_budget=1000)
+        ElementTable(zoo.sym(8), Budgets(order_budget=1000))
 
 
 def test_enumeration_short_of_the_order_fails_verification(monkeypatch):
