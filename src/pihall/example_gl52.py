@@ -16,8 +16,6 @@ extension, past the oracle budget.
 
 from __future__ import annotations
 
-import time
-
 from . import zoo
 from .arith import PiSet, pi_part
 from .config import DEFAULT_BUDGETS, Budgets
@@ -75,7 +73,6 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     extension are registered in it.
 
     Raises ExampleFailure at the first claim that does not hold."""
-    t_start = time.perf_counter()
     report: dict = {"pi": PI.key(), "claims": [],
                     "exhaustiveness":
                         "the three flag-stabilizer classes are assumed "
@@ -172,6 +169,5 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
         known.register_hall(hat.group, PI, H)
         report["registered"] = True
 
-    report["elapsed_ms"] = int((time.perf_counter() - t_start) * 1000)
     report["verdict"] = all(c["ok"] for c in report["claims"])
     return report

@@ -34,6 +34,7 @@ from .arith import (PiSet, is_pi_number, is_prime, p_part, pi_part,
                     prime_divisors)
 from .backtrack import (BudgetExceededError, certify, conjugating_element,
                         normalizer)
+from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _Chain, require_subgroup
 from .perms import Perm
@@ -148,8 +149,12 @@ class _SetOrbits:
 
     Each distinct class triggers one orbit BFS; every member's sorted-index
     byte string is then registered, so later queries for conjugate sets are
-    dictionary hits.  Words in `by` conjugate the class root to each
-    member."""
+    dictionary hits.  A depth-first walk of the orbit records how each
+    member is reached, as one int: its parent's position in the walk times
+    len(by), plus the generator's position (-1 for the root).  The
+    transporters, words in `by` that conjugate the class root to each
+    member, replace those ints on first use, multiplied out along the
+    walk."""
 
     def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
         self.tbl = tbl
@@ -159,41 +164,71 @@ class _SetOrbits:
         self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
                      else [tbl.conj_map(t) for t in by])
         self.class_of: dict[bytes, int] = {}
-        self.class_reps: list[dict[bytes, int]] = []  # member -> transporter
+        # per class, member -> its link in the walk, or its transporter once
+        # the class is in `_transported`
+        self.class_reps: list[dict[bytes, int]] = []
         self.class_canon: list[frozenset] = []
+        self._transported: set[int] = set()
 
     @staticmethod
     def _arr(idxs):
         import numpy as np
         return np.asarray(sorted(idxs), dtype=np.int64)
 
+    def image_keys(self, keys: list[bytes]) -> list[tuple[bytes, ...]]:
+        """For each member (a sorted-index key), the keys of its conjugates
+        by the generators, in `by` order."""
+        import numpy as np
+        width = len(keys[0])
+        arrs = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(
+            len(keys), -1)
+        per_gen = []
+        for M in self.maps:
+            conj = M[arrs]
+            conj.sort(axis=1)
+            blob = conj.tobytes()
+            per_gen.append([blob[i:i + width]
+                            for i in range(0, len(blob), width)])
+        return list(zip(*per_gen))
+
     def class_id(self, idxs: frozenset) -> int:
         import numpy as np
-        tbl = self.tbl
-        arr = self._arr(idxs)
-        key = arr.tobytes()
+        key = self.key_of(idxs)
         cid = self.class_of.get(key)
         if cid is not None:
             return cid
         cid = len(self.class_reps)
-        reps: dict[bytes, int] = {key: tbl.identity_idx}
-        canon_key, canon_arr = key, arr
-        queue = [(key, arr)]
-        while queue:
-            k, a = queue.pop()
-            base = reps[k]
-            for gi, M in enumerate(self.maps):
-                conj = np.sort(M[a])
-                nk = conj.tobytes()
+        # the orbit breadth-first, one batch of conjugations per level; each
+        # key is kept once (`found` maps a key to its first copy)
+        images: dict[bytes, list[bytes]] = {}
+        found = {key: key}
+        frontier = [key]
+        while frontier:
+            nxt = []
+            for k, imgs in zip(frontier, self.image_keys(frontier)):
+                own = []
+                for nk in imgs:
+                    first = found.get(nk)
+                    if first is None:
+                        first = found[nk] = nk
+                        nxt.append(nk)
+                    own.append(first)
+                images[k] = own
+            frontier = nxt
+        # a depth-first walk of that graph, generators in `by` order
+        reps: dict[bytes, int] = {key: -1}
+        stack = [(key, 0)]
+        while stack:
+            k, pos = stack.pop()
+            for gi, nk in enumerate(images[k]):
                 if nk not in reps:
-                    reps[nk] = tbl.mul(base, self.by[gi])
-                    queue.append((nk, conj))
-                    if nk < canon_key:
-                        canon_key, canon_arr = nk, conj
+                    reps[nk] = pos * len(self.by) + gi
+                    stack.append((nk, len(reps) - 1))
         for k in reps:
             self.class_of[k] = cid
         self.class_reps.append(reps)
-        self.class_canon.append(frozenset(canon_arr.tolist()))
+        self.class_canon.append(frozenset(
+            np.frombuffer(min(reps), dtype=np.int64).tolist()))
         return cid
 
     def key_of(self, idxs: frozenset) -> bytes:
@@ -212,11 +247,26 @@ class _SetOrbits:
         return np.frombuffer(b"".join(keys),
                              dtype=np.int64).reshape(len(keys), -1)
 
+    def transporters(self, cid: int) -> dict[bytes, int]:
+        """member -> an element conjugating the class root to it."""
+        reps = self.class_reps[cid]
+        if cid not in self._transported:
+            # a parent comes before its children in the walk
+            done = []
+            for k, link in reps.items():
+                if link < 0:
+                    reps[k] = self.tbl.identity_idx
+                else:
+                    parent, gi = divmod(link, len(self.by))
+                    reps[k] = self.tbl.mul_by(done[parent], self.by[gi])
+                done.append(reps[k])
+            self._transported.add(cid)
+        return reps
+
     def transporter(self, idxs_from: frozenset, idxs_to: frozenset) -> Perm | None:
         """Some x with (idxs_from)^x = idxs_to, or None if not conjugate."""
         tbl = self.tbl
-        cid = self.class_id(idxs_from)
-        reps = self.class_reps[cid]
+        reps = self.transporters(self.class_id(idxs_from))
         key_to = self.key_of(idxs_to)
         if key_to not in reps:
             return None
@@ -247,17 +297,6 @@ def _pi_order_mask(tbl: ElementTable, pi: PiSet, m: int):
     return ok[class_id]
 
 
-def _quick_probe(tbl: ElementTable, mask, k_sample, x: int) -> bool:
-    """Cheap necessary test before a full closure: a few products of x with
-    subgroup elements must still be pi-elements of order dividing the
-    pi-part."""
-    for k in k_sample:
-        t = tbl.mul(k, x)
-        if not mask[t]:
-            return False
-    return True
-
-
 def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
     """Classes of subgroups of order dividing m reached from the seeds, as
     (index set, class id), each new class yielded in breadth-first order.
@@ -276,7 +315,7 @@ def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
     while queue:
         K, gens = queue.popleft()
         for x in candidates(K):
-            L = tbl.closure(gens + (x,), limit=m)
+            L = tbl.closure(gens + (x,), limit=m, known=K)
             if L is None or len(L) <= len(K) or m % len(L) != 0:
                 continue
             cid = orbits.class_id(L)
@@ -437,7 +476,8 @@ class ECDReport:
         return {"E": self.E, "C": self.C, "D": self.D, "k": self.k}
 
 
-_classify_cache: dict = {}
+# (G, pi, seed, budgets) -> ECDReport
+_classify_cache = LRUCache(512)
 
 
 def classify_EC(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
@@ -453,8 +493,6 @@ def classify_EC(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     k = classes.k
     report = ECDReport(G, pi, E=k >= 1, C=k == 1, k=k, classes=classes,
                        budgets=budgets)
-    if len(_classify_cache) > 512:
-        _classify_cache.clear()
     _classify_cache[key] = report
     return report
 
@@ -522,12 +560,13 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
 
 
 def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
-    """One pi-element per right coset of K outside K that passes the
-    quick probe (a coset's elements all give the same extension)."""
-    k_sample = sorted(K)[:4]
-    for x in tbl.coset_reps(K):
-        if x not in K and mask[x] and _quick_probe(tbl, mask, k_sample, x):
-            yield x
+    """One pi-element per right coset of K outside K (a coset's
+    elements all give the same extension) that passes a cheap necessary
+    test before a full closure: its products with a few elements of K must
+    still be pi-elements of order dividing the pi-part."""
+    xs = [x for x in tbl.coset_reps(K) if x not in K and mask[x]]
+    probe = mask[tbl.products(sorted(K)[:4], xs)].all(axis=1)
+    return [x for x, ok in zip(xs, probe.tolist()) if ok]
 
 
 def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
@@ -535,10 +574,11 @@ def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
     """One element per coset of K in N_G(K) outside K with x^p in K for a
     p in `primes`: <K, x> then contains K with index p."""
     covered = set(K)
+    k_arr = sorted(K)
     for x in sorted(_set_stabilizer_elements(tbl, orbits, K)):
         if x in covered:
             continue
-        covered.update(tbl.mul(k, x) for k in K)
+        covered.update(tbl.products(k_arr, x).tolist())
         if not mask[x]:
             continue
         o = tbl.element_order(x)
@@ -558,20 +598,18 @@ def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
     """All elements normalizing the subgroup-set `node`: Schreier generators
     of the orbit stabilizer, closed into the full stabilizer (its size is
     |G| / orbit length)."""
-    import numpy as np
     cid = orbits.class_id(node)
-    class_reps = orbits.class_reps[cid]
+    class_reps = orbits.transporters(cid)
     target = tbl.size // len(class_reps)
     # transversal elements conjugating `node` to each member
     shift_inv = tbl.inv(class_reps[orbits.key_of(node)])
-    reps = {key: tbl.mul(shift_inv, r) for key, r in class_reps.items()}
+    keys = list(class_reps)
+    reps = dict(zip(keys, tbl.products(
+        shift_inv, list(class_reps.values())).tolist()))
     gens = set()
-    for key, rep in reps.items():
-        arr = np.frombuffer(key, dtype=np.int64)
-        for gi, M in enumerate(orbits.maps):
-            image_key = np.sort(M[arr]).tobytes()
-            s = tbl.mul(tbl.mul(rep, orbits.by[gi]),
-                        tbl.inv(reps[image_key]))
+    for (key, rep), images in zip(reps.items(), orbits.image_keys(keys)):
+        for image_key, t in zip(images, orbits.by):
+            s = tbl.mul(tbl.mul_by(rep, t), tbl.inv(reps[image_key]))
             gens.add(s)
         if len(gens) >= target:
             break

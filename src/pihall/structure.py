@@ -26,6 +26,7 @@ from .actions import (block_action, coset_action, nontrivial_block_system,
 from .arith import is_prime, p_part, prime_divisors
 from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
+from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import (PermGroup, _Chain, _inv, _mul, join_subgroups,
                      require_subgroup)
@@ -36,7 +37,8 @@ _SPIN_CHECK_LIMIT = 4096
 _SAMPLE_DRAWS = 48
 _NORMAL_SUBGROUP_LIMIT = 512
 
-_table_cache: dict = {}
+# G.cache_key() -> ElementTable
+_table_cache = LRUCache(48)
 
 
 def get_table(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS) -> ElementTable:
@@ -45,10 +47,7 @@ def get_table(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS) -> ElementTable:
     key = G.cache_key()
     tbl = _table_cache.get(key)
     if tbl is None:
-        tbl = ElementTable(G, budgets)
-        if len(_table_cache) > 48:
-            _table_cache.clear()
-        _table_cache[key] = tbl
+        tbl = _table_cache[key] = ElementTable(G, budgets)
     return tbl
 
 

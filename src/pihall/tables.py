@@ -1,9 +1,27 @@
 """Exhaustive element tables for groups within the enumeration budget.
 
-Rows of a numpy matrix hold every element's image list; a bytes-keyed dict
-maps rows back to indices.  Conjugation maps, one per element conjugated
-by, are the basis for conjugacy classes and for the Hall oracle's orbits
-of subgroups (as index sets) under G or a subgroup of it.
+Rows of a numpy matrix hold every element's image list, in the order of
+the stabilizer chain's transversals: row i is the product u_k ... u_1 u_0
+(left to right, as `perms` multiplies) of one transversal element u_L per
+chain level L, the one that maps the base point b_L to some point p_L of
+the basic orbit.  The product is determined by (p_0, ..., p_k), so the
+index is a mixed-radix number whose digit at level L is the rank of p_L in
+the sorted basic orbit.  `locate` reads indices back for a batch of rows
+by a sift over the base columns only (p_0 is the image of b_0; removing
+u_0 gives the next level's images) and certifies each answer against the
+row found.
+
+Every table-wide map is one sift: inverses, conjugation by an element,
+and right or left multiplication by one.  Conjugacy classes are orbits of
+the conjugation maps by G's generators, and the right cosets of a
+subgroup orbits of left multiplication by its generators; both are
+labelled by the least index in each orbit.  Single products and small
+batches of rows are looked up in a bytes-keyed dict instead, built on the
+first single product (or once small sifts have cost about as much, or at
+once in a small table), so a large table that serves only normal
+structure on class ids never builds it.
+The conjugation maps are also the basis of the Hall oracle's orbits of
+subgroups (as index sets) under G or a subgroup of it.
 """
 
 from __future__ import annotations
@@ -14,6 +32,21 @@ from .backtrack import BudgetExceededError, certify
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _Chain
 from .perms import Perm
+
+# Rows per sift step: bounds the temporaries of a table-wide map, which
+# otherwise fragment the heap (peak RSS on the warm corpus grew with it).
+_SIFT_CHUNK = 1024
+# Below this many rows, dict lookups beat one sift (30-60 us of fixed cost
+# against under 1 us a row).
+_SIFT_MIN_ROWS = 96
+# Tables this small use the dict throughout: building it costs less than
+# the sifter's set-up and the few small sifts before it would be built.
+_DICT_TABLE_ROWS = 256
+# Rows of the dict that one small sift's fixed cost would build (0.8 us a
+# row).
+_DICT_ROWS_PER_SIFT = 40
+# Rows a table-wide sift maps in the time of one single product (2 us).
+_ROWS_PER_PRODUCT = 20
 
 
 def require_order_within(G: PermGroup,
@@ -26,6 +59,28 @@ def require_order_within(G: PermGroup,
     return order
 
 
+def _orbit_minima(maps, n: int) -> np.ndarray:
+    """For each of n points, the least point of its orbit under the group
+    the index maps generate.  Labels only ever fall to a point of the same
+    orbit, and label[label] shortcuts along the way."""
+    label = np.arange(n, dtype=maps[0].dtype if maps else np.int64)
+    while True:
+        new = label
+        for M in maps:
+            new = np.minimum(new, new[M])
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's bytes, cut from one copy of the whole matrix."""
+    blob = rows.tobytes()
+    width = rows.shape[1] * rows.itemsize
+    return [blob[i:i + width] for i in range(0, len(blob), width)]
+
+
 class ElementTable:
     def __init__(self, G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS):
         order = require_order_within(G, budgets)
@@ -36,14 +91,17 @@ class ElementTable:
         self.size = len(self.rows)
         certify(self.size == order,
                 f"enumerated {self.size} elements, |G| = {order}")
-        self.index: dict[bytes, int] = {
-            row.tobytes(): i for i, row in enumerate(self.rows)}
-        self.identity_idx = self.index[
-            np.arange(self.degree, dtype=dtype).tobytes()]
-        self.gen_idxs = [self.index[np.array(g.images, dtype=dtype).tobytes()]
-                         for g in G.generators]
+        self._sift_levels: list | None = None
+        self._index: dict[bytes, int] | None = None
+        self._small_sifts = 0
+        self._shared_products = 0
+        idxs = self._indices(np.array(
+            [tuple(range(self.degree))] + [g.images for g in G.generators],
+            dtype=dtype))
+        self.identity_idx, *self.gen_idxs = idxs
         self._inv: np.ndarray | None = None
         self._conj_by: dict[int, np.ndarray] = {}
+        self._rmul_by: dict[int, np.ndarray] = {}
         self._conj_maps: list[np.ndarray] | None = None
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
@@ -65,28 +123,136 @@ class ElementTable:
                 u = np.array(lvl.rep(pt), dtype=dtype)
                 blocks.append(acc[:, u])
             acc = np.vstack(blocks)
-        return acc
+        # row-major, so that a row is one contiguous run of bytes
+        return np.ascontiguousarray(acc)
+
+    # -- locating rows -------------------------------------------------------
+
+    def _sifter(self) -> tuple[list[int], list]:
+        """The base, and per nontrivial chain level in the order `_enumerate`
+        walks them: (the digit of each point times the level's stride, its
+        offset into the flattened inverse transversal).  A point outside
+        the basic orbit reads digit 0: the sift then ends at some row, and
+        only the certifying comparison decides membership."""
+        if self._sift_levels is None:
+            d = self.degree
+            base, levels = [], []
+            stride = 1
+            for lvl in self.group.chain().levels:
+                if len(lvl.orbit_list) == 1:
+                    continue
+                pts = sorted(lvl.orbit_list)
+                rank = np.zeros(d, dtype=np.int64)
+                rank[pts] = np.arange(len(pts))
+                reps = np.array([lvl.rep(pt) for pt in pts], dtype=np.intp)
+                inv = np.empty_like(reps, dtype=self.rows.dtype)
+                inv[np.arange(len(pts))[:, None], reps] = np.arange(d)
+                base.append(lvl.point)
+                levels.append((rank * stride, rank * d, inv.ravel()))
+                stride *= len(pts)
+            self._sift_levels = (base, levels)
+        return self._sift_levels
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Indices (int64) of the given image rows, one element per row.
+
+        A batched sift: the image of the base point at each level gives
+        that level's digit, and the inverse of the transversal element it
+        names carries the later base images down a level.  Each answer is
+        certified against the row found; a row outside G raises
+        VerificationError."""
+        base, levels = self._sifter()
+        out = np.empty(len(rows), dtype=np.int64)
+        for s in range(0, len(rows), _SIFT_CHUNK):
+            part = rows[s:s + _SIFT_CHUNK]
+            imgs = part[:, base]
+            idx = 0
+            for col, (digit, offset, inv) in enumerate(levels):
+                pts = imgs[:, col]
+                idx = idx + digit[pts]
+                if col + 1 < len(levels):
+                    imgs = inv[offset[pts][:, None] + imgs]
+            certify((self.rows[idx] == part).all(),
+                    "a row sifts to a different element: not in G")
+            out[s:s + len(part)] = idx
+        return out
+
+    def _row_index(self) -> dict[bytes, int]:
+        if self._index is None:
+            self._index = {key: i
+                           for i, key in enumerate(_row_keys(self.rows))}
+        return self._index
+
+    def _indices(self, rows: np.ndarray) -> list[int]:
+        """Indices of a batch of rows: dict hits for a few rows, and for
+        any number in a small table; `locate` otherwise.  Until a single
+        product builds the dict, small batches are sifted too, until their
+        fixed costs add up to about the cost of building it."""
+        small = len(rows) < _SIFT_MIN_ROWS
+        if self._index is None:
+            self._small_sifts += small
+            if (self.size < _DICT_TABLE_ROWS
+                    or self._small_sifts * _DICT_ROWS_PER_SIFT >= self.size):
+                self._row_index()
+        if self._index is not None and (small
+                                        or self.size < _DICT_TABLE_ROWS):
+            return list(map(self._index.__getitem__, _row_keys(rows)))
+        return self.locate(rows).tolist()
+
+    def _map(self, image_rows, dtype=np.int64) -> np.ndarray:
+        """The index map x -> y where row y = image_rows(row x), for every
+        element x, computed a chunk of rows at a time.  Conjugation maps are
+        int64, since index-set keys are the int64 bytes of their images;
+        the others are int32, half the size."""
+        lookup = (self.locate if self.size >= _DICT_TABLE_ROWS
+                  else self._indices)
+        out = np.empty(self.size, dtype=dtype)
+        for s in range(0, self.size, _SIFT_CHUNK):
+            out[s:s + _SIFT_CHUNK] = lookup(
+                image_rows(self.rows[s:s + _SIFT_CHUNK]))
+        return out
 
     # -- element ops -------------------------------------------------------
 
     def idx_of_perm(self, p: Perm) -> int:
-        return self.index[np.array(p.images, dtype=self.rows.dtype).tobytes()]
+        return self._indices(np.array([p.images], dtype=self.rows.dtype))[0]
 
     def perm_of(self, i: int) -> Perm:
         return Perm(tuple(int(x) for x in self.rows[i]), validate=False)
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.rows[j][self.rows[i]].tobytes()]
+        return self._row_index()[self.rows[j][self.rows[i]].tobytes()]
+
+    def products(self, lefts, rights) -> np.ndarray:
+        """Indices of a·b for a in lefts and b in rights, shaped
+        (len(rights), len(lefts)); a single index on either side drops its
+        axis."""
+        a, b = self.rows[lefts], self.rows[rights]
+        # the row of a·b is b's row read at a's images
+        prods = b[a] if b.ndim == 1 else b[:, a]
+        return np.array(self._indices(prods.reshape(-1, self.degree)),
+                        dtype=np.int64).reshape(prods.shape[:-1])
 
     def inv(self, i: int) -> int:
         if self._inv is None:
-            inv = np.empty(self.size, dtype=np.int64)
-            argsorted = np.empty((self.size, self.degree), dtype=self.rows.dtype)
-            argsorted[:] = np.argsort(self.rows, axis=1)
-            for j in range(self.size):
-                inv[j] = self.index[argsorted[j].tobytes()]
-            self._inv = inv
+            dtype = self.rows.dtype
+            self._inv = self._map(
+                lambda R: np.argsort(R, axis=1).astype(dtype), np.int32)
         return int(self._inv[i])
+
+    def mul_by(self, x: int, g: int) -> int:
+        """x·g for a g that many products share (a generator): from the
+        memoized index map x -> x·g, except one at a time while the dict is
+        built and such products have cost less than one map."""
+        got = self._rmul_by.get(g)
+        if got is None:
+            if (self._index is not None and self._shared_products
+                    * _ROWS_PER_PRODUCT < self.size):
+                self._shared_products += 1
+                return self.mul(x, g)
+            g_row = self.rows[g]
+            got = self._rmul_by[g] = self._map(lambda R: g_row[R], np.int32)
+        return int(got[x])
 
     def element_order(self, i: int) -> int:
         """Order of element i, computed once per conjugacy class (from the
@@ -106,11 +272,8 @@ class ElementTable:
         got = self._conj_by.get(t)
         if got is None:
             g = self.rows[t]
-            conj_rows = g[self.rows[:, np.argsort(g)]]
-            got = np.fromiter(
-                (self.index[conj_rows[i].tobytes()] for i in range(self.size)),
-                dtype=np.int64, count=self.size)
-            self._conj_by[t] = got
+            g_inv = np.argsort(g)
+            got = self._conj_by[t] = self._map(lambda R: g[R[:, g_inv]])
         return got
 
     def conj_maps(self) -> list[np.ndarray]:
@@ -120,28 +283,14 @@ class ElementTable:
         return self._conj_maps
 
     def classes(self) -> tuple[np.ndarray, list[int]]:
-        """(class_id per element, class representative indices)."""
+        """(class_id per element, class representative indices): each class
+        is represented by its least index, and numbered in that order."""
         if self._class_id is None:
-            maps = self.conj_maps()
-            class_id = np.full(self.size, -1, dtype=np.int64)
-            reps: list[int] = []
-            for i in range(self.size):
-                if class_id[i] != -1:
-                    continue
-                cid = len(reps)
-                reps.append(i)
-                class_id[i] = cid
-                stack = [i]
-                while stack:
-                    x = stack.pop()
-                    for M in maps:
-                        y = int(M[x])
-                        if class_id[y] == -1:
-                            class_id[y] = cid
-                            stack.append(y)
-            self._class_id = class_id
-            self._class_reps = reps
-            self._class_size = np.bincount(class_id)
+            least = _orbit_minima(self.conj_maps(), self.size)
+            is_rep = least == np.arange(self.size)
+            self._class_id = (np.cumsum(is_rep) - 1)[least]
+            self._class_reps = np.flatnonzero(is_rep).tolist()
+            self._class_size = np.bincount(self._class_id)
         return self._class_id, self._class_reps
 
     # -- normal subgroups as sets of class ids --------------------------------
@@ -193,59 +342,82 @@ class ElementTable:
                 small, big = big, small
             # rows of x·rep(big) for x in class `small`
             prods = self.rows[reps[big]][self.rows[class_id == small]]
-            got = frozenset(int(class_id[self.index[row.tobytes()]])
-                            for row in prods)
+            got = frozenset(class_id[self._indices(prods)].tolist())
             self._class_products[key] = got
         return got
 
     def union_of_classes(self, cids) -> frozenset:
         """Element indices of the union of the given classes."""
-        class_id, _ = self.classes()
-        return frozenset(
-            np.flatnonzero(np.isin(class_id, list(cids))).tolist())
+        class_id, reps = self.classes()
+        chosen = np.zeros(len(reps), dtype=bool)
+        chosen[list(cids)] = True
+        return frozenset(np.flatnonzero(chosen[class_id]).tolist())
 
     # -- subgroups as index sets ---------------------------------------------
 
-    def closure(self, gen_idxs, limit: int | None = None) -> frozenset | None:
-        """Indices of the subgroup generated by gen_idxs; None when its size
-        exceeds `limit` (early abort)."""
+    def closure(self, gen_idxs, limit: int | None = None,
+                known: frozenset | None = None) -> frozenset | None:
+        """Indices of the subgroup generated by gen_idxs and, when given,
+        the subgroup `known` (an index set); None when its size exceeds
+        `limit` (early abort).
+
+        A breadth-first search over the right cosets K·z of K = `known`
+        (the trivial group when not given): K·z·g is the coset of z·g, so
+        each new coset takes one product per generator, and its elements
+        are looked up once, together."""
         cap = self.size if limit is None else limit
-        gens = sorted(set(int(x) for x in gen_idxs) - {self.identity_idx})
-        seen = {self.identity_idx}
-        seen.update(gens)
+        gens = sorted(set(map(int, gen_idxs)) - {self.identity_idx})
+        if known is None:
+            seen, coset_rows = {self.identity_idx}, None
+        else:
+            seen = set(known)
+            coset_rows = self.rows.take(sorted(known), axis=0)
         if len(seen) > cap:
             return None
-        frontier = sorted(seen)
-        gen_rows = [self.rows[g] for g in gens]
-        while frontier:
-            sub = self.rows[np.asarray(frontier, dtype=np.int64)]
-            nxt = []
-            for g_row in gen_rows:
-                prod = g_row[sub]
-                for i in range(len(prod)):
-                    j = self.index[prod[i].tobytes()]
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
+        gen_rows = self.rows.take(gens, axis=0)
+        zs = gens  # the products e·g
+        while zs:
+            frontier = []
+            for z in zs:
+                if z in seen:
+                    continue
+                if coset_rows is None:
+                    seen.add(z)
+                else:
+                    # k·z reads z's row at k's images
+                    seen.update(self._indices(self.rows[z].take(coset_rows)))
+                frontier.append(z)
                 if len(seen) > cap:
                     return None
-            frontier = nxt
+            if not frontier:
+                break
+            # the row of z·g is g's row read at z's images
+            prods = gen_rows[:, self.rows[frontier]]
+            zs = self._indices(prods.reshape(-1, self.degree))
         return frozenset(seen)
 
     def coset_reps(self, sub: frozenset) -> list[int]:
-        """Minimal-index representatives of the right cosets of the subgroup."""
-        assigned = np.zeros(self.size, dtype=bool)
-        sub_arr = np.asarray(sorted(sub), dtype=np.int64)
-        sub_rows = self.rows[sub_arr]
-        reps = []
-        for x in range(self.size):
-            if assigned[x]:
-                continue
-            reps.append(x)
-            coset_rows = self.rows[x][sub_rows]
-            for i in range(len(coset_rows)):
-                assigned[self.index[coset_rows[i].tobytes()]] = True
-        return reps
+        """Least-index representatives of the right cosets Kx of the
+        subgroup K = `sub`, in increasing order.  The least element not yet
+        in a coset starts the next one; the cosets of a batch of such
+        elements are looked up together, and an element a coset earlier in
+        its batch covers starts none."""
+        k_idx = sorted(sub)
+        # rows a batch looks up: a quarter of the table at most, as batches
+        # run past cosets that earlier ones in them cover
+        batch = max(1, min(_SIFT_CHUNK, self.size // 4) // len(k_idx))
+        covered = np.zeros(self.size, dtype=bool)
+        reps: list[int] = []
+        start = 0
+        while True:
+            free = np.flatnonzero(~covered[start:])[:batch] + start
+            if not len(free):
+                return reps
+            for x, coset in zip(free.tolist(), self.products(k_idx, free)):
+                if not covered[x]:
+                    reps.append(x)
+                    covered[coset] = True
+            start = int(free[-1]) + 1
 
     def subgroup(self, idxs) -> PermGroup:
         """PermGroup from an element index set, generated by the elements,

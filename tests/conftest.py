@@ -1,5 +1,7 @@
 """Shared brute-force oracles, independent of the stabilizer-chain engine."""
 
+import time
+
 import pytest
 
 from pihall.perms import Perm
@@ -80,11 +82,13 @@ def brute_subgroups_of_order(G, order):
 @pytest.fixture(scope="session")
 def gl52_example_run():
     """The example pipeline runs once per session; several tests consume its
-    report and the special-case results it registered."""
+    report, the special-case results it registered and its wall time."""
     from pihall.example_gl52 import run_example
     from pihall.registry import SpecialCaseRegistry
     known = SpecialCaseRegistry()
-    return run_example(known=known), known
+    t0 = time.perf_counter()
+    report = run_example(known=known)
+    return report, known, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_group_elements
 from pihall import zoo
 from pihall.backtrack import BudgetExceededError, VerificationError
 from pihall.config import Budgets
 from pihall.groups import PermGroup
+from pihall.perms import Perm
 from pihall.tables import ElementTable
 
 
@@ -55,7 +63,6 @@ def test_subgroup_roundtrip():
 
 def test_subgroup_orbit_counts_conjugates():
     from pihall.hall import _orbits_for
-    from pihall.perms import Perm
     tbl = ElementTable(zoo.sym(4))
     H = PermGroup(4, [Perm.from_cycles(4, (0, 1, 2))])
     orbits = _orbits_for(tbl)
@@ -74,3 +81,133 @@ def test_enumeration_short_of_the_order_fails_verification(monkeypatch):
         lambda G, dtype: enumerate_all(G, dtype)[:-1]))
     with pytest.raises(VerificationError):
         ElementTable(zoo.sym(4))
+
+
+# -- locating rows, maps and labellings against brute force ----------------
+
+
+@pytest.mark.parametrize("name", sorted({
+    e["name"] for e in zoo.corpus_manifest() if e["order"] <= 800}))
+def test_locate_reads_back_every_row(name):
+    tbl = ElementTable(zoo.build_named(name))
+    assert np.array_equal(tbl.locate(tbl.rows), np.arange(tbl.size))
+    assert tbl.locate(tbl.rows[::-1]).tolist() == list(range(tbl.size))[::-1]
+
+
+def test_locate_rejects_a_row_outside_the_group():
+    tbl = ElementTable(zoo.alt(5))
+    swap = np.array([Perm.from_cycles(5, (0, 1)).images], dtype=tbl.rows.dtype)
+    with pytest.raises(VerificationError):
+        tbl.locate(swap)
+    with pytest.raises(VerificationError):
+        tbl.locate(np.vstack([tbl.rows[:3], swap]))
+
+
+def test_table_wide_maps():
+    tbl = ElementTable(zoo.alt(6))  # large enough to be sifted
+    rng = random.Random(2)
+    for _ in range(40):
+        x, g = rng.randrange(tbl.size), rng.randrange(tbl.size)
+        px, pg = tbl.perm_of(x), tbl.perm_of(g)
+        assert tbl.perm_of(int(tbl.conj_map(g)[x])) == px.conjugate(pg)
+        assert tbl.perm_of(tbl.mul_by(x, g)) == px * pg
+        assert tbl.perm_of(tbl.inv(x)) == px.inverse()
+        assert tbl.products([x, g], g).tolist() == [tbl.mul(x, g),
+                                                   tbl.mul(g, g)]
+        assert tbl.products(x, [x, g]).tolist() == [tbl.mul(x, x),
+                                                   tbl.mul(x, g)]
+
+
+@st.composite
+def _small_groups(draw):
+    """Subgroups of S_n (n <= 6) and direct products of two small ones, of
+    order at most 720: tables on both sides of the dict/sift thresholds."""
+    def sub(min_degree, max_degree, min_gens, max_gens):
+        n = draw(st.integers(min_degree, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=min_gens,
+                               max_size=max_gens))
+        return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+    kind = draw(st.sampled_from(["sym", "degree 6", "direct"]))
+    if kind == "sym":
+        G = sub(3, 6, 1, 3)
+    elif kind == "degree 6":  # mostly Alt(6) or Sym(6): sifted tables
+        G = sub(6, 6, 2, 2)
+    else:
+        G = zoo.direct_product(sub(2, 5, 1, 2), sub(2, 4, 1, 2))
+    assume(1 < G.order() <= 720)
+    return G
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_groups())
+@example(zoo.alt(6))
+@example(zoo.psl2(11))
+def test_classes_match_brute_force(G):
+    tbl = ElementTable(G)
+    class_id, reps = tbl.classes()
+    els = [tbl.perm_of(i) for i in range(tbl.size)]
+    for cid, rep in enumerate(reps):
+        brute = {tbl.idx_of_perm(els[rep].conjugate(g)) for g in els}
+        assert set(np.flatnonzero(class_id == cid).tolist()) == brute
+        assert rep == min(brute)
+    assert reps == sorted(reps)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_groups(), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                 max_size=2))
+@example(zoo.sym(6), [5, 77])
+@example(zoo.psl2(11), [100])
+def test_coset_reps_match_brute_force(G, picks):
+    tbl = ElementTable(G)
+    gens = [p % tbl.size for p in picks]
+    K = tbl.closure(gens)
+    els = [tbl.perm_of(i) for i in range(tbl.size)]
+    # the least index of each right coset Kx, from the permutations
+    brute, covered = [], set()
+    for x in range(tbl.size):
+        if x not in covered:
+            brute.append(x)
+            covered |= {tbl.idx_of_perm(els[k] * els[x]) for k in K}
+    assert tbl.coset_reps(K) == brute
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_groups(), st.lists(st.integers(0, 10 ** 6), min_size=2,
+                                 max_size=3))
+@example(zoo.sym(6), [5, 77, 301])
+@example(zoo.psl2(11), [3, 100, 7])
+def test_closure_from_a_known_subgroup(G, picks):
+    tbl = ElementTable(G)
+    *k_gens, x = [p % tbl.size for p in picks]
+    K = tbl.closure(k_gens)
+    L = tbl.closure(k_gens + [x])
+    assert tbl.closure(k_gens + [x], known=K) == L
+    assert {tbl.perm_of(i) for i in L} == set(
+        PermGroup(G.degree, [tbl.perm_of(i) for i in k_gens + [x]])
+        .elements())
+    for limit in (len(L) - 1, len(L), len(L) + 1):
+        got = tbl.closure(k_gens + [x], limit=limit, known=K)
+        assert (got is None) == (len(L) > limit)
+        if got is not None:
+            assert got == L
+
+
+def test_the_oracle_and_the_reduction_leave_numpy_ma_unimported():
+    # the first np.unique call imports numpy.ma (about 1.7 MB and 30 ms)
+    code = ("import sys\n"
+            "from pihall import zoo\n"
+            "from pihall.arith import PiSet\n"
+            "from pihall.hall import classify_ECD\n"
+            "from pihall.reduction import cpi_reduce\n"
+            "G, pi = zoo.sym(5), PiSet([2, 3])\n"
+            "classify_ECD(G, pi).flags()\n"
+            "cpi_reduce(G, pi)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
