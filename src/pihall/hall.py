@@ -40,7 +40,7 @@ from .groups import PermGroup, _Chain, require_subgroup
 from .perms import Perm
 from .registry import SpecialCaseRegistry
 from .structure import ChiefSeries, get_table, is_normal
-from .tables import ElementTable
+from .tables import ElementTable, _row_keys
 
 
 def is_hall(G: PermGroup, H: PermGroup, pi: PiSet) -> bool:
@@ -179,16 +179,13 @@ class _SetOrbits:
         """For each member (a sorted-index key), the keys of its conjugates
         by the generators, in `by` order."""
         import numpy as np
-        width = len(keys[0])
         arrs = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(
             len(keys), -1)
         per_gen = []
         for M in self.maps:
             conj = M[arrs]
             conj.sort(axis=1)
-            blob = conj.tobytes()
-            per_gen.append([blob[i:i + width]
-                            for i in range(0, len(blob), width)])
+            per_gen.append(_row_keys(conj))
         return list(zip(*per_gen))
 
     def class_id(self, idxs: frozenset) -> int:

@@ -16,10 +16,8 @@ and right or left multiplication by one.  Conjugacy classes are orbits of
 the conjugation maps by G's generators, and the right cosets of a
 subgroup orbits of left multiplication by its generators; both are
 labelled by the least index in each orbit.  Single products and small
-batches of rows are looked up in a bytes-keyed dict instead, built on the
-first single product (or once small sifts have cost about as much, or at
-once in a small table), so a large table that serves only normal
-structure on class ids never builds it.
+batches of rows are looked up in a bytes-keyed dict instead, and a small
+table uses it throughout.
 The conjugation maps are also the basis of the Hall oracle's orbits of
 subgroups (as index sets) under G or a subgroup of it.
 """
@@ -40,13 +38,8 @@ _SIFT_CHUNK = 1024
 # against under 1 us a row).
 _SIFT_MIN_ROWS = 96
 # Tables this small use the dict throughout: building it costs less than
-# the sifter's set-up and the few small sifts before it would be built.
+# the sifter's set-up.
 _DICT_TABLE_ROWS = 256
-# Rows of the dict that one small sift's fixed cost would build (0.8 us a
-# row).
-_DICT_ROWS_PER_SIFT = 40
-# Rows a table-wide sift maps in the time of one single product (2 us).
-_ROWS_PER_PRODUCT = 20
 
 
 def require_order_within(G: PermGroup,
@@ -93,8 +86,6 @@ class ElementTable:
                 f"enumerated {self.size} elements, |G| = {order}")
         self._sift_levels: list | None = None
         self._index: dict[bytes, int] | None = None
-        self._small_sifts = 0
-        self._shared_products = 0
         idxs = self._indices(np.array(
             [tuple(range(self.degree))] + [g.images for g in G.generators],
             dtype=dtype))
@@ -184,19 +175,10 @@ class ElementTable:
         return self._index
 
     def _indices(self, rows: np.ndarray) -> list[int]:
-        """Indices of a batch of rows: dict hits for a few rows, and for
-        any number in a small table; `locate` otherwise.  Until a single
-        product builds the dict, small batches are sifted too, until their
-        fixed costs add up to about the cost of building it."""
-        small = len(rows) < _SIFT_MIN_ROWS
-        if self._index is None:
-            self._small_sifts += small
-            if (self.size < _DICT_TABLE_ROWS
-                    or self._small_sifts * _DICT_ROWS_PER_SIFT >= self.size):
-                self._row_index()
-        if self._index is not None and (small
-                                        or self.size < _DICT_TABLE_ROWS):
-            return list(map(self._index.__getitem__, _row_keys(rows)))
+        """Indices of a batch of rows: dict hits for a small batch, and for
+        any batch in a small table; `locate` otherwise."""
+        if len(rows) < _SIFT_MIN_ROWS or self.size < _DICT_TABLE_ROWS:
+            return list(map(self._row_index().__getitem__, _row_keys(rows)))
         return self.locate(rows).tolist()
 
     def _map(self, image_rows, dtype=np.int64) -> np.ndarray:
@@ -233,23 +215,22 @@ class ElementTable:
         return np.array(self._indices(prods.reshape(-1, self.degree)),
                         dtype=np.int64).reshape(prods.shape[:-1])
 
-    def inv(self, i: int) -> int:
+    def _inverses(self) -> np.ndarray:
+        """The index map x -> x^-1, memoized."""
         if self._inv is None:
             dtype = self.rows.dtype
             self._inv = self._map(
                 lambda R: np.argsort(R, axis=1).astype(dtype), np.int32)
-        return int(self._inv[i])
+        return self._inv
+
+    def inv(self, i: int) -> int:
+        return int(self._inverses()[i])
 
     def mul_by(self, x: int, g: int) -> int:
-        """x·g for a g that many products share (a generator): from the
-        memoized index map x -> x·g, except one at a time while the dict is
-        built and such products have cost less than one map."""
+        """x·g for a g that many products share (a generator), from the
+        memoized index map x -> x·g."""
         got = self._rmul_by.get(g)
         if got is None:
-            if (self._index is not None and self._shared_products
-                    * _ROWS_PER_PRODUCT < self.size):
-                self._shared_products += 1
-                return self.mul(x, g)
             g_row = self.rows[g]
             got = self._rmul_by[g] = self._map(lambda R: g_row[R], np.int32)
         return int(got[x])
@@ -364,7 +345,12 @@ class ElementTable:
         A breadth-first search over the right cosets K·z of K = `known`
         (the trivial group when not given): K·z·g is the coset of z·g, so
         each new coset takes one product per generator, and its elements
-        are looked up once, together."""
+        are looked up once, together.  The cosets reached make up K·H, H
+        the group gen_idxs generate.  That is the group asked for when K
+        lies in H, as when gen_idxs include generators of K; in general,
+        a product of two subgroups is a subgroup exactly when it is closed
+        under inverses, which is certified.  An abort is always right:
+        K·H lies in the group asked for."""
         cap = self.size if limit is None else limit
         gens = sorted(set(map(int, gen_idxs)) - {self.identity_idx})
         if known is None:
@@ -394,6 +380,13 @@ class ElementTable:
             # the row of z·g is g's row read at z's images
             prods = gen_rows[:, self.rows[frontier]]
             zs = self._indices(prods.reshape(-1, self.degree))
+        if coset_rows is not None:
+            members = np.fromiter(seen, np.int64, len(seen))
+            inside = np.zeros(self.size, dtype=bool)
+            inside[members] = True
+            certify(inside[self._inverses()[members]].all(),
+                    "K·<gen_idxs> is not a group: K does not permute with "
+                    "<gen_idxs>")
         return frozenset(seen)
 
     def coset_reps(self, sub: frozenset) -> list[int]:

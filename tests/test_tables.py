@@ -194,6 +194,22 @@ def test_closure_from_a_known_subgroup(G, picks):
             assert got == L
 
 
+def test_closure_from_a_subgroup_outside_the_generators():
+    tbl = ElementTable(zoo.sym(3))
+    e, a, b, c = (tbl.idx_of_perm(Perm(t)) for t in
+                  [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0)])
+    # K = <c^2> lies in <c>, though c^2 is not among the generators
+    assert tbl.closure([c], known=tbl.closure([tbl.mul(c, c)])) == {
+        e, c, tbl.mul(c, c)}
+    # A3 permutes with <a>: A3·<a> is the group they generate
+    assert tbl.closure([a], known=tbl.closure([c])) == set(range(6))
+    # <a>·<b> has four elements and is no group: certified, not returned
+    with pytest.raises(VerificationError):
+        tbl.closure([b], known=tbl.closure([a]))
+    # an abort is right all the same: |<a>·<b>| = 4 > 3, and |<a, b>| = 6
+    assert tbl.closure([b], limit=3, known=tbl.closure([a])) is None
+
+
 def test_the_oracle_and_the_reduction_leave_numpy_ma_unimported():
     # the first np.unique call imports numpy.ma (about 1.7 MB and 30 ms)
     code = ("import sys\n"
