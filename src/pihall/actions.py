@@ -1,18 +1,21 @@
 """Permutation actions of a group on labeled domains, with homomorphism
-support: image, kernel, and preimage.
+support: image, kernel, and, for quotients, preimage.
 
-The workhorse is a combined-domain stabilizer chain: each generator acts
-on (domain points + original points) and the whole domain block heads the
-base.  The stabilizer of that block is the kernel, so its generators fall
-out of the chain; preimages are computed by sifting a domain permutation
-through the domain levels and reading off the original-point part.
+The action on the cosets of a normal subgroup N is the regular
+representation of G/N: its labels are canonical coset representatives,
+its image has order |G:N| (the number of labels) and its kernel is N, so
+it needs no stabilizer chain, and a preimage of q is the label q sends
+the coset N to.  The section, orbit and block actions find their kernels
+and image orders from a combined-domain stabilizer chain: each generator
+acts on (domain points + original points) and the whole domain block
+heads the base, so the stabilizer of that block is the kernel.
 """
 
 from __future__ import annotations
 
-from .backtrack import BudgetExceededError
+from .backtrack import BudgetExceededError, certify
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, _Chain, _ident, _inv, _mul
+from .groups import PermGroup, _Chain, _ident, _inv, _mul, is_normal
 from .perms import Perm
 
 
@@ -56,40 +59,6 @@ class ActionHom:
                                      order=self._chain.order(m))
         return self._kernel
 
-    def preimage(self, q: Perm) -> Perm:
-        """Some element of G mapping to q; raises ValueError if q is not in
-        the image."""
-        m = self.domain_size
-        if q.degree != m:
-            raise ValueError("preimage argument degree mismatch")
-        r = q.images
-        ident_m = _ident(m)
-        ts = []
-        for lvl in self._chain.levels[:m]:
-            b = lvl.point
-            x = r[b]
-            if x == b:
-                continue
-            if x not in lvl.tree:
-                raise ValueError("permutation is not in the action image")
-            t = lvl.rep(x)
-            ts.append(t)
-            r = _mul(r, _inv(t[:m]))
-        if r != ident_m:
-            raise ValueError("permutation is not in the action image")
-        w = _ident(m + self.source.degree)
-        for t in ts:
-            w = _mul(t, w)
-        return Perm(tuple(x - m for x in w[m:]), validate=False)
-
-    def preimage_group(self, Qsub: PermGroup) -> PermGroup:
-        """Full preimage of a subgroup of the image: kernel + pullbacks."""
-        K = self.kernel()
-        gens = list(K.generators)
-        gens += [self.preimage(q) for q in Qsub.generators]
-        return PermGroup(self.source.degree, gens,
-                         order=K.order() * Qsub.order())
-
 
 # -- coset actions ---------------------------------------------------------------
 
@@ -105,35 +74,86 @@ def canonical_coset_rep(H: PermGroup, w: tuple[int, ...]) -> tuple[int, ...]:
     return r
 
 
-def coset_action(G: PermGroup, H: PermGroup,
-                 budgets: Budgets = DEFAULT_BUDGETS) -> ActionHom:
-    """Action of G on the right cosets of H by right multiplication.
+class QuotientHom:
+    """The natural map G -> G/N for N normal in G, with G/N acting
+    regularly on the right cosets of N, given by their canonical
+    representatives (`index`: label -> point, the coset N first)."""
 
-    Requires H <= G (unchecked).  The kernel is the normal core of H in G;
-    for normal H the image is a faithful copy of G/H."""
+    def __init__(self, G: PermGroup, N: PermGroup, index: dict,
+                 image_gens: list[tuple[int, ...]], name: str):
+        self.source = G
+        self.index = index
+        self.labels = list(index)
+        self.domain_size = len(index)
+        self._kernel = N
+        # transitive on |G:N| points with kernel N: regular, of order |G:N|
+        self.quotient = PermGroup(
+            self.domain_size, [Perm(t, validate=False) for t in image_gens],
+            name=name, order=self.domain_size)
+
+    def image(self, p: Perm) -> Perm:
+        N, index = self._kernel, self.index
+        return Perm(tuple(index[canonical_coset_rep(N, _mul(label, p.images))]
+                          for label in self.labels), validate=False)
+
+    def kernel(self) -> PermGroup:
+        return self._kernel
+
+    def preimage(self, q: Perm) -> Perm:
+        """Some element of G mapping to q: the label of the coset q sends N
+        to, as the image is regular; raises ValueError if q is not in the
+        image."""
+        if q.degree != self.domain_size:
+            raise ValueError("preimage argument degree mismatch")
+        p = Perm(self.labels[q.images[0]], validate=False)
+        if self.image(p) != q:
+            raise ValueError("permutation is not in the action image")
+        return p
+
+    def preimage_group(self, Qsub: PermGroup) -> PermGroup:
+        """Full preimage of a subgroup of the image: kernel + pullbacks."""
+        K = self._kernel
+        gens = list(K.generators)
+        gens += [self.preimage(q) for q in Qsub.generators]
+        return PermGroup(self.source.degree, gens,
+                         order=K.order() * Qsub.order())
+
+
+def coset_action(G: PermGroup, N: PermGroup,
+                 budgets: Budgets = DEFAULT_BUDGETS) -> QuotientHom:
+    """Action of G on the right cosets of a normal subgroup N by right
+    multiplication: the regular representation of G/N, with kernel N.
+
+    Raises ValueError when G does not normalize N; a label count other
+    than |G:N| (N not inside G) fails certification."""
     budget = budgets.coset_degree_budget
-    index = G.order() // H.order()
-    if index > budget:
-        raise BudgetExceededError("coset-degree", f"index {index} > {budget}")
+    n_cosets = G.order() // N.order()
+    if n_cosets > budget:
+        raise BudgetExceededError("coset-degree",
+                                  f"index {n_cosets} > {budget}")
+    if not is_normal(G, N):
+        raise ValueError("coset_action requires a normal subgroup")
 
-    def act(label, g):
-        return canonical_coset_rep(H, _mul(label, g))
-
-    start = canonical_coset_rep(H, _ident(G.degree))
+    start = canonical_coset_rep(N, _ident(G.degree))
     labels = [start]
-    seen = {start}
+    index = {start: 0}
     gen_tuples = G.gen_tuples()
+    image_gens: list[list[int]] = [[] for _ in gen_tuples]
     head = 0
     while head < len(labels):
         label = labels[head]
         head += 1
-        for g in gen_tuples:
-            nxt = act(label, g)
-            if nxt not in seen:
-                seen.add(nxt)
+        for g, img in zip(gen_tuples, image_gens):
+            nxt = canonical_coset_rep(N, _mul(label, g))
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(labels)
                 labels.append(nxt)
-    hom = ActionHom(G, labels, act, name=f"{G.name or 'G'}/{H.name or 'H'}")
-    return hom
+            img.append(j)
+    certify(len(labels) * N.order() == G.order(),
+            f"{len(labels)} cosets of N in G, |G:N| = {n_cosets}")
+    return QuotientHom(G, N, index, [tuple(img) for img in image_gens],
+                       name=f"{G.name or 'G'}/{N.name or 'N'}")
 
 
 def section_action(G: PermGroup, A: PermGroup, B: PermGroup,

@@ -492,6 +492,13 @@ def require_subgroup(G: PermGroup, H: PermGroup, what: str = "H") -> None:
         raise NotASubgroupError(f"{what} is not a subgroup of the ambient group")
 
 
+def is_normal(G: PermGroup, H: PermGroup) -> bool:
+    """Whether G normalizes H: every generator of H conjugated by every
+    generator of G lies in H."""
+    return all(H.contains(h.conjugate(g))
+               for g in G.generators for h in H.generators)
+
+
 def join_subgroups(G: PermGroup, parts: Iterable[PermGroup]) -> PermGroup:
     """Subgroup generated by the given subgroups of G (no membership check)."""
     gens: list[Perm] = []

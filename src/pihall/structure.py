@@ -3,11 +3,12 @@ series, and induced automorphism groups on sections.
 
 Within the enumeration budget everything is exact and computed on the
 element table's conjugacy classes: a normal subgroup is a union of
-classes, so normal closures, simplicity, minimal normal subgroups and the
-normal-subgroup lattice are small computations on sets of class ids
-(ElementTable.normal_closure_classes); only the returned subgroups are
-built as PermGroups.  Above the budget, normal closures grow a stabilizer
-chain one generator at a time, and is_simple and minimal_normal_subgroups
+classes, so normal closures, simplicity, minimal normal subgroups, the
+normal-subgroup lattice and the chief series are small computations on
+sets of class ids in G's table (ElementTable.normal_closure_classes); only
+the returned subgroups are built as PermGroups.  Above the budget, normal
+closures grow a stabilizer chain one generator at a time, the chief series
+passes through quotients, and is_simple and minimal_normal_subgroups
 reduce along orbit restrictions and block actions; primitive groups are
 certified through a prime p dividing the degree with p^2 not dividing the
 order (every nontrivial normal subgroup is transitive, hence contains the
@@ -28,8 +29,8 @@ from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import (PermGroup, _Chain, _inv, _mul, join_subgroups,
-                     require_subgroup)
+from .groups import (PermGroup, _Chain, _inv, _mul, is_normal,
+                     join_subgroups, require_subgroup)
 from .perms import Perm
 from .tables import ElementTable, require_order_within
 
@@ -77,11 +78,6 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     comms = [a.commutator(b) for i, a in enumerate(G.generators)
              for b in G.generators[i + 1:]]
     return normal_closure(G, comms)
-
-
-def is_normal(G: PermGroup, H: PermGroup) -> bool:
-    return all(H.contains(h.conjugate(g))
-               for g in G.generators for h in H.generators)
 
 
 # -- simplicity ----------------------------------------------------------------
@@ -354,24 +350,77 @@ class ChiefSeries:
 
 def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
                  seed: int = 1) -> ChiefSeries:
-    """Chief series built upward from minimal normal subgroups of successive
-    quotients; deterministic for a fixed seed (smallest order first, ties by
-    generator fingerprint)."""
-    terms_up: list[PermGroup] = [PermGroup(G.degree, [])]
+    """Chief series built upward from 1: each next term M is normal in G
+    with M/N minimal normal in G/N, N the term before, of least order.
+
+    Within the enumeration budget the terms are sets of class ids in G's
+    table, and terms[0] is G itself: each class outside N whose elements
+    have prime order modulo N gives a candidate N·ncl(class), and the next
+    term is a candidate of least order, ties broken by _subgroup_sort_key
+    of the subgroups in G.  Past the budget, the next term is the preimage
+    of minimal_normal_subgroups(G/N)[0] under the seed, G/N the regular
+    quotient (ties broken there)."""
+    if G.order() <= budgets.order_budget:
+        terms_up = _chief_terms_in_table(G, budgets)
+    else:
+        terms_up = _chief_terms_by_quotients(G, budgets, seed)
+    return ChiefSeries(group=G, terms=list(reversed(terms_up)),
+                       budgets=budgets, seed=seed)
+
+
+def _chief_terms_in_table(G: PermGroup, budgets: Budgets) -> list[PermGroup]:
+    """The terms, from 1 upward, grown as sets of class ids in G's table.
+
+    A minimal normal subgroup M/N of G/N is N·ncl(x) for every x in M
+    outside N, and some such x has prime order modulo N; so the least of
+    these closures is minimal, and a growth may stop once it passes the
+    least found so far."""
+    tbl = get_table(G, budgets)
+    class_id, reps = tbl.classes()
+    powers = tbl.prime_power_classes()
+    N = frozenset([int(class_id[tbl.identity_idx])])
+    terms_up = [PermGroup(G.degree, [])]
+    while len(N) < len(reps):
+        least: list[frozenset] = []
+        least_order = None
+        for cid in range(len(reps)):
+            if cid in N or not any(q in N for q in powers[cid]):
+                continue
+            M = tbl.normal_closure_classes([cid], limit=least_order, start=N)
+            if M is None or M in least:
+                continue
+            M_order = tbl.size_of_classes(M)
+            if least_order is None or M_order < least_order:
+                least, least_order = [M], M_order
+            else:
+                least.append(M)
+        if least_order == tbl.size:
+            terms_up.append(G)
+            break
+        term, N = min(((tbl.subgroup(tbl.union_of_classes(M)), M)
+                       for M in least),
+                      key=lambda sub: _subgroup_sort_key(sub[0]))
+        terms_up.append(term)
+    return terms_up
+
+
+def _chief_terms_by_quotients(G: PermGroup, budgets: Budgets,
+                              seed: int) -> list[PermGroup]:
+    """The terms, from 1 upward, through minimal normal subgroups of G and
+    of the quotients G/N by the terms found."""
+    terms_up = [PermGroup(G.degree, [])]
     current = terms_up[0]
     order = G.order()
     while current.order() < order:
         if current.is_trivial():
-            mins = minimal_normal_subgroups(G, budgets, seed)
-            nxt = mins[0]
+            nxt = minimal_normal_subgroups(G, budgets, seed)[0]
         else:
             hom = coset_action(G, current, budgets)
             mins = minimal_normal_subgroups(hom.quotient, budgets, seed)
             nxt = hom.preimage_group(mins[0])
         terms_up.append(nxt)
         current = nxt
-    return ChiefSeries(group=G, terms=list(reversed(terms_up)),
-                       budgets=budgets, seed=seed)
+    return terms_up
 
 
 def chief_factor_decomposition(series: ChiefSeries,

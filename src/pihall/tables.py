@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arith import prime_divisors
 from .backtrack import BudgetExceededError, certify
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, _Chain
@@ -99,6 +100,7 @@ class ElementTable:
         self._class_size: np.ndarray | None = None
         self._class_products: dict[tuple[int, int], frozenset] = {}
         self._class_orders: dict[int, int] = {}
+        self._prime_powers: list[tuple[int, ...]] | None = None
         # hall._SetOrbits per generating tuple, filled by hall._orbits_for
         self.set_orbits: dict[tuple[int, ...], object] = {}
 
@@ -246,6 +248,30 @@ class ElementTable:
             self._class_orders[cid] = got
         return got
 
+    def prime_power_classes(self) -> list[tuple[int, ...]]:
+        """Per class, the classes of x^p for the primes p dividing the order
+        of its elements x (conjugates have conjugate powers), read off the
+        class representatives in one lookup; memoized."""
+        if self._prime_powers is None:
+            _, reps = self.classes()
+            owners, powers = [], []
+            for cid, rep in enumerate(reps):
+                row = self.rows[rep]
+                for p in prime_divisors(self.element_order(rep)):
+                    # the row of x^k·x is x's row read at x^k's images
+                    power = row
+                    for _ in range(p - 1):
+                        power = row[power]
+                    owners.append(cid)
+                    powers.append(power)
+            found: list[list[int]] = [[] for _ in reps]
+            if powers:
+                ids = self._class_id[self._indices(np.array(powers))]
+                for cid, q in zip(owners, ids.tolist()):
+                    found[cid].append(q)
+            self._prime_powers = [tuple(f) for f in found]
+        return self._prime_powers
+
     # -- conjugation --------------------------------------------------------
 
     def conj_map(self, t: int) -> np.ndarray:
@@ -276,24 +302,30 @@ class ElementTable:
 
     # -- normal subgroups as sets of class ids --------------------------------
 
-    def normal_closure_classes(self, seed_classes,
-                               limit: int | None = None) -> frozenset | None:
-        """Class ids of the normal subgroup generated by the seed classes;
-        None once its order exceeds `limit` (early abort).
+    def normal_closure_classes(self, seed_classes, limit: int | None = None,
+                               start: frozenset | None = None
+                               ) -> frozenset | None:
+        """Class ids of N·ncl(seed classes), N the normal subgroup `start`
+        (class ids; the trivial group when not given); None once its order
+        exceeds `limit` (early abort).
 
-        From the identity class, each class a reached adds the classes that
-        meet a·k for each seed class k.  The union of the classes reached
-        is then closed under right multiplication by the seeds; being
-        finite, it is the subgroup they generate, which is normal as a
-        union of classes."""
+        From N's classes, each class a reached adds the classes that meet
+        a·k for each seed class k.  The union of the classes reached holds
+        every n·k_1···k_r (n in N, each k_i in a seed class) and is closed
+        under right multiplication by the seeds; being finite, it is the
+        subgroup N and the seeds generate, which is normal as a union of
+        classes."""
         class_id, reps = self.classes()
         sizes = self._class_size
         cap = self.size if limit is None else limit
         seeds = sorted(set(seed_classes))
-        start = int(class_id[self.identity_idx])
-        found = {start}
-        total = int(sizes[start])
-        frontier = [start]
+        if start is None:
+            start = frozenset([int(class_id[self.identity_idx])])
+        found = set(start)
+        total = self.size_of_classes(found)
+        if total > cap:
+            return None
+        frontier = sorted(found)
         while frontier and len(found) < len(reps):
             nxt = []
             for a in frontier:
@@ -326,6 +358,11 @@ class ElementTable:
             got = frozenset(class_id[self._indices(prods)].tolist())
             self._class_products[key] = got
         return got
+
+    def size_of_classes(self, cids) -> int:
+        """Number of elements in the union of the given classes."""
+        self.classes()
+        return int(self._class_size[sorted(cids)].sum())
 
     def union_of_classes(self, cids) -> frozenset:
         """Element indices of the union of the given classes."""

@@ -6,7 +6,7 @@ from pihall import zoo
 from pihall.actions import (block_action, coset_action, minimal_block_system,
                             nontrivial_block_system, orbit_restriction,
                             section_action)
-from pihall.backtrack import BudgetExceededError
+from pihall.backtrack import BudgetExceededError, VerificationError
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
@@ -30,18 +30,24 @@ def test_coset_action_sym4_over_alt4():
     hom = coset_action(S4, A4)
     assert hom.domain_size == 2
     assert hom.quotient.order() == 2
-    assert hom.kernel().same_group_as(A4)
+    assert hom.kernel() is A4
 
 
-def test_coset_action_core_is_kernel():
-    # S4 on the cosets of a Sylow-2: degree 3, kernel V4, image order 6
+def test_coset_action_refuses_non_normal_subgroup():
+    # S4 on the cosets of a Sylow-2 would have kernel V4 < D8: not a
+    # quotient by D8, so the call is refused
     S4 = zoo.sym(4)
     D8 = PermGroup(4, [Perm.from_cycles(4, (0, 1, 2, 3)),
                        Perm.from_cycles(4, (0, 2))])
-    hom = coset_action(S4, D8)
-    assert hom.domain_size == 3
-    assert hom.quotient.order() == 6
-    assert hom.kernel().same_group_as(v4_in())
+    with pytest.raises(ValueError):
+        coset_action(S4, D8)
+
+
+def test_coset_action_certifies_the_label_count():
+    # C3 normalizes V4 without containing it: 3 cosets V4·g, not |C3:V4|
+    C3 = PermGroup(4, [Perm.from_cycles(4, (0, 1, 2))])
+    with pytest.raises(VerificationError):
+        coset_action(C3, v4_in())
 
 
 def test_preimage_round_trip():

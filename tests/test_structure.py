@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_group_elements
-from pihall import groups, hall, structure, zoo
+from conftest import brute_elements, brute_group_elements
+from pihall import groups, hall, reduction, structure, zoo
 from pihall.arith import PiSet, is_prime
 from pihall.backtrack import (BudgetExceededError, VerificationError,
                               centralizer)
@@ -387,6 +389,81 @@ def test_class_space_normal_structure_matches_reference(G):
             == [_gens_of(N) for N in _reference_normal_subgroups(G)])
 
 
+def _brute_normal_closure(G, seeds):
+    """Elements of the normal closure of the seeds: add a conjugate of a
+    generator by a generator of G until none lies outside the span."""
+    gens = list(seeds)
+    elements = brute_elements(gens, G.degree)
+    while True:
+        outside = next((h.conjugate(g) for h in gens for g in G.generators
+                        if h.conjugate(g) not in elements), None)
+        if outside is None:
+            return elements
+        gens.append(outside)
+        elements = brute_elements(gens, G.degree)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_groups())
+def test_chief_series_in_table_matches_definition(G):
+    # the series as element sets, against its definition: normal terms,
+    # strictly decreasing, and A/B minimal normal in G/B for each factor
+    assume(G.order() <= 720)
+    cs = chief_series(G)
+    assert cs.terms[0] is G and cs.terms[-1].is_trivial()
+    sets = [brute_group_elements(T) for T in cs.terms]
+    g_elements = sets[0]
+    for T in sets[1:]:
+        assert all(x.conjugate(g) in T for x in T for g in G.generators)
+    for i in range(1, len(sets)):
+        A, B = sets[i - 1], sets[i]
+        assert B < A
+        done = set()
+        for x in A - B:
+            if x in done:
+                continue
+            seeds = [*cs.terms[i].generators, x]
+            assert _brute_normal_closure(G, seeds) == A
+            # x's G-conjugates and their B-cosets have the same closure
+            conjugates = {x.conjugate(g) for g in g_elements}
+            done |= {b * y for y in conjugates for b in B}
+
+
+# chief_series orders of the corpus groups (default budgets, seed 1), as
+# computed through quotients before the series moved into G's table
+CORPUS_SERIES_ORDERS = {
+    "alt4": [12, 4, 1],
+    "alt5": [60, 1],
+    "alt5wr2": [7200, 3600, 1],
+    "alt5xalt5": [3600, 60, 1],
+    "alt5xsym4": [1440, 24, 12, 4, 1],
+    "alt6": [360, 1],
+    "cyclic12": [12, 4, 2, 1],
+    "dihedral4": [8, 4, 2, 1],
+    "dihedral6": [12, 6, 2, 1],
+    "gl3_2": [168, 1],
+    "gl4_2": [20160, 1],
+    "psl2_11": [660, 1],
+    "psl2_13": [1092, 1],
+    "psl2_7": [168, 1],
+    "psl2_7xc2": [336, 2, 1],
+    "sym3": [6, 3, 1],
+    "sym3wr2": [72, 36, 18, 9, 1],
+    "sym4": [24, 12, 4, 1],
+    "sym4wr2": [1152, 576, 288, 144, 16, 1],
+    "sym5": [120, 60, 1],
+    "sym6": [720, 360, 1],
+}
+
+
+def test_corpus_chief_series_orders_pinned():
+    names = {e["name"] for e in zoo.corpus_manifest()}
+    assert names == set(CORPUS_SERIES_ORDERS)
+    for name, orders in CORPUS_SERIES_ORDERS.items():
+        cs = chief_series(zoo.build_named(name))
+        assert [T.order() for T in cs.terms] == orders, name
+
+
 def test_table_cache_keeps_generator_order(monkeypatch):
     # a table's index order follows the generator order, so two groups with
     # the same generators in another order must not share a table
@@ -479,3 +556,59 @@ def test_reduction_sift_gate(monkeypatch):
     monkeypatch.setattr(groups._Chain, "_sift_add", counting)
     assert cpi_reduce(G, PiSet([2, 3])).verdict is True
     assert sifts[0] <= 1000
+
+
+def _count_table_builds(monkeypatch):
+    orders = []
+    init = ElementTable.__init__
+
+    def counting(self, G, *args, **kwargs):
+        orders.append(G.order())
+        init(self, G, *args, **kwargs)
+
+    monkeypatch.setattr(ElementTable, "__init__", counting)
+    return orders
+
+
+def test_simple_group_reduction_builds_one_table(monkeypatch):
+    # the top term is G itself, so the chief factor of a simple G is
+    # decomposed in the table the series was built in
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    orders = _count_table_builds(monkeypatch)
+    G = _fresh("gl4_2")
+    trace = cpi_reduce(G, PiSet([2, 3]))
+    assert trace.series.terms[0] is G
+    assert Counter(orders)[20160] == 1
+
+
+def test_chief_series_stays_in_table_gate(monkeypatch):
+    # in budget, the series takes no quotient: no coset action and no
+    # minimal normal subgroups of a quotient, whose tables the reduction
+    # would otherwise build (orders 360 and 120 here)
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    orders = _count_table_builds(monkeypatch)
+    inside, calls = [False], []
+
+    def watch(name, fn):
+        def watched(*args, **kwargs):
+            if inside[0]:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return watched
+
+    def series(*args, **kwargs):
+        inside[0] = True
+        try:
+            return chief_series(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    for name in ("coset_action", "minimal_normal_subgroups"):
+        monkeypatch.setattr(structure, name,
+                            watch(name, getattr(structure, name)))
+    monkeypatch.setattr(reduction, "chief_series", series)
+    assert cpi_reduce(_fresh("alt5xsym4"), PiSet([2, 3])).verdict is True
+    assert calls == []
+    assert sorted(orders) == [60, 60, 1440]
