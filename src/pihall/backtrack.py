@@ -160,9 +160,8 @@ def subgroup_search(G: PermGroup, prop: SearchProperty,
         if g is None:
             break
         searcher.add_known(g)
-    return PermGroup(G.degree,
-                     [Perm(g, validate=False) for g in searcher.k_gens],
-                     order=searcher.k_chain.order())
+    return PermGroup._adopt(
+        searcher.k_chain, [Perm(g, validate=False) for g in searcher.k_gens])
 
 
 def element_search(G: PermGroup, prop: SearchProperty,

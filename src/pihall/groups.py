@@ -13,6 +13,11 @@ level generates its full stabilizer, i.e. when the chain is complete.  From
 then on every Schreier generator sifts to the identity, so the base, level
 generators and orbits are those full verification gives.
 
+A subgroup found by growing a chain (`span`, the backtrack searches) adopts
+that chain instead of building a second one from its generators.  An
+adopted chain was completed with no stated order, so every Schreier
+generator was checked, and it is never extended afterwards.
+
 Internally the chain works on raw image tuples for speed; the public API
 speaks :class:`~pihall.perms.Perm`.
 """
@@ -21,8 +26,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, Sequence
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .arith import p_part
 from .perms import DegreeMismatchError, Perm
 
 _IDENTITY_CACHE: dict[int, tuple[int, ...]] = {}
@@ -151,9 +158,10 @@ class _Chain:
     product would stop the chain early undetected.  The sources used are:
     the source group's order for an action's combined chain (the action is
     faithful on the original points); a complete chain's orbit-length
-    product, or a suffix of it (stabilizers, action kernels, spans built
-    with ``extend``, backtrack results); |kernel|·|Q̄| for a preimage;
-    |G|/|kernel| for an action's image; |H| for a conjugate of H.
+    product, or a suffix of it (stabilizers, action kernels); |kernel|·|Q̄|
+    for a preimage; |G|/|kernel| for an action's image; |H| for a
+    conjugate of H.  Spans and backtrack results state none: their groups
+    adopt the chain that found them (``PermGroup._adopt``).
     """
 
     __slots__ = ("degree", "levels", "hint_len", "_order")
@@ -319,7 +327,9 @@ class NotASubgroupError(ValueError):
 class PermGroup:
     """A finite permutation group on {0..degree-1}.
 
-    Immutable; the stabilizer chain is built on first use and reused.
+    Immutable; the stabilizer chain is built on first use and reused, or
+    adopted complete from the span or search that found the group, and then
+    never extended.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (),
@@ -342,6 +352,14 @@ class PermGroup:
         self._order = order
         self._chain_cache: _Chain | None = None
         self._fingerprint = None
+
+    @classmethod
+    def _adopt(cls, chain: _Chain, generators: Iterable[Perm]) -> "PermGroup":
+        """The group the generators generate, owning `chain`: a complete
+        chain of that group, which nothing extends afterwards."""
+        G = cls(chain.degree, generators, order=chain.order())
+        G._chain_cache = chain
+        return G
 
     # -- chain plumbing ----------------------------------------------------
 
@@ -479,7 +497,9 @@ class PermGroup:
     def cache_key(self):
         """Identity for caching: degree + generators in their given order.
         Not the generator set: a chain, hence an element table's index
-        order and the generators read off it, follow the order."""
+        order and the generators read off it, follow the order.  An adopted
+        chain need not be the one the generators build, so a table cached
+        under the key follows the chain of the group first tabled."""
         return (self.degree, tuple(g.images for g in self.generators))
 
     def __repr__(self) -> str:
@@ -497,6 +517,40 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     generator of G lies in H."""
     return all(H.contains(h.conjugate(g))
                for g in G.generators for h in H.generators)
+
+
+def span(degree: int, candidates: Iterable[Perm], order: int | None = None,
+         then: Callable[[Perm], Iterable[Perm]] | None = None) -> PermGroup:
+    """The group generated by the candidates, walked in the order given:
+    each one that enlarges the span of those kept before it is kept, and
+    the walk stops once the span has `order` elements.  For each kept x,
+    `then(x)` (when given) names more candidates, walked after all those
+    queued before them.  The group adopts the span's chain, completed
+    again after each kept candidate."""
+    chain = _Chain(degree, [])
+    kept: list[Perm] = []
+    queue = deque([iter(candidates)])
+    while queue and (order is None or chain.order() < order):
+        x = next(queue[0], None)
+        if x is None:
+            queue.popleft()
+        elif chain.extend(x.images):
+            kept.append(x)
+            if then is not None:
+                queue.append(iter(then(x)))
+    return PermGroup._adopt(chain, kept)
+
+
+def p_element(G: PermGroup, p: int, rng: random.Random) -> Perm | None:
+    """An element of order a positive power of p: the p-part of the first
+    of G's generators, then of 8192 random elements drawn from rng, whose
+    order p divides; None when none does."""
+    draws = (G.random_element(rng) for _ in range(8192))
+    for g in itertools.chain(G.generators, draws):
+        o = g.order()
+        if o % p == 0:
+            return g ** (o // p_part(o, p))
+    return None
 
 
 def join_subgroups(G: PermGroup, parts: Iterable[PermGroup]) -> PermGroup:

@@ -36,7 +36,7 @@ from .backtrack import (BudgetExceededError, certify, conjugating_element,
                         normalizer)
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, _Chain, require_subgroup
+from .groups import PermGroup, p_element, require_subgroup, span
 from .perms import Perm
 from .registry import SpecialCaseRegistry
 from .structure import ChiefSeries, get_table, is_normal
@@ -50,20 +50,6 @@ def is_hall(G: PermGroup, H: PermGroup, pi: PiSet) -> bool:
 
 
 # -- Sylow subgroups -------------------------------------------------------------
-
-
-def _p_element(G: PermGroup, p: int, rng: random.Random) -> Perm:
-    """An element of order a positive power of p (exists when p | |G|)."""
-    for g in G.generators:
-        o = g.order()
-        if o % p == 0:
-            return g ** (o // p_part(o, p))
-    for _ in range(8192):
-        g = G.random_element(rng)
-        o = g.order()
-        if o % p == 0:
-            return g ** (o // p_part(o, p))
-    raise RuntimeError(f"no element of order divisible by {p} found")
 
 
 def sylow(G: PermGroup, p: int, budgets: Budgets = DEFAULT_BUDGETS,
@@ -81,7 +67,10 @@ def sylow(G: PermGroup, p: int, budgets: Budgets = DEFAULT_BUDGETS,
     # prefer a p-element whose centralizer captures the largest p-part
     best = None
     for _ in range(6):
-        z = _p_element(G, p, rng)
+        z = p_element(G, p, rng)
+        if z is None:
+            raise BudgetExceededError(
+                "sylow", f"sampling found no element of order divisible by {p}")
         C = element_centralizer(G, z, budgets)
         key = p_part(C.order(), p)
         if best is None or key > best[0]:
@@ -118,12 +107,7 @@ def intersect_subgroups(H: PermGroup, A: PermGroup,
     if small.order() > budgets.order_budget:
         raise BudgetExceededError("intersection", f"|smaller side| = "
                                   f"{small.order()} > {budgets.order_budget}")
-    gens: list[Perm] = []
-    span = _Chain(H.degree, [])
-    for x in small.elements():
-        if big.contains(x) and span.extend(x.images):
-            gens.append(x)
-    return PermGroup(H.degree, gens, order=span.order())
+    return span(H.degree, filter(big.contains, small.elements()))
 
 
 # -- the oracle ---------------------------------------------------------------------

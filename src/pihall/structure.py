@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .actions import (block_action, coset_action, nontrivial_block_system,
                       orbit_restriction, section_action)
@@ -29,8 +30,8 @@ from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import (PermGroup, _Chain, _inv, _mul, is_normal,
-                     join_subgroups, require_subgroup)
+from .groups import (PermGroup, _inv, _mul, is_normal, join_subgroups,
+                     p_element, require_subgroup, span)
 from .perms import Perm
 from .tables import ElementTable, require_order_within
 
@@ -61,17 +62,8 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     Generated by the seeds and their conjugates that enlarge the span, in
     queue order; within the enumeration budget, normal structure is
     computed on class ids instead (ElementTable.normal_closure_classes)."""
-    gens: list[Perm] = []
-    span = _Chain(G.degree, [])
-    queue = list(seeds)
-    while queue:
-        x = queue.pop(0)
-        if not span.extend(x.images):
-            continue
-        gens.append(x)
-        for g in G.generators:
-            queue.append(x.conjugate(g))
-    return PermGroup(G.degree, gens, order=span.order())
+    return span(G.degree, seeds,
+                then=lambda x: [x.conjugate(g) for g in G.generators])
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -81,20 +73,6 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
 
 
 # -- simplicity ----------------------------------------------------------------
-
-
-def _prime_order_element(G: PermGroup, p: int, seed: int) -> Perm | None:
-    rng = random.Random(seed)
-    for g in G.generators:
-        o = g.order()
-        if o % p == 0:
-            return g ** (o // p)
-    for _ in range(4096):
-        g = G.random_element(rng)
-        o = g.order()
-        if o % p == 0:
-            return g ** (o // p)
-    return None
 
 
 def is_simple(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
@@ -141,25 +119,30 @@ def _is_simple_large(G: PermGroup, budgets: Budgets, seed: int) -> bool:
     order = G.order()
     for p in prime_divisors(n):
         if p_part(order, p) == p:
-            z = _prime_order_element(G, p, seed)
+            z = p_element(G, p, random.Random(seed))
             if z is None:
                 continue
-            M = normal_closure(G, [z])
+            M = normal_closure(G, [z ** (z.order() // p)])
             return M.order() == order
     # sampling can find a proper normal closure (a witness of "not
     # simple") but never certify simplicity
+    if any(M.order() < order for M in _sampled_closures(G, seed)):
+        return False
+    raise BudgetExceededError(
+        "simplicity", f"no certificate for a primitive group of order {order}"
+        f" on {n} points; sampling found no proper normal closure")
+
+
+def _sampled_closures(G: PermGroup, seed: int) -> Iterator[PermGroup]:
+    """Normal closures of the prime-order powers of G's generators, then of
+    _SAMPLE_DRAWS random elements drawn under the seed, in that order."""
     rng = random.Random(seed)
     sources = list(G.generators)
     sources += [G.random_element(rng) for _ in range(_SAMPLE_DRAWS)]
     for x in sources:
         o = x.order()
         for p in prime_divisors(o):
-            M = normal_closure(G, [x ** (o // p)])
-            if M.order() < order:
-                return False
-    raise BudgetExceededError(
-        "simplicity", f"no certificate for a primitive group of order {order}"
-        f" on {n} points; sampling found no proper normal closure")
+            yield normal_closure(G, [x ** (o // p)])
 
 
 # -- minimal normal subgroups ---------------------------------------------------
@@ -188,16 +171,7 @@ def _subgroup_sort_key(H: PermGroup):
 def _minimal_normals_large(G: PermGroup, budgets: Budgets,
                            seed: int) -> list[PermGroup]:
     order = G.order()
-    rng = random.Random(seed)
-    sources = list(G.generators)
-    sources += [G.random_element(rng) for _ in range(_SAMPLE_DRAWS)]
-    cands: list[PermGroup] = []
-    for x in sources:
-        o = x.order()
-        for p in prime_divisors(o):
-            M = normal_closure(G, [x ** (o // p)])
-            if M.order() < order:
-                cands.append(M)
+    cands = [M for M in _sampled_closures(G, seed) if M.order() < order]
     if not cands:
         if is_simple(G, budgets, seed):
             return [G]
@@ -464,14 +438,9 @@ def chief_factor_decomposition(series: ChiefSeries,
 def _cyclic_decomposition(Q: PermGroup) -> list[PermGroup]:
     """Cyclic direct factors of an elementary abelian group, greedily from
     its elements in deterministic order."""
-    out: list[PermGroup] = []
-    span = _Chain(Q.degree, [])
-    for x in sorted(Q.elements(), key=lambda p: p.images):
-        if span.order() == Q.order():
-            break
-        if span.extend(x.images):
-            out.append(PermGroup(Q.degree, [x]))
-    return out
+    elements = sorted(Q.elements(), key=lambda p: p.images)
+    return [PermGroup(Q.degree, [x])
+            for x in span(Q.degree, elements, order=Q.order()).generators]
 
 
 # -- induced automorphisms on a section -------------------------------------------

@@ -104,14 +104,9 @@ class CorpusContext:
         return classify_EC(G, pi, self.budgets, self.seed)
 
 
-def _entry_groups(entries) -> list[tuple[str, PermGroup]]:
-    seen = []
-    names = set()
-    for e in entries:
-        if e["name"] not in names:
-            names.add(e["name"])
-            seen.append(e["name"])
-    return seen
+def _entry_names(entries) -> list[str]:
+    """The entries' group names, each once, in first-seen order."""
+    return list(dict.fromkeys(e["name"] for e in entries))
 
 
 def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult]:
@@ -455,8 +450,7 @@ def suite_theorem10(entries, ctx: CorpusContext) -> SuiteResult:
 
 def suite_corollary18(entries, ctx: CorpusContext) -> SuiteResult:
     res = SuiteResult("corollary-18", "composition-factor-criterion")
-    names = _entry_groups(entries)
-    for name in names:
+    for name in _entry_names(entries):
         G = ctx.group(name)
         series = ctx.series(name)
         for pi_key in COROLLARY18_PI_SETS:

@@ -29,7 +29,7 @@ import numpy as np
 from .arith import prime_divisors
 from .backtrack import BudgetExceededError, certify
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, _Chain
+from .groups import PermGroup, span
 from .perms import Perm
 
 # Rows per sift step: bounds the temporaries of a table-wide map, which
@@ -452,16 +452,8 @@ class ElementTable:
     def subgroup(self, idxs) -> PermGroup:
         """PermGroup from an element index set, generated by the elements,
         in index order, that enlarge the span of those before them."""
-        target = len(idxs)
-        gens: list[Perm] = []
-        span = _Chain(self.degree, [])
-        for i in sorted(idxs):
-            if span.order() == target:
-                break
-            p = self.perm_of(i)
-            if span.extend(p.images):
-                gens.append(p)
-        return PermGroup(self.degree, gens, order=span.order())
+        return span(self.degree, map(self.perm_of, sorted(idxs)),
+                    order=len(idxs))
 
     def indices_of_subgroup(self, H: PermGroup) -> frozenset:
         got = self.closure([self.idx_of_perm(g) for g in H.generators])

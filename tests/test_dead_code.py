@@ -141,6 +141,24 @@ def test_no_unpassed_defaulted_parameters():
     assert not dead, "defaulted parameters no call passes: " + ", ".join(dead)
 
 
+# -- stabilizer chains ------------------------------------------------------------
+
+CHAIN_MODULES = {"groups.py", "actions.py", "backtrack.py"}
+
+
+def test_only_chain_modules_name_the_chain():
+    # a subgroup found by growing a chain keeps it (groups.span,
+    # PermGroup._adopt); a module that grows a _Chain of its own builds a
+    # second one for the group it returns
+    named = [fname for fname, tree in _trees().items()
+             if fname not in CHAIN_MODULES and (
+                 _references(tree)["_Chain"]
+                 or any(isinstance(node, ast.alias) and node.name == "_Chain"
+                        for node in ast.walk(tree)))]
+    assert not named, "_Chain named outside the chain modules: " + \
+        ", ".join(named)
+
+
 # -- budgets and seed -------------------------------------------------------------
 
 RUN_PARAMS = ("budgets", "seed")

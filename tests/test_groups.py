@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import brute_elements, brute_group_elements
 from pihall import groups, zoo
 from pihall.actions import coset_action
+from pihall.backtrack import normalizer
 from pihall.groups import PermGroup, VerificationError, _Chain
+from pihall.hall import intersect_subgroups
 from pihall.perms import Perm
 from pihall.structure import normal_closure
 from pihall.tables import ElementTable
@@ -266,3 +268,56 @@ def test_stated_order_chain_is_identical(group, seed):
     for (a, _), (b, _) in zip(early, full):
         assert a.base() == b.base()
         assert _shape(a) == _shape(b)
+
+
+# -- adopted chains: a found subgroup keeps the chain that found it ------------
+
+
+def test_found_subgroups_build_no_second_chain():
+    G = zoo.sym(4)
+    tbl = ElementTable(G)
+    three = Perm((1, 2, 0, 3))
+    C3 = PermGroup(4, [three])
+    A4 = PermGroup(4, [three, Perm((1, 0, 3, 2))])
+    for H in (G, C3, A4):
+        H.chain()
+    finders = {
+        "ElementTable.subgroup":
+            lambda: tbl.subgroup(tbl.closure([tbl.idx_of_perm(three)])),
+        "normal_closure": lambda: normal_closure(G, [three]),
+        "intersect_subgroups": lambda: intersect_subgroups(G, A4),
+        "normalizer": lambda: normalizer(G, C3),
+    }
+    for name, find in finders.items():
+        def run():
+            H = find()
+            H.chain()
+            return H.order(), H.contains(three)
+
+        built, _ = _chains_built(run, stated=True)
+        assert len(built) == 1, f"{name} built {len(built)} chains"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
+def test_adopted_chains_match_brute_force(group, seed):
+    degree, gens = group
+    G = PermGroup(degree, gens)
+    rng = random.Random(seed)
+    x, y = G.random_element(rng), G.random_element(rng)
+    tbl = ElementTable(G)
+    found = [
+        tbl.subgroup(tbl.closure([tbl.idx_of_perm(x), tbl.idx_of_perm(y)])),
+        normal_closure(G, [x]),
+        intersect_subgroups(PermGroup(degree, [x, y]),
+                            normal_closure(G, [y])),
+        normalizer(G, PermGroup(degree, [x])),
+    ]
+    g_els = brute_group_elements(G)
+    for H in found:
+        h_els = brute_elements(H.generators, degree)
+        assert H.order() == len(h_els)
+        assert all(H.contains(g) == (g in h_els) for g in g_els)
+        rows = {Perm(tuple(int(v) for v in row), validate=False)
+                for row in ElementTable(H).rows}
+        assert rows == h_els

@@ -61,6 +61,14 @@ def test_sylow_orders(G, p, expect):
     assert P.is_subgroup_of(G)
 
 
+def test_sylow_without_a_p_element_is_a_budget_error(monkeypatch):
+    # running out of draws is a budget, never an answer or a bare error
+    monkeypatch.setattr(hall, "p_element", lambda G, p, rng: None)
+    with pytest.raises(BudgetExceededError) as info:
+        sylow(zoo.sym(5), 2)
+    assert info.value.kind == "sylow"
+
+
 def test_sylow_gl52():
     # matches the unitriangular construction's order
     P = sylow(zoo.gl(5, 2), 2)
