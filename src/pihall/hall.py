@@ -9,11 +9,14 @@ the intersections H ∩ A.
 
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
-Hall class has a member through it.  It is reached only through
-`classify_EC` / `classify_ECD`, whose cache answers a repeated (G, pi,
-seed, budgets) without a second sweep.  Dominance (C, and every pi-subgroup
-inside a Hall subgroup) is read only once C holds, so it fails exactly
-when some pi-subgroup lies in no conjugate of the one Hall class's
+Hall class has a member through it.  Within the budget `sylow` grows that
+subgroup in G's element table, one p-element of the normalizer at a time;
+past it, a backtrack descent through element centralizers and an ascent
+through normalizers find it with no table.  The oracle is reached only
+through `classify_EC` / `classify_ECD`, whose cache answers a repeated
+(G, pi, seed, budgets) without a second sweep.  Dominance (C, and every
+pi-subgroup inside a Hall subgroup) is read only once C holds, so it fails
+exactly when some pi-subgroup lies in no conjugate of the one Hall class's
 representative H.  With one effective prime it holds by Sylow.  Otherwise
 the sweep starts at the subgroups of prime order, grows only through
 classes inside a conjugate of H, and stops at the first class outside,
@@ -30,10 +33,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+from .actions import coset_action
 from .arith import (PiSet, is_pi_number, is_prime, p_part, pi_part,
                     prime_divisors)
 from .backtrack import (BudgetExceededError, certify, conjugating_element,
-                        normalizer)
+                        element_centralizer, normalizer)
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, p_element, require_subgroup, span
@@ -54,9 +58,51 @@ def is_hall(G: PermGroup, H: PermGroup, pi: PiSet) -> bool:
 
 def sylow(G: PermGroup, p: int, budgets: Budgets = DEFAULT_BUDGETS,
           seed: int = 1) -> PermGroup:
-    """A Sylow p-subgroup, by centralizer descent and normalizer ascent."""
-    from .backtrack import element_centralizer
+    """A Sylow p-subgroup: grown in G's element table within the order
+    budget, by centralizer descent and normalizer ascent past it.  The
+    seed picks which one."""
+    order = G.order()
+    if order > budgets.order_budget:
+        return _sylow_descent(G, p, budgets, seed)
+    return _sylow_in_table(get_table(G, budgets), p, p_part(order, p),
+                           random.Random(seed))
 
+
+def _sylow_in_table(tbl: ElementTable, p: int, target: int,
+                    rng: random.Random) -> PermGroup:
+    """A Sylow p-subgroup of the tabled group, of order `target`.
+
+    From P = 1, each step adds a p-element x of N_G(P) outside P, drawn by
+    rng: P is normal in <P, x>, so P<x> is a p-group.  While |P| < target
+    such an x exists (p divides |N_G(P) : P|, and the p-part of an element
+    of order p in N_G(P)/P is one)."""
+    import numpy as np
+    rows, inv = tbl.rows, tbl._inverses()
+    p_mask = _pi_order_mask(tbl, PiSet([p]), target)
+    P, gens = frozenset([tbl.identity_idx]), ()
+    while len(P) < target:
+        in_p = np.zeros(tbl.size, dtype=bool)
+        in_p[list(P)] = True
+        cand = np.flatnonzero(p_mask & ~in_p)
+        for h in gens:
+            # the row of x^-1 h x, for every candidate x at once
+            conj = np.take_along_axis(rows[cand], rows[h][rows[inv[cand]]],
+                                      axis=1)
+            cand = cand[in_p[tbl._indices(conj)]]
+        certify(len(cand) > 0, "no p-element normalizes a p-subgroup below "
+                               "the Sylow order")
+        x = int(cand[rng.randrange(len(cand))])
+        P = tbl.closure(gens + (x,), limit=target, known=P)
+        certify(P is not None and target % len(P) == 0,
+                "<P, x> is not a p-subgroup")
+        gens += (x,)
+    return PermGroup(tbl.degree, map(tbl.perm_of, gens), order=target)
+
+
+def _sylow_descent(G: PermGroup, p: int, budgets: Budgets,
+                   seed: int) -> PermGroup:
+    """A Sylow p-subgroup by backtrack: centralizer descent and normalizer
+    ascent, with no element table."""
     order = G.order()
     target = p_part(order, p)
     if target == 1:
@@ -79,21 +125,20 @@ def sylow(G: PermGroup, p: int, budgets: Budgets = DEFAULT_BUDGETS,
             break
     _, C = best
     if C.order() < order:
-        P = sylow(C, p, budgets, seed)
+        P = _sylow_descent(C, p, budgets, seed)
     else:
         # z is central; pass to the quotient by <z>
-        from .actions import coset_action
         Z = PermGroup(G.degree, [z])
         hom = coset_action(G, Z, budgets)
-        P = hom.preimage_group(sylow(hom.quotient, p, budgets, seed))
+        P = hom.preimage_group(_sylow_descent(hom.quotient, p, budgets, seed))
     while P.order() < target:
         N = normalizer(G, P, budgets)
         if N.order() == order:
             # P is normal; a Sylow subgroup is the preimage of one in G/P
-            from .actions import coset_action
             hom = coset_action(G, P, budgets)
-            return hom.preimage_group(sylow(hom.quotient, p, budgets, seed))
-        P = sylow(N, p, budgets, seed)
+            return hom.preimage_group(
+                _sylow_descent(hom.quotient, p, budgets, seed))
+        P = _sylow_descent(N, p, budgets, seed)
     return P
 
 

@@ -3,7 +3,10 @@
 import time
 
 import pytest
+from hypothesis import strategies as st
 
+from pihall import zoo
+from pihall.groups import PermGroup
 from pihall.perms import Perm
 
 
@@ -77,6 +80,26 @@ def brute_subgroups_dividing(G, order):
 def brute_subgroups_of_order(G, order):
     """All subgroups of the given order, as frozensets of elements."""
     return {s for s in brute_subgroups_dividing(G, order) if len(s) == order}
+
+
+@st.composite
+def small_groups_up_to_degree_8(draw):
+    """Random subgroups of S_n (n <= 7), and direct and wreath products of
+    small ones, as generator image lists."""
+    def sub(max_degree, max_gens):
+        n = draw(st.integers(2, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=max_gens))
+        return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
+    if kind == "sym":
+        G = sub(7, 3)
+    elif kind == "direct":
+        G = zoo.direct_product(sub(4, 2), sub(4, 2))
+    else:
+        G = zoo.wreath(sub(3, 2), 2)
+    return G.degree, G.gen_tuples()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_elements, brute_group_elements
+from conftest import (brute_elements, brute_group_elements,
+                      small_groups_up_to_degree_8)
 from pihall import groups, zoo
 from pihall.actions import coset_action
 from pihall.backtrack import normalizer
@@ -206,26 +207,6 @@ def _chains_built(run, stated):
         mp.setattr(groups._Chain, "__init__", recording)
         snapshots = run()
     return built, snapshots
-
-
-@st.composite
-def small_groups_up_to_degree_8(draw):
-    """Random subgroups of S_n (n <= 7), and direct and wreath products of
-    small ones, as generator image lists."""
-    def sub(max_degree, max_gens):
-        n = draw(st.integers(2, max_degree))
-        images = draw(st.lists(st.permutations(range(n)), min_size=1,
-                               max_size=max_gens))
-        return PermGroup(n, [Perm(tuple(p)) for p in images])
-
-    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
-    if kind == "sym":
-        G = sub(7, 3)
-    elif kind == "direct":
-        G = zoo.direct_product(sub(4, 2), sub(4, 2))
-    else:
-        G = zoo.wreath(sub(3, 2), 2)
-    return G.degree, G.gen_tuples()
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)

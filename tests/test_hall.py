@@ -5,9 +5,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_group_elements, brute_subgroups_dividing,
-                      brute_subgroups_of_order)
-from pihall import hall, zoo
-from pihall.arith import PiSet, pi_part, prime_divisors
+                      brute_subgroups_of_order, small_groups_up_to_degree_8)
+from pihall import backtrack, hall, structure, zoo
+from pihall.arith import PiSet, p_part, pi_part, prime_divisors
 from pihall.backtrack import BudgetExceededError, conjugating_element
 from pihall.config import Budgets
 from pihall.groups import PermGroup
@@ -65,8 +65,53 @@ def test_sylow_without_a_p_element_is_a_budget_error(monkeypatch):
     # running out of draws is a budget, never an answer or a bare error
     monkeypatch.setattr(hall, "p_element", lambda G, p, rng: None)
     with pytest.raises(BudgetExceededError) as info:
-        sylow(zoo.sym(5), 2)
+        sylow(zoo.sym(5), 2, Budgets(order_budget=100))
     assert info.value.kind == "sylow"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_groups_up_to_degree_8(), st.integers(1, 10**6))
+def test_sylow_matches_brute_force(group, seed):
+    # both routes: the element table within the order budget, the backtrack
+    # descent past it
+    degree, gens = group
+    G = PermGroup(degree, gens)
+    order = G.order()
+    for p in prime_divisors(order):
+        for budgets in (Budgets(), Budgets(order_budget=1)):
+            P = sylow(G, p, budgets, seed)
+            assert P.order() == p_part(order, p)
+            assert P.is_subgroup_of(G)
+            assert all(p_part(x.order(), p) == x.order()
+                       for x in brute_group_elements(P))
+
+
+def test_sylow_seeds_pick_different_subgroups():
+    # the oracle's self-check compares seeds s and s + 1, so the seed must
+    # move the Sylow subgroup that the sweep starts from
+    for G, p in [(zoo.sym(4), 2), (zoo.psl2(7), 7)]:
+        found = {frozenset(brute_group_elements(sylow(G, p, seed=s)))
+                 for s in range(1, 9)}
+        assert len(found) >= 2, (G.name, p)
+
+
+def test_oracle_needs_no_backtrack_search(monkeypatch):
+    # within the order budget the Sylow seed comes from the element table:
+    # no p-element sampling, no backtrack search
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backtrack route taken")
+
+    monkeypatch.setattr(backtrack, "subgroup_search", forbidden)
+    monkeypatch.setattr(structure, "subgroup_search", forbidden)
+    monkeypatch.setattr(hall, "p_element", forbidden)
+    for name, pi in [("alt5xsym4", "2,3"), ("sym4wr2", "2"),
+                     ("psl2_13", "2,3")]:
+        hall._classify_cache.clear()
+        structure._table_cache.clear()
+        expected = next(e["expected"] for e in zoo.corpus_manifest()
+                        if (e["name"], e["pi"]) == (name, pi))
+        got = classify_ECD(zoo.build_named(name), PiSet.parse(pi)).flags()
+        assert got == expected, (name, pi)
 
 
 def test_sylow_gl52():
