@@ -7,6 +7,15 @@ element-index sets under conjugation (`_SetOrbits`), by G here and by a
 normal subgroup A when `k_induced` and the suites count the A-classes of
 the intersections H ∩ A.
 
+The sweep's inner loops are batches over the element table.  A candidate
+x extends K only when every element of the coset Kx is a pi-element of
+order dividing the pi-part: a necessary condition, checked for all
+candidates at once before any extension is closed.  An orbit is searched
+a level at a time and kept as a breadth-first tree, along which the
+transporters are multiplied out.  The normalizer of a class member comes
+from the Schreier generators of that tree, computed a level at a time and
+closed one at a time until it has the stabilizer's order.
+
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
 Hall class has a member through it.  Within the budget `sylow` grows that
@@ -32,6 +41,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+
+import numpy as np
 
 from .actions import coset_action
 from .arith import (PiSet, is_pi_number, is_prime, p_part, pi_part,
@@ -44,7 +56,7 @@ from .groups import PermGroup, p_element, require_subgroup, span
 from .perms import Perm
 from .registry import SpecialCaseRegistry
 from .structure import ChiefSeries, get_table, is_normal
-from .tables import ElementTable, _row_keys
+from .tables import _SIFT_CHUNK, ElementTable, _row_keys
 
 
 def is_hall(G: PermGroup, H: PermGroup, pi: PiSet) -> bool:
@@ -76,7 +88,6 @@ def _sylow_in_table(tbl: ElementTable, p: int, target: int,
     rng: P is normal in <P, x>, so P<x> is a p-group.  While |P| < target
     such an x exists (p divides |N_G(P) : P|, and the p-part of an element
     of order p in N_G(P)/P is one)."""
-    import numpy as np
     rows, inv = tbl.rows, tbl._inverses()
     p_mask = _pi_order_mask(tbl, PiSet([p]), target)
     P, gens = frozenset([tbl.identity_idx]), ()
@@ -174,91 +185,83 @@ class HallClassSet:
 
 class _SetOrbits:
     """Orbits of element-index sets under conjugation by the subgroup that
-    the elements `by` (indices) generate, memoized per class.
+    the elements `by` (indices) generate, of order `order`, memoized per
+    class.
 
-    Each distinct class triggers one orbit BFS; every member's sorted-index
-    byte string is then registered, so later queries for conjugate sets are
-    dictionary hits.  A depth-first walk of the orbit records how each
-    member is reached, as one int: its parent's position in the walk times
-    len(by), plus the generator's position (-1 for the root).  The
-    transporters, words in `by` that conjugate the class root to each
-    member, replace those ints on first use, multiplied out along the
-    walk."""
+    Each distinct class triggers one orbit BFS, a level at a time: the
+    frontier is conjugated by every generator in batches of _SIFT_CHUNK
+    members, and the images are sorted and keyed by their index bytes;
+    one dict lookup per image then finds the new members.  Every member's
+    key is registered, so later queries for conjugate sets are dictionary
+    hits.
+    The search is kept as a breadth-first tree: per class, each member's
+    position in BFS order (the root is 0) and, per position, its link: the
+    parent's position times len(by), plus the generator's position (-1 for
+    the root).  A transporter, an element that conjugates the class root
+    to a member, is the product of the generators on the member's tree
+    path; the Schreier generators multiply them out for every member, one
+    batch per level."""
 
-    def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
+    def __init__(self, tbl: ElementTable, by: tuple[int, ...], order: int):
         self.tbl = tbl
         self.by = by
+        self.order = order  # of the group `by` generates
         # G's own maps through conj_maps, where perfbench's tables.conj_maps
         # span counts them
         self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
                      else [tbl.conj_map(t) for t in by])
         self.class_of: dict[bytes, int] = {}
-        # per class, member -> its link in the walk, or its transporter once
-        # the class is in `_transported`
+        # per class, member -> its position in BFS order
         self.class_reps: list[dict[bytes, int]] = []
+        # per class, the link of each position
+        self.class_links: list[np.ndarray] = []
         self.class_canon: list[frozenset] = []
-        self._transported: set[int] = set()
 
-    @staticmethod
-    def _arr(idxs):
-        import numpy as np
-        return np.asarray(sorted(idxs), dtype=np.int64)
-
-    def image_keys(self, keys: list[bytes]) -> list[tuple[bytes, ...]]:
-        """For each member (a sorted-index key), the keys of its conjugates
-        by the generators, in `by` order."""
-        import numpy as np
-        arrs = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(
-            len(keys), -1)
-        per_gen = []
-        for M in self.maps:
-            conj = M[arrs]
-            conj.sort(axis=1)
-            per_gen.append(_row_keys(conj))
-        return list(zip(*per_gen))
+    def _images(self, keys: list[bytes]):
+        """The keys of the conjugates of the given members (by their keys)
+        by each generator: item r is member r // len(by) conjugated by
+        generator r % len(by)."""
+        if not self.maps:
+            return []  # the trivial group fixes every set
+        rows = _key_rows(keys)
+        conj = np.concatenate([M[rows] for M in self.maps], axis=1)
+        conj = conj.reshape(-1, rows.shape[1])
+        conj.sort(axis=1)
+        return _row_keys(conj)
 
     def class_id(self, idxs: frozenset) -> int:
-        import numpy as np
         key = self.key_of(idxs)
         cid = self.class_of.get(key)
         if cid is not None:
             return cid
         cid = len(self.class_reps)
-        # the orbit breadth-first, one batch of conjugations per level; each
-        # key is kept once (`found` maps a key to its first copy)
-        images: dict[bytes, list[bytes]] = {}
-        found = {key: key}
+        nby = len(self.by)
+        reps = {key: 0}
+        links = [-1]
         frontier = [key]
         while frontier:
+            start = len(reps) - len(frontier)  # the frontier's first position
             nxt = []
-            for k, imgs in zip(frontier, self.image_keys(frontier)):
-                own = []
-                for nk in imgs:
-                    first = found.get(nk)
-                    if first is None:
-                        first = found[nk] = nk
-                        nxt.append(nk)
-                    own.append(first)
-                images[k] = own
+            for s in range(0, len(frontier), _SIFT_CHUNK):
+                # item r is the image of position start + s + r // nby
+                base = (start + s) * nby
+                images = self._images(frontier[s:s + _SIFT_CHUNK])
+                for r, k in enumerate(images):
+                    if k not in reps:
+                        reps[k] = len(reps)
+                        links.append(base + r)
+                        nxt.append(k)
             frontier = nxt
-        # a depth-first walk of that graph, generators in `by` order
-        reps: dict[bytes, int] = {key: -1}
-        stack = [(key, 0)]
-        while stack:
-            k, pos = stack.pop()
-            for gi, nk in enumerate(images[k]):
-                if nk not in reps:
-                    reps[nk] = pos * len(self.by) + gi
-                    stack.append((nk, len(reps) - 1))
-        for k in reps:
-            self.class_of[k] = cid
+        self.class_of.update(zip(reps, repeat(cid)))
         self.class_reps.append(reps)
+        self.class_links.append(np.array(links))
         self.class_canon.append(frozenset(
             np.frombuffer(min(reps), dtype=np.int64).tolist()))
         return cid
 
-    def key_of(self, idxs: frozenset) -> bytes:
-        return self._arr(idxs).tobytes()
+    @staticmethod
+    def key_of(idxs: frozenset) -> bytes:
+        return np.asarray(sorted(idxs), dtype=np.int64).tobytes()
 
     def canon(self, cid: int) -> frozenset:
         return self.class_canon[cid]
@@ -268,37 +271,87 @@ class _SetOrbits:
 
     def members(self, cid: int):
         """Every member of the class, one sorted index array per row."""
-        import numpy as np
-        keys = self.class_reps[cid]
-        return np.frombuffer(b"".join(keys),
-                             dtype=np.int64).reshape(len(keys), -1)
+        return _key_rows(list(self.class_reps[cid]))
 
-    def transporters(self, cid: int) -> dict[bytes, int]:
-        """member -> an element conjugating the class root to it."""
-        reps = self.class_reps[cid]
-        if cid not in self._transported:
-            # a parent comes before its children in the walk
-            done = []
-            for k, link in reps.items():
-                if link < 0:
-                    reps[k] = self.tbl.identity_idx
-                else:
-                    parent, gi = divmod(link, len(self.by))
-                    reps[k] = self.tbl.mul_by(done[parent], self.by[gi])
-                done.append(reps[k])
-            self._transported.add(cid)
-        return reps
+    def transporter_at(self, cid: int, pos: int) -> int:
+        """The element conjugating the class root to the member at `pos`:
+        the generators on the tree path from the root, multiplied out."""
+        tbl, links, nby = self.tbl, self.class_links[cid], len(self.by)
+        path = []
+        while pos > 0:
+            pos, gi = divmod(int(links[pos]), nby)
+            path.append(self.by[gi])
+        x = tbl.identity_idx
+        for g in reversed(path):
+            x = tbl.mul(x, g)
+        return x
+
+    def schreier_generators(self, cid: int):
+        """Batches of t_j·g·t_i^-1 over the members j and generators g,
+        where the transporter t_j conjugates the class root to member j and
+        member i is member j conjugated by g.  They fix the root, and by
+        Schreier's lemma generate its stabilizer.
+
+        One batch per level of the tree from the root (or per _SIFT_CHUNK
+        members of a level), so a caller that has enough stops early.  The
+        transporters are multiplied out a level ahead, one batch of
+        products per level: a member's images lie at most one level
+        deeper."""
+        tbl, reps = self.tbl, self.class_reps[cid]
+        keys = list(reps)
+        parent, gen = np.divmod(self.class_links[cid], len(self.by))
+        by = np.asarray(self.by, dtype=np.int64)
+        inv = tbl._inverses()
+        tr = np.empty(len(keys), dtype=np.int64)
+        tr[0] = tbl.identity_idx
+        lo, hi = 0, 1  # the level's positions
+        while lo < len(keys):
+            # the next level: the positions from hi whose parents come
+            # before hi
+            deeper = np.flatnonzero(parent[hi:] >= hi)
+            end = hi + int(deeper[0]) if len(deeper) else len(keys)
+            if end > hi:
+                tr[hi:end] = _pair_products(tbl, tr[parent[hi:end]],
+                                            by[gen[hi:end]])
+            for s in range(lo, hi, _SIFT_CHUNK):
+                e = min(hi, s + _SIFT_CHUNK)
+                img = np.fromiter(map(reps.__getitem__,
+                                      self._images(keys[s:e])),
+                                  np.int64, (e - s) * len(by))
+                # t_j·g in the images' order
+                tg = tbl.products(tr[s:e], list(self.by)).T.ravel()
+                yield _pair_products(tbl, tg, inv[tr[img]])
+            lo, hi = hi, end
 
     def transporter(self, idxs_from: frozenset, idxs_to: frozenset) -> Perm | None:
         """Some x with (idxs_from)^x = idxs_to, or None if not conjugate."""
         tbl = self.tbl
-        reps = self.transporters(self.class_id(idxs_from))
-        key_to = self.key_of(idxs_to)
-        if key_to not in reps:
+        cid = self.class_id(idxs_from)
+        reps = self.class_reps[cid]
+        pos_to = reps.get(self.key_of(idxs_to))
+        if pos_to is None:
             return None
-        r_from = reps[self.key_of(idxs_from)]
-        x = tbl.mul(tbl.inv(r_from), reps[key_to])
-        return tbl.perm_of(x)
+        r_from = self.transporter_at(cid, reps[self.key_of(idxs_from)])
+        return tbl.perm_of(tbl.mul(tbl.inv(r_from),
+                                   self.transporter_at(cid, pos_to)))
+
+
+def _key_rows(keys: list[bytes]) -> np.ndarray:
+    """Index-set keys of one size back as rows of sorted indices."""
+    return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
+
+
+def _pair_products(tbl: ElementTable, lefts, rights) -> np.ndarray:
+    """Indices of a_i·b_i for the paired index arrays lefts and rights,
+    _SIFT_CHUNK pairs at a time."""
+    out = np.empty(len(lefts), dtype=np.int64)
+    for s in range(0, len(lefts), _SIFT_CHUNK):
+        a = tbl.rows[lefts[s:s + _SIFT_CHUNK]]
+        b = tbl.rows[rights[s:s + _SIFT_CHUNK]]
+        # the row of a·b is b's row read at a's images
+        at = a + (tbl.degree * np.arange(len(a)))[:, None]
+        out[s:s + len(a)] = tbl._indices(b.ravel()[at])
+    return out
 
 
 def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
@@ -308,13 +361,13 @@ def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
                else (tbl.idx_of_perm(g) for g in A.generators))
     orb = tbl.set_orbits.get(by)
     if orb is None:
-        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by)
+        order = tbl.size if A is None else A.order()
+        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by, order)
     return orb
 
 
 def _pi_order_mask(tbl: ElementTable, pi: PiSet, m: int):
     """Per-element flag: order is a pi-number dividing m (class-constant)."""
-    import numpy as np
     class_id, reps = tbl.classes()
     ok = np.zeros(len(reps), dtype=bool)
     for cid, rep in enumerate(reps):
@@ -560,7 +613,6 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
     pi-subgroup solvable) one x per coset of K in N_G(K) with x^p in K,
     p in `primes`, since a solvable group has a normal subgroup of prime
     index; without, one x per right coset of K in G."""
-    import numpy as np
     m = len(h_set)
     orbits = _orbits_for(tbl)
     mask = _pi_order_mask(tbl, pi, m)
@@ -586,26 +638,36 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
 
 
 def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
-    """One pi-element per right coset of K outside K (a coset's
-    elements all give the same extension) that passes a cheap necessary
-    test before a full closure: its products with a few elements of K must
-    still be pi-elements of order dividing the pi-part."""
+    """The least element x of each right coset Kx outside K (a coset's
+    elements all give the same extension), kept when every element of Kx is
+    a pi-element of order dividing the pi-part.  Kx lies in <K, x>, so that
+    is necessary for <K, x> to be a pi-subgroup of order dividing it.  The
+    cosets are computed _SIFT_CHUNK products at a time."""
     xs = [x for x in tbl.coset_reps(K) if x not in K and mask[x]]
-    probe = mask[tbl.products(sorted(K)[:4], xs)].all(axis=1)
-    return [x for x, ok in zip(xs, probe.tolist()) if ok]
+    k_arr = sorted(K)
+    step = max(1, _SIFT_CHUNK // len(k_arr))
+    kept = []
+    for s in range(0, len(xs), step):
+        part = xs[s:s + step]
+        whole = mask[tbl.products(k_arr, part)].all(axis=1)
+        kept += compress(part, whole.tolist())
+    return kept
 
 
 def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
                              K: frozenset, primes: list[int]):
     """One element per coset of K in N_G(K) outside K with x^p in K for a
-    p in `primes`: <K, x> then contains K with index p."""
+    p in `primes`: <K, x> then contains K with index p.  As in
+    `_coset_candidates`, every element of the coset Kx must be a
+    pi-element of order dividing the pi-part."""
     covered = set(K)
     k_arr = sorted(K)
     for x in sorted(_set_stabilizer_elements(tbl, orbits, K)):
         if x in covered:
             continue
-        covered.update(tbl.products(k_arr, x).tolist())
-        if not mask[x]:
+        coset = tbl.products(k_arr, x)
+        covered.update(coset.tolist())
+        if not mask[coset].all():
             continue
         o = tbl.element_order(x)
         if any(o % p == 0 and _power_in_set(tbl, x, p, K) for p in primes):
@@ -621,28 +683,35 @@ def _power_in_set(tbl: ElementTable, x: int, p: int, K: frozenset) -> bool:
 
 def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
                              node: frozenset) -> set[int]:
-    """All elements normalizing the subgroup-set `node`: Schreier generators
-    of the orbit stabilizer, closed into the full stabilizer (its size is
-    |G| / orbit length)."""
+    """The elements of the acting group (G, or A for orbits under A) that
+    normalize the subgroup-set `node`.
+
+    The Schreier generators of the class root's stabilizer come in
+    batches along the orbit's breadth-first tree; each one not yet in the
+    group S so far is added by a closure over S, until |S| is the acting
+    group's order over the orbit length, the stabilizer's order
+    (certified).  The node's transporter then carries S to the node's
+    stabilizer."""
     cid = orbits.class_id(node)
-    class_reps = orbits.transporters(cid)
-    target = tbl.size // len(class_reps)
-    # transversal elements conjugating `node` to each member
-    shift_inv = tbl.inv(class_reps[orbits.key_of(node)])
-    keys = list(class_reps)
-    reps = dict(zip(keys, tbl.products(
-        shift_inv, list(class_reps.values())).tolist()))
-    gens = set()
-    for (key, rep), images in zip(reps.items(), orbits.image_keys(keys)):
-        for image_key, t in zip(images, orbits.by):
-            s = tbl.mul(tbl.mul_by(rep, t), tbl.inv(reps[image_key]))
-            gens.add(s)
-        if len(gens) >= target:
-            break
-    closure = tbl.closure(gens, limit=target)
-    certify(closure is not None and len(closure) == target,
-            "Schreier generators do not close to the normalizer")
-    return set(closure)
+    target = orbits.order // orbits.size(cid)
+    schreier = chain.from_iterable(map(np.ndarray.tolist,
+                                       orbits.schreier_generators(cid)))
+    S, kept = frozenset([tbl.identity_idx]), []
+    while len(S) < target:
+        s = next(schreier, None)
+        certify(s is not None,
+                "Schreier generators do not close to the normalizer")
+        if s not in S:
+            kept.append(s)
+            S = tbl.closure(kept, limit=target, known=S)
+            certify(S is not None, "a Schreier generator lies outside "
+                                   "the stabilizer")
+    pos = orbits.class_reps[cid][orbits.key_of(node)]
+    if pos == 0:
+        return set(S)
+    t = orbits.transporter_at(cid, pos)
+    # x -> t^-1 x t
+    return set(tbl.products(tbl.products(tbl.inv(t), sorted(S)), t).tolist())
 
 
 # -- induced Hall classes -----------------------------------------------------------

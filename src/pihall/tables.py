@@ -11,13 +11,12 @@ by a sift over the base columns only (p_0 is the image of b_0; removing
 u_0 gives the next level's images) and certifies each answer against the
 row found.
 
-Every table-wide map is one sift: inverses, conjugation by an element,
-and right or left multiplication by one.  Conjugacy classes are orbits of
-the conjugation maps by G's generators, and the right cosets of a
-subgroup orbits of left multiplication by its generators; both are
-labelled by the least index in each orbit.  Single products and small
-batches of rows are looked up in a bytes-keyed dict instead, and a small
-table uses it throughout.
+Every table-wide map is one sift: inverses, and conjugation by an
+element.  Conjugacy classes are orbits of the conjugation maps by G's
+generators, labelled by the least index in each orbit.  Batches of
+products (`products`) are sifted too; single products and small batches
+of rows are looked up in a bytes-keyed dict instead, and a small table
+uses it throughout.
 The conjugation maps are also the basis of the Hall oracle's orbits of
 subgroups (as index sets) under G or a subgroup of it.
 """
@@ -93,7 +92,6 @@ class ElementTable:
         self.identity_idx, *self.gen_idxs = idxs
         self._inv: np.ndarray | None = None
         self._conj_by: dict[int, np.ndarray] = {}
-        self._rmul_by: dict[int, np.ndarray] = {}
         self._conj_maps: list[np.ndarray] | None = None
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
@@ -227,15 +225,6 @@ class ElementTable:
 
     def inv(self, i: int) -> int:
         return int(self._inverses()[i])
-
-    def mul_by(self, x: int, g: int) -> int:
-        """x·g for a g that many products share (a generator), from the
-        memoized index map x -> x·g."""
-        got = self._rmul_by.get(g)
-        if got is None:
-            g_row = self.rows[g]
-            got = self._rmul_by[g] = self._map(lambda R: g_row[R], np.int32)
-        return int(got[x])
 
     def element_order(self, i: int) -> int:
         """Order of element i, computed once per conjugacy class (from the

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_group_elements, brute_subgroups_dividing,
-                      brute_subgroups_of_order, small_groups_up_to_degree_8)
+from conftest import (brute_elements, brute_group_elements,
+                      brute_subgroups_dividing, brute_subgroups_of_order,
+                      small_groups_up_to_degree_8)
 from pihall import backtrack, hall, structure, zoo
-from pihall.arith import PiSet, p_part, pi_part, prime_divisors
+from pihall.arith import PiSet, is_pi_number, p_part, pi_part, prime_divisors
 from pihall.backtrack import BudgetExceededError, conjugating_element
 from pihall.config import Budgets
 from pihall.groups import PermGroup
@@ -17,7 +18,9 @@ from pihall.hall import (_orbits_for, all_hall_classes, are_conjugate,
                          k_induced, pi_separable_series, sylow)
 from pihall.perms import Perm
 from pihall.structure import (chief_series, get_table,
-                              minimal_normal_subgroups, normal_subgroups)
+                              minimal_normal_subgroups, normal_closure,
+                              normal_subgroups)
+from pihall.tables import ElementTable
 
 PI23 = PiSet([2, 3])
 PI25 = PiSet([2, 5])
@@ -359,6 +362,51 @@ def test_dominance_work_gate(monkeypatch):
     assert calls[0] == 0
 
 
+def test_oracle_closures_never_abort(monkeypatch):
+    # a work-count gate: every extension the sweeps close was let through
+    # by the whole-coset test, so none of them runs past the pi-part
+    aborted = [0]
+    closure = ElementTable.closure
+
+    def counting(self, *args, **kwargs):
+        got = closure(self, *args, **kwargs)
+        aborted[0] += got is None
+        return got
+
+    monkeypatch.setattr(ElementTable, "closure", counting)
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    structure._table_cache.clear()
+    expected = next(e["expected"] for e in zoo.corpus_manifest()
+                    if (e["name"], e["pi"]) == ("sym6", "2,3"))
+    assert classify_ECD(zoo.build_named("sym6"), PI23).flags() == expected
+    assert aborted[0] == 0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_small_groups_and_pi(), st.integers(0, 10**6))
+def test_coset_test_drops_only_hopeless_extensions(case, pick):
+    # every right coset Kx the whole-coset test drops gives a <K, x> that
+    # is not a pi-subgroup of order dividing the pi-part m; K is <y> for a
+    # drawn pi-element y of order dividing m, or a Sylow subgroup
+    G, pi = case
+    m = pi_part(G.order(), pi)
+    assume(1 < m < G.order())
+    tbl = get_table(G)
+    mask = hall._pi_order_mask(tbl, pi, m)
+    good = [i for i in range(tbl.size) if mask[i]]
+    p = [q for q in pi if m % q == 0][pick % len(prime_divisors(m))]
+    for K in (tbl.closure([good[pick % len(good)]]),
+              tbl.indices_of_subgroup(sylow(G, p, seed=pick))):
+        k_gens = [tbl.perm_of(k) for k in K]
+        kept = set(hall._coset_candidates(tbl, mask, K))
+        for x in tbl.coset_reps(K):
+            if x in K or x in kept:
+                continue
+            L = brute_elements(k_gens + [tbl.perm_of(x)], G.degree, limit=m)
+            assert not (m % len(L) == 0
+                        and all(is_pi_number(y.order(), pi) for y in L))
+
+
 # -- conjugacy ---------------------------------------------------------------------
 
 
@@ -413,6 +461,60 @@ def test_are_conjugate_table_route_matches_backtrack(entry):
                 assert PermGroup(G.degree, [h.conjugate(x)
                                             for h in H.generators]
                                  ).same_group_as(K)
+
+
+# -- index-set orbits ---------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
+def test_set_orbits_match_brute_force(group, pick):
+    # the orbit kernel under G and under a normal subgroup A (the k_induced
+    # case), on K = <g> for a drawn g and on a Sylow subgroup, against
+    # brute conjugation of element sets
+    degree, gens = group
+    G = PermGroup(degree, gens)
+    els = sorted(brute_group_elements(G), key=lambda x: x.images)
+    primes = prime_divisors(G.order())
+    assume(primes)
+    tbl = get_table(G)
+    A = normal_closure(G, [els[pick // 7 % len(els)]])
+    subgroups = [PermGroup(degree, [els[pick % len(els)]]),
+                 sylow(G, primes[pick % len(primes)], seed=pick)]
+
+    def conj(xs, a):
+        return frozenset(x.conjugate(a) for x in xs)
+
+    def perms(idxs):
+        return frozenset(map(tbl.perm_of, idxs))
+
+    for acting in (G, A):
+        orbits = _orbits_for(tbl, None if acting is G else acting)
+        by = sorted(brute_group_elements(acting), key=lambda x: x.images)
+        for K in subgroups:
+            k_els = frozenset(brute_group_elements(K))
+            k_set = tbl.indices_of_subgroup(K)
+            conjugates = {conj(k_els, a) for a in by}
+            cid = orbits.class_id(k_set)
+            assert orbits.size(cid) == len(conjugates)
+            members = [frozenset(r) for r in orbits.members(cid).tolist()]
+            assert {perms(m) for m in members} == conjugates
+            assert orbits.canon(cid) == min(members, key=orbits.key_of)
+            # every transporter maps the root onto its member
+            root = perms(members[0])
+            for pos, member in enumerate(members):
+                t = tbl.perm_of(orbits.transporter_at(cid, pos))
+                assert conj(root, t) == perms(member)
+            for a in by[::max(1, len(by) // 5)]:
+                image = conj(k_els, a)
+                x = orbits.transporter(k_set, frozenset(map(tbl.idx_of_perm,
+                                                            image)))
+                assert x is not None and acting.contains(x)
+                assert conj(k_els, x) == image
+            normalizer = {tbl.idx_of_perm(a) for a in by
+                          if conj(k_els, a) == k_els}
+            assert hall._set_stabilizer_elements(tbl, orbits, k_set) == \
+                normalizer
 
 
 # -- k_induced ----------------------------------------------------------------------
@@ -501,6 +603,12 @@ def test_k_induced_requires_normal():
     H = PermGroup(4, [Perm.from_cycles(4, (0, 1))])
     with pytest.raises(ValueError):
         k_induced(G, H, PI23)
+
+
+def test_k_induced_over_the_trivial_subgroup():
+    # the trivial group acts with no generators: every set is its own class
+    rep = k_induced(zoo.sym(4), PermGroup(4, []), PiSet([2]))
+    assert (rep.k_induced, rep.k_total) == (1, 1)
 
 
 # -- invariance / extension -----------------------------------------------------------

@@ -110,7 +110,7 @@ def test_table_wide_maps():
         x, g = rng.randrange(tbl.size), rng.randrange(tbl.size)
         px, pg = tbl.perm_of(x), tbl.perm_of(g)
         assert tbl.perm_of(int(tbl.conj_map(g)[x])) == px.conjugate(pg)
-        assert tbl.perm_of(tbl.mul_by(x, g)) == px * pg
+        assert tbl.perm_of(int(tbl.products(x, g))) == px * pg
         assert tbl.perm_of(tbl.inv(x)) == px.inverse()
         assert tbl.products([x, g], g).tolist() == [tbl.mul(x, g),
                                                    tbl.mul(g, g)]
