@@ -9,8 +9,9 @@ the intersections H ∩ A.
 
 The sweep's inner loops are batches over the element table.  A candidate
 x extends K only when every element of the coset Kx is a pi-element of
-order dividing the pi-part: a necessary condition, checked for all
-candidates at once before any extension is closed.  An orbit is searched
+order dividing the pi-part: a necessary condition, decided by the same
+pass that finds the cosets (`ElementTable.coset_reps` over the mask of
+such elements) before any extension is closed.  An orbit is searched
 a level at a time and kept as a breadth-first tree, along which the
 transporters are multiplied out.  The normalizer of a class member comes
 from the Schreier generators of that tree, computed a level at a time and
@@ -41,7 +42,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -639,35 +640,25 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
 
 def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
     """The least element x of each right coset Kx outside K (a coset's
-    elements all give the same extension), kept when every element of Kx is
-    a pi-element of order dividing the pi-part.  Kx lies in <K, x>, so that
-    is necessary for <K, x> to be a pi-subgroup of order dividing it.  The
-    cosets are computed _SIFT_CHUNK products at a time."""
-    xs = [x for x in tbl.coset_reps(K) if x not in K and mask[x]]
-    k_arr = sorted(K)
-    step = max(1, _SIFT_CHUNK // len(k_arr))
-    kept = []
-    for s in range(0, len(xs), step):
-        part = xs[s:s + step]
-        whole = mask[tbl.products(k_arr, part)].all(axis=1)
-        kept += compress(part, whole.tolist())
-    return kept
+    elements all give the same extension) that lies wholly in `mask`, the
+    pi-elements of order dividing the pi-part.  Kx lies in <K, x>, so that
+    is necessary for <K, x> to be a pi-subgroup of order dividing it.  One
+    `coset_reps` pass finds the cosets and applies the test."""
+    return [x for x in tbl.coset_reps(K, within=mask) if x not in K]
 
 
 def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
                              K: frozenset, primes: list[int]):
     """One element per coset of K in N_G(K) outside K with x^p in K for a
     p in `primes`: <K, x> then contains K with index p.  As in
-    `_coset_candidates`, every element of the coset Kx must be a
-    pi-element of order dividing the pi-part."""
-    covered = set(K)
-    k_arr = sorted(K)
-    for x in sorted(_set_stabilizer_elements(tbl, orbits, K)):
-        if x in covered:
-            continue
-        coset = tbl.products(k_arr, x)
-        covered.update(coset.tolist())
-        if not mask[coset].all():
+    `_coset_candidates`, the coset Kx must lie wholly in `mask`; the
+    cosets come from one `coset_reps` pass over the mask within N_G(K),
+    which holds every coset Kx of its elements x."""
+    within = np.zeros(tbl.size, dtype=bool)
+    within[list(_set_stabilizer_elements(tbl, orbits, K))] = True
+    within &= mask
+    for x in tbl.coset_reps(K, within=within):
+        if x in K:
             continue
         o = tbl.element_order(x)
         if any(o % p == 0 and _power_in_set(tbl, x, p, K) for p in primes):

@@ -331,7 +331,9 @@ def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,
     table, and terms[0] is G itself: each class outside N whose elements
     have prime order modulo N gives a candidate N·ncl(class), and the next
     term is a candidate of least order, ties broken by _subgroup_sort_key
-    of the subgroups in G.  Past the budget, the next term is the preimage
+    of the subgroups in G; no candidate is grown past |G|/2, the largest
+    order of a proper normal subgroup, or past the least order found so
+    far.  Past the budget, the next term is the preimage
     of minimal_normal_subgroups(G/N)[0] under the seed, G/N the regular
     quotient (ties broken there)."""
     if G.order() <= budgets.order_budget:
@@ -348,27 +350,33 @@ def _chief_terms_in_table(G: PermGroup, budgets: Budgets) -> list[PermGroup]:
     A minimal normal subgroup M/N of G/N is N·ncl(x) for every x in M
     outside N, and some such x has prime order modulo N; so the least of
     these closures is minimal, and a growth may stop once it passes the
-    least found so far."""
+    least found so far.  A proper normal subgroup has order at most
+    |G|/2, so no growth runs past that: when every one stops, the next
+    term is G.  Candidate classes are tried smallest first, so that the
+    least order falls early; every closure of that order is kept, so the
+    term chosen does not depend on the order of the candidates."""
     tbl = get_table(G, budgets)
     class_id, reps = tbl.classes()
     powers = tbl.prime_power_classes()
+    by_size = sorted(range(len(reps)),
+                     key=lambda cid: tbl.size_of_classes([cid]))
     N = frozenset([int(class_id[tbl.identity_idx])])
     terms_up = [PermGroup(G.degree, [])]
     while len(N) < len(reps):
         least: list[frozenset] = []
-        least_order = None
-        for cid in range(len(reps)):
+        least_order = tbl.size // 2
+        for cid in by_size:
             if cid in N or not any(q in N for q in powers[cid]):
                 continue
             M = tbl.normal_closure_classes([cid], limit=least_order, start=N)
             if M is None or M in least:
                 continue
             M_order = tbl.size_of_classes(M)
-            if least_order is None or M_order < least_order:
+            if not least or M_order < least_order:
                 least, least_order = [M], M_order
             else:
                 least.append(M)
-        if least_order == tbl.size:
+        if not least:
             terms_up.append(G)
             break
         term, N = min(((tbl.subgroup(tbl.union_of_classes(M)), M)

@@ -96,6 +96,7 @@ class ElementTable:
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
         self._class_size: np.ndarray | None = None
+        self._class_members: dict[int, np.ndarray] = {}
         self._class_products: dict[tuple[int, int], frozenset] = {}
         self._class_orders: dict[int, int] = {}
         self._prime_powers: list[tuple[int, ...]] | None = None
@@ -334,7 +335,8 @@ class ElementTable:
 
         x·y with x in a, y in k is conjugate to rep(a)·y' and to x'·rep(k)
         (y' in k, x' in a), and y·x is conjugate to x·y: so the product is
-        symmetric and one pass over the smaller class finds it."""
+        symmetric and one pass over the smaller class finds it, with its
+        members read from `class_members`."""
         key = (a, k) if a <= k else (k, a)
         got = self._class_products.get(key)
         if got is None:
@@ -343,9 +345,22 @@ class ElementTable:
             if self._class_size[small] > self._class_size[big]:
                 small, big = big, small
             # rows of x·rep(big) for x in class `small`
-            prods = self.rows[reps[big]][self.rows[class_id == small]]
+            prods = self.rows[reps[big]][self.rows[self.class_members(small)]]
             got = frozenset(class_id[self._indices(prods)].tolist())
             self._class_products[key] = got
+        return got
+
+    def class_members(self, cid: int) -> np.ndarray:
+        """Indices (int32) of the elements of class `cid`, increasing;
+        memoized per class, so that a class product reads them instead of
+        scanning the table.  (One argsort of the class ids would serve
+        every class, but its first call maps in about 128 KB of numpy's
+        sort code, which shows in the peak resident set.)"""
+        got = self._class_members.get(cid)
+        if got is None:
+            class_id, _ = self.classes()
+            got = self._class_members[cid] = np.flatnonzero(
+                class_id == cid).astype(np.int32)
         return got
 
     def size_of_classes(self, cids) -> int:
@@ -415,28 +430,33 @@ class ElementTable:
                     "<gen_idxs>")
         return frozenset(seen)
 
-    def coset_reps(self, sub: frozenset) -> list[int]:
+    def coset_reps(self, sub: frozenset, within=None) -> list[int]:
         """Least-index representatives of the right cosets Kx of the
-        subgroup K = `sub`, in increasing order.  The least element not yet
-        in a coset starts the next one; the cosets of a batch of such
-        elements are looked up together, and an element a coset earlier in
-        its batch covers starts none."""
+        subgroup K = `sub` that lie wholly in the boolean mask `within`
+        (all of G when not given), in increasing order.
+
+        Only elements of the mask start a coset; a coset that reaches
+        outside it is covered but not kept.  Each batch starts cosets
+        from uncovered mask elements taken at an even stride (fewer of
+        them share a coset than of a run of consecutive ones); a coset
+        is known by its least element, so one that two of them share is
+        kept once."""
         k_idx = sorted(sub)
-        # rows a batch looks up: a quarter of the table at most, as batches
-        # run past cosets that earlier ones in them cover
+        # rows a batch looks up: a quarter of the table at most
         batch = max(1, min(_SIFT_CHUNK, self.size // 4) // len(k_idx))
-        covered = np.zeros(self.size, dtype=bool)
-        reps: list[int] = []
-        start = 0
+        todo = (np.ones(self.size, dtype=bool) if within is None
+                else within.copy())
+        reps: set[int] = set()
         while True:
-            free = np.flatnonzero(~covered[start:])[:batch] + start
+            free = np.flatnonzero(todo)
             if not len(free):
-                return reps
-            for x, coset in zip(free.tolist(), self.products(k_idx, free)):
-                if not covered[x]:
-                    reps.append(x)
-                    covered[coset] = True
-            start = int(free[-1]) + 1
+                return sorted(reps)
+            starts = free[::max(1, len(free) // batch)][:batch]
+            cosets = self.products(k_idx, starts)
+            todo[cosets] = False
+            if within is not None:
+                cosets = cosets[within[cosets].all(axis=1)]
+            reps.update(cosets.min(axis=1).tolist())
 
     def subgroup(self, idxs) -> PermGroup:
         """PermGroup from an element index set, generated by the elements,

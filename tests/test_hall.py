@@ -382,6 +382,41 @@ def test_oracle_closures_never_abort(monkeypatch):
     assert aborted[0] == 0
 
 
+def test_coset_pass_looks_up_few_rows(monkeypatch):
+    # a work-count gate: the coset pass of a cold classify_ECD(gl4_2,
+    # {2,3}) (coset_reps, and the candidate tests on the cosets it finds)
+    # passes at most 110,000 rows to products; the cosets that meet the
+    # masks hold 81,372
+    rows, depth = [0], [0]
+    products = ElementTable.products
+
+    def counting(self, lefts, rights):
+        got = products(self, lefts, rights)
+        rows[0] += got.size if depth[0] else 0
+        return got
+
+    def inside(f):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(ElementTable, "products", counting)
+    monkeypatch.setattr(ElementTable, "coset_reps",
+                        inside(ElementTable.coset_reps))
+    monkeypatch.setattr(hall, "_coset_candidates",
+                        inside(hall._coset_candidates))
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    structure._table_cache.clear()
+    expected = next(e["expected"] for e in zoo.corpus_manifest()
+                    if (e["name"], e["pi"]) == ("gl4_2", "2,3"))
+    assert classify_ECD(zoo.build_named("gl4_2"), PI23).flags() == expected
+    assert 0 < rows[0] <= 110_000
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(_small_groups_and_pi(), st.integers(0, 10**6))
 def test_coset_test_drops_only_hopeless_extensions(case, pick):

@@ -1,0 +1,68 @@
+"""The answers of the oracle and the reduction on the 45 manifest pairs, at
+seeds 1 and 2, pinned by one digest.
+
+A change that only makes the program faster must leave this digest alone.
+A change that moves a witness (another member of the same class, another
+Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
+CHANGES.md; `python tests/test_pinned_answers.py` prints the digest of
+the current tree, and `--json` prints the answers it covers.
+"""
+
+import hashlib
+import json
+import sys
+
+from pihall import hall, structure, zoo
+from pihall.arith import PiSet
+from pihall.reduction import cpi_reduce
+
+PINNED_DIGEST = (
+    "5244657e3d82b65d09d1314bebca2fedc59dff83b4db58322614254c7db60b1f")
+SEEDS = (1, 2)
+
+
+def _gens(H):
+    return None if H is None else [list(g.images) for g in H.generators]
+
+
+def _cold():
+    # every query starts from empty caches, as a fresh CLI run would
+    hall._classify_cache.clear()
+    structure._table_cache.clear()
+
+
+def pinned_answers() -> list:
+    out = []
+    for e in zoo.corpus_manifest():
+        pi = PiSet.parse(e["pi"])
+        for seed in SEEDS:
+            _cold()
+            G = zoo.build_named(e["name"])
+            rep = hall.classify_ECD(G, pi, seed=seed)
+            _cold()
+            trace = cpi_reduce(zoo.build_named(e["name"]), pi, seed=seed)
+            out.append({
+                "name": e["name"], "pi": e["pi"], "seed": seed,
+                "flags": rep.flags(),
+                "class_sizes": rep.classes.class_sizes,
+                "class_reps": [_gens(H) for H in rep.classes.class_reps],
+                "d_witness": _gens(rep.d_witness),
+                "reduction": trace.to_dict(),
+                "series_terms": [_gens(T) for T in trace.series.terms],
+            })
+    return out
+
+
+def digest(answers) -> str:
+    blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_pinned_answers():
+    assert digest(pinned_answers()) == PINNED_DIGEST
+
+
+if __name__ == "__main__":
+    answers = pinned_answers()
+    print(json.dumps(answers, sort_keys=True, indent=1)
+          if "--json" in sys.argv[1:] else digest(answers))

@@ -464,6 +464,18 @@ def test_corpus_chief_series_orders_pinned():
         assert [T.order() for T in cs.terms] == orders, name
 
 
+@pytest.mark.parametrize("name, most", [("gl4_2", 20), ("alt5wr2", 130)])
+def test_chief_series_class_products(monkeypatch, name, most):
+    # a work-count gate: from a fresh table, the series computes few class
+    # products, since no candidate closure grows past |G|/2 or past the
+    # least order found at its level
+    monkeypatch.setattr(structure, "_table_cache", {})
+    G = zoo.build_named(name)
+    cs = chief_series(G)
+    assert [T.order() for T in cs.terms] == CORPUS_SERIES_ORDERS[name]
+    assert len(structure.get_table(G)._class_products) <= most
+
+
 def test_table_cache_keeps_generator_order(monkeypatch):
     # a table's index order follows the generator order, so two groups with
     # the same generators in another order must not share a table

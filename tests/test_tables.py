@@ -165,12 +165,23 @@ def test_coset_reps_match_brute_force(G, picks):
     K = tbl.closure(gens)
     els = [tbl.perm_of(i) for i in range(tbl.size)]
     # the least index of each right coset Kx, from the permutations
-    brute, covered = [], set()
+    brute, covered, cosets = [], set(), []
     for x in range(tbl.size):
         if x not in covered:
             brute.append(x)
-            covered |= {tbl.idx_of_perm(els[k] * els[x]) for k in K}
+            cosets.append({tbl.idx_of_perm(els[k] * els[x]) for k in K})
+            covered |= cosets[-1]
     assert tbl.coset_reps(K) == brute
+    # a drawn mask holds about half the cosets wholly, the rest in part;
+    # only the cosets wholly inside it are kept
+    rng = random.Random(repr(picks))
+    within = np.zeros(tbl.size, dtype=bool)
+    for coset in cosets:
+        whole = rng.random() < 0.5
+        for y in coset:
+            within[y] = whole or rng.random() < 0.7
+    assert tbl.coset_reps(K, within=within) == [
+        x for x, coset in zip(brute, cosets) if within[list(coset)].all()]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
