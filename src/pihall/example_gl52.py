@@ -79,16 +79,18 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
                         "exhaustive (classification input); not verified "
                         "at desk scale"}
 
+    # Both groups state their closed-form orders, which order() returns
+    # as given; the claims read the orders their chains certify.
     G = zoo.gl(5, 2)
     expected = 2 ** 10 * 3 ** 2 * 5 * 7 * 31
-    _claim(report, "base-order-factorization", G.order() == expected,
-           f"|GL5(2)| = {G.order()} = 2^10*3^2*5*7*31",
-           order=G.order())
+    order = G.chain().order()
+    _claim(report, "base-order-factorization", order == expected,
+           f"|GL5(2)| = {order} = 2^10*3^2*5*7*31", order=order)
 
     hat = zoo.gl52_hat()
-    _claim(report, "extension-order", hat.group.order() == 2 * expected,
-           f"|extension| = {hat.group.order()} = 2*|GL5(2)|",
-           order=hat.group.order())
+    order = hat.group.chain().order()
+    _claim(report, "extension-order", order == 2 * expected,
+           f"|extension| = {order} = 2*|GL5(2)|", order=order)
     _claim(report, "involution", (hat.iota * hat.iota).is_identity(),
            "the block swap is an involution")
 

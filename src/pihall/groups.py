@@ -5,13 +5,23 @@ The stabilizer chain is built by a deterministic Schreier-Sims procedure
 point moved by the generator that creates the level.  Groups are immutable
 once the chain exists, so they are safe to share across threads.
 
-A chain told its group's exact order stops verifying Schreier generators
-once the product of its basic orbit lengths reaches that order.  The stop
-is certified, not sampled: each level's generators lie in the true
+A chain told an order for its group stops verifying Schreier generators
+once the product of its basic orbit lengths reaches that order.  The stated
+order must be at least the true order |G|: either |G| itself, computed, or
+an upper bound known by construction (the generators lie in a group of
+that order, as invertible matrices lie in GL_n(q)).  The stop is then
+certified, not sampled: each level's generators lie in the true
 stabilizer, so the product is at most |G|, with equality exactly when every
-level generates its full stabilizer, i.e. when the chain is complete.  From
-then on every Schreier generator sifts to the identity, so the base, level
-generators and orbits are those full verification gives.
+level generates its full stabilizer, i.e. when the chain is complete.  A
+product that reaches the stated order therefore certifies that order as
+|G|; if |G| is smaller, full verification ends below the stated order and
+raises VerificationError.  From the stop on every Schreier generator sifts
+to the identity, so the base, level generators and orbits are those full
+verification gives.  A stated order below |G| is the one error nothing
+catches: the product can meet it early and stop an incomplete chain.
+
+`PermGroup.order` returns a stated order without building a chain, so a
+check of a stated order reads the chain's: `G.chain().order()`.
 
 A subgroup found by growing a chain (`span`, the backtrack searches) adopts
 that chain instead of building a second one from its generators.  An
@@ -150,17 +160,22 @@ class _Chain:
     stabilizer of the whole hint block is then the chain suffix after the
     hint levels.  Pre-created levels that stay trivial cost O(1) each.
 
-    ``order``, when given, must be the exact order of the group the
-    generators generate, computed, never estimated: verification stops as
-    soon as the orbit-length product reaches it (see the module docstring).
-    A stated order that verification runs past or never reaches raises
-    VerificationError; one that is too small but equals an intermediate
-    product would stop the chain early undetected.  The sources used are:
-    the source group's order for an action's combined chain (the action is
-    faithful on the original points); a complete chain's orbit-length
-    product, or a suffix of it (stabilizers, action kernels); |kernel|·|Q̄|
-    for a preimage; |G|/|kernel| for an action's image; |H| for a
-    conjugate of H.  Spans and backtrack results state none: their groups
+    ``order``, when given, must be at least the order of the group the
+    generators generate: that order, computed, or an upper bound known by
+    construction, never an estimate.  Verification stops as soon as the
+    orbit-length product reaches it, which certifies it as the group's
+    order (see the module docstring).  A stated order that verification
+    runs past or never reaches raises VerificationError; one that is too
+    small but equals an intermediate product would stop the chain early
+    undetected.  The sources used are: the source group's order for an
+    action's combined chain (the action is faithful on the original
+    points); a complete chain's orbit-length product, or a suffix of it
+    (stabilizers, action kernels); |kernel|·|Q̄| for a preimage;
+    |G|/|kernel| for an action's image; |H| for a conjugate of H; the
+    upper bounds |GL_n(q)| for ``zoo.gl`` and ``zoo.GLHat.inner`` (images
+    of invertible matrices) and 2|GL_n(q)| for ``zoo.GLHat.group`` (after
+    the constructor certifies that the swap is an involution normalizing
+    the inner copy).  Spans and backtrack results state none: their groups
     adopt the chain that found them (``PermGroup._adopt``).
     """
 
@@ -348,7 +363,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.name = name
-        # exact order (see _Chain); read off the chain when not stated
+        # stated order (see _Chain); read off the chain when not stated
         self._order = order
         self._chain_cache: _Chain | None = None
         self._fingerprint = None

@@ -127,19 +127,6 @@ def mat_transpose(A) -> tuple:
     return tuple(zip(*A))
 
 
-def vec_mat(field: GF, v, M) -> tuple:
-    add, mul = field.add, field.mul
-    n = len(M[0])
-    out = []
-    for j in range(n):
-        s = 0
-        for i, vi in enumerate(v):
-            if vi:
-                s = add[s][mul[vi][M[i][j]]]
-        out.append(s)
-    return tuple(out)
-
-
 def mat_inverse(field: GF, A) -> tuple:
     """Gauss-Jordan inverse; raises ValueError when singular."""
     n = len(A)
@@ -183,6 +170,16 @@ def in_span(field: GF, basis, v) -> bool:
     return len(rref(field, list(basis) + [v])) == len(rref(field, basis))
 
 
+def span_points(field: GF, basis) -> set[int]:
+    """Point indices of the nonzero vectors in the span of the basis."""
+    add, mul = field.add, field.mul
+    vecs = [(0,) * len(basis[0])] if basis else []
+    for b in basis:
+        vecs += [tuple(add[x][mul[c][y]] for x, y in zip(v, b))
+                 for v in vecs for c in range(1, field.q)]
+    return {vec_to_point(field.q, v) for v in vecs[1:]}
+
+
 # -- vector point indexing ----------------------------------------------------
 
 
@@ -206,10 +203,19 @@ def point_to_vec(q: int, n: int, point: int) -> tuple:
 
 
 def matrix_to_perm_images(field: GF, n: int, M) -> tuple[int, ...]:
-    """Permutation of the q^n - 1 nonzero vectors induced by v -> v*M."""
+    """Permutation of the q^n - 1 nonzero vectors induced by v -> v*M.
+
+    By linearity: the vector of index value d*q^i + low (0 < d < q,
+    low < q^i) has image image(low) + d*M[i], so each image costs one
+    vector addition of a scaled row instead of a full vector-matrix
+    product."""
     q = field.q
-    images = []
-    for point in range(q ** n - 1):
-        v = point_to_vec(q, n, point)
-        images.append(vec_to_point(q, vec_mat(field, v, M)))
-    return tuple(images)
+    add, mul = field.add, field.mul
+    images: list[tuple] = [(0,) * n]   # by index value; value 0 is v = 0
+    for i in range(n):
+        scaled = [tuple(mul[d][x] for x in M[i]) for d in range(q)]
+        for d in range(1, q):
+            for low in range(q ** i):
+                images.append(tuple(map(lambda a, b: add[a][b],
+                                        images[low], scaled[d])))
+    return tuple(vec_to_point(q, v) for v in images[1:])

@@ -132,14 +132,20 @@ def _gl_generator_matrices(n: int, q: int) -> list[tuple]:
 
 
 def gl(n: int, q: int) -> PermGroup:
-    """GL(n,q) acting on the q^n - 1 nonzero row vectors (q <= 9, n <= 6)."""
+    """GL(n,q) acting on the q^n - 1 nonzero row vectors (q <= 9, n <= 6).
+
+    States the order |GL_n(q)|: the generators are invertible matrices, so
+    they generate at most that many elements, and the chain certifies the
+    order by reaching it (it raises VerificationError if they generate
+    fewer; see pihall.groups)."""
     if q > 9 or n > 6:
         raise ValueError("gl(n,q) supports q <= 9 and n <= 6")
     _check_degree(q ** n - 1)
     field = gf(q)
     gens = [Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
             for M in _gl_generator_matrices(n, q)]
-    return PermGroup(q ** n - 1, gens, name=f"gl{n}_{q}")
+    return PermGroup(q ** n - 1, gens, name=f"gl{n}_{q}",
+                     order=gl_order(n, q))
 
 
 # -- flags and their stabilizers ------------------------------------------------
@@ -194,12 +200,26 @@ def flag_stabilizer(n: int, q: int, dims,
 # -- GL5(2) extended by the inverse-transpose involution ------------------------
 
 
+def _block_swap(block: int) -> Perm:
+    """The involution exchanging point x and point x + block."""
+    return Perm([x + block for x in range(block)] + list(range(block)),
+                validate=False)
+
+
 class GLHat:
     """GL_n(q) acting on vectors + covectors, extended by the block swap.
 
     ``group`` is the degree-2(q^n-1) extension, ``inner`` the image of
     GL_n(q) inside it, ``iota`` the swapping involution.  Conjugation by
     iota realizes x -> transpose-inverse on the matrix group.
+
+    Both groups state their orders.  ``inner`` is the image of GL_n(q)
+    under M -> embed_matrix(M), so it has at most |GL_n(q)| elements.
+    ``group`` states 2|GL_n(q)| only after the constructor certifies that
+    iota is an involution normalizing ``inner`` (iota^2 = 1 and iota g iota
+    in ``inner`` for every generator g), so that ``inner`` has index at
+    most 2 in it.  Each chain then certifies its stated order by reaching
+    it (see pihall.groups).
     """
 
     def __init__(self, n: int, q: int):
@@ -209,13 +229,18 @@ class GLHat:
         self._field = field
         mats = _gl_generator_matrices(n, q)
         inner_gens = [self.embed_matrix(M) for M in mats]
-        iota = Perm([x + block for x in range(block)] + list(range(block)),
-                    validate=False)
+        iota = _block_swap(block)
         self.iota = iota
-        self.inner = PermGroup(2 * block, inner_gens, name=f"gl{n}_{q}@hat")
+        self.inner = PermGroup(2 * block, inner_gens, name=f"gl{n}_{q}@hat",
+                               order=gl_order(n, q))
+        certify((iota * iota).is_identity()
+                and all(self.inner.contains(iota * g * iota)
+                        for g in inner_gens),
+                "the block swap is not an involution normalizing the inner "
+                "copy")
         self.group = PermGroup(2 * block, inner_gens + [iota],
-                               name=f"gl{n}_{q}_hat")
-        self._field = field
+                               name=f"gl{n}_{q}_hat",
+                               order=2 * gl_order(n, q))
 
     def embed_matrix(self, M) -> Perm:
         """Degree-2(q^n-1) permutation: v -> v*M on the vector block,
@@ -397,21 +422,18 @@ def flag_of_subgroup(H: PermGroup, n: int, q: int):
         for orb in remaining:
             if orb[0] in used:
                 continue
-            vecs = current and list(current) or []
-            basis = linalg.rref(field, vecs + [
+            basis = linalg.rref(field, current + [
                 linalg.point_to_vec(q, n, p) for p in orb])
-            # the span must consist exactly of used points + this orbit
-            count = q ** len(basis) - 1
-            if count == len(used) + len(orb):
-                span_ok = all(
-                    linalg.in_span(field, basis, linalg.point_to_vec(q, n, p))
-                    for p in orb)
-                if span_ok:
-                    found = (orb, basis)
-                    break
+            # the span holds the used points and this orbit, so it consists
+            # of exactly those when the counts agree
+            if q ** len(basis) - 1 == len(used) + len(orb):
+                found = (orb, basis)
+                break
         if found is None:
             return None
         orb, basis = found
+        certify(linalg.span_points(field, basis) == used | set(orb),
+                "flag step is not the span of the used points and the orbit")
         dims.append(len(basis) - (len(chain[-1]) if chain else 0))
         chain.append(basis)
         used.update(orb)

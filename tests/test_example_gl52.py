@@ -102,3 +102,22 @@ def test_every_search_gets_the_node_budget(monkeypatch):
     report = run_example(Budgets(node_budget=budget))
     assert report["verdict"] is True
     assert len(seen) >= 4 and set(seen) == {budget}
+
+
+def test_example_sift_work_gate(monkeypatch):
+    # one cold run sifts at most 2,500 elements into stabilizer chains:
+    # the degree-31 and degree-62 chains stop at their stated orders
+    from pihall import groups
+    from pihall.example_gl52 import run_example
+
+    calls = 0
+    sift = groups._Chain._sift_add
+
+    def counting(self, start, w):
+        nonlocal calls
+        calls += 1
+        return sift(self, start, w)
+
+    monkeypatch.setattr(groups._Chain, "_sift_add", counting)
+    assert run_example()["verdict"] is True
+    assert calls <= 2500

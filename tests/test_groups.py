@@ -30,11 +30,18 @@ def test_alt5_order():
 
 
 def test_gl52_order_matches_prime_factorization():
-    assert zoo.gl(5, 2).order() == 2 ** 10 * 3 ** 2 * 5 * 7 * 31
+    # gl states its order; read the chain's, and an unstated chain's
+    G = zoo.gl(5, 2)
+    expected = 2 ** 10 * 3 ** 2 * 5 * 7 * 31
+    assert G.chain().order() == expected
+    assert _Chain(G.degree, G.gen_tuples()).order() == expected
 
 
 def test_gl52_hat_order():
-    assert zoo.gl52_hat().group.order() == 2 * 2 ** 10 * 3 ** 2 * 5 * 7 * 31
+    G = zoo.gl52_hat().group
+    expected = 2 * 2 ** 10 * 3 ** 2 * 5 * 7 * 31
+    assert G.chain().order() == expected
+    assert _Chain(G.degree, G.gen_tuples()).order() == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,11 +1,13 @@
 """The answers of the oracle and the reduction on the 45 manifest pairs, at
-seeds 1 and 2, pinned by one digest.
+seeds 1 and 2, pinned by one digest; the GL5(2) example's report at seed 1,
+pinned by another.
 
-A change that only makes the program faster must leave this digest alone.
+A change that only makes the program faster must leave both digests alone.
 A change that moves a witness (another member of the same class, another
 Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
-CHANGES.md; `python tests/test_pinned_answers.py` prints the digest of
-the current tree, and `--json` prints the answers it covers.
+CHANGES.md; `python tests/test_pinned_answers.py` prints both digests of
+the current tree, and `--json` prints the answers and the report they
+cover.
 """
 
 import hashlib
@@ -14,10 +16,13 @@ import sys
 
 from pihall import hall, structure, zoo
 from pihall.arith import PiSet
+from pihall.example_gl52 import run_example
 from pihall.reduction import cpi_reduce
 
 PINNED_DIGEST = (
     "5244657e3d82b65d09d1314bebca2fedc59dff83b4db58322614254c7db60b1f")
+PINNED_EXAMPLE_DIGEST = (
+    "0e5e8ed89f38a2d96d92022b242b861692f6138577f1a2f4311e8830ebdc7b61")
 SEEDS = (1, 2)
 
 
@@ -53,6 +58,11 @@ def pinned_answers() -> list:
     return out
 
 
+def example_report() -> dict:
+    _cold()
+    return run_example(seed=1)
+
+
 def digest(answers) -> str:
     blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -62,7 +72,15 @@ def test_pinned_answers():
     assert digest(pinned_answers()) == PINNED_DIGEST
 
 
+def test_pinned_example_report():
+    assert digest(example_report()) == PINNED_EXAMPLE_DIGEST
+
+
 if __name__ == "__main__":
-    answers = pinned_answers()
-    print(json.dumps(answers, sort_keys=True, indent=1)
-          if "--json" in sys.argv[1:] else digest(answers))
+    answers, report = pinned_answers(), example_report()
+    if "--json" in sys.argv[1:]:
+        print(json.dumps({"answers": answers, "example": report},
+                         sort_keys=True, indent=1))
+    else:
+        print("answers", digest(answers))
+        print("example", digest(report))

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
 from pihall import zoo
-from pihall.groups import VerificationError
-from pihall.linalg import gf, mat_identity, mat_inverse, mat_mul, \
-    mat_transpose, point_to_vec, vec_to_point
+from pihall.groups import PermGroup, VerificationError, _Chain
+from pihall.linalg import gf, in_span, mat_identity, mat_inverse, mat_mul, \
+    mat_transpose, matrix_to_perm_images, point_to_vec, span_points, \
+    vec_to_point
 from pihall.perms import Perm
+
+GL_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]
 
 
 @pytest.mark.parametrize("build,expect", [
@@ -163,3 +168,102 @@ def test_degree_budget_guard():
         zoo.sym(20_000)
     with pytest.raises(ValueError):
         zoo.gl(6, 9)
+
+
+# -- closed-form orders: stated, then certified by the chain -------------------
+
+
+def _shape(chain):
+    return [(lvl.point, list(lvl.gens), list(lvl.orbit_list))
+            for lvl in chain.levels]
+
+
+def _assert_matches_unstated(G, order):
+    # the chain stopped at the stated order is the chain full verification
+    # builds: same order and, per level, base point, generators and orbit
+    assert G.order() == order
+    stated = G.chain()
+    full = _Chain(G.degree, G.gen_tuples())
+    assert stated.order() == full.order() == order
+    assert _shape(stated) == _shape(full)
+
+
+@pytest.mark.parametrize("n,q", GL_PAIRS + [(2, 5), (2, 8), (2, 9)])
+def test_gl_stated_order_chain_matches_unstated(n, q):
+    _assert_matches_unstated(zoo.gl(n, q), zoo.gl_order(n, q))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (5, 2)])
+def test_gl_hat_stated_orders_match_unstated(n, q):
+    hat = zoo.GLHat(n, q)
+    _assert_matches_unstated(hat.inner, zoo.gl_order(n, q))
+    _assert_matches_unstated(hat.group, 2 * zoo.gl_order(n, q))
+
+
+@pytest.mark.parametrize("n,q", GL_PAIRS)
+def test_proper_subgroup_stating_gl_order_fails_verification(n, q):
+    G = zoo.gl(n, q)
+    H = PermGroup(G.degree, G.generators[:1], order=zoo.gl_order(n, q))
+    with pytest.raises(VerificationError):
+        H.chain()
+
+
+def test_gl_hat_certifies_the_swap(monkeypatch):
+    block = 2 ** 3 - 1
+    swap = zoo._block_swap(block)
+    tau = Perm.from_cycles(2 * block, (0, 1))
+    # an involution that moves the block structure off the linear one,
+    # then a swap that is no involution
+    for bad in (tau * swap * tau, swap * tau):
+        monkeypatch.setattr(zoo, "_block_swap", lambda b, bad=bad: bad)
+        with pytest.raises(VerificationError):
+            zoo.GLHat(3, 2)
+
+
+# -- matrix actions and spans ---------------------------------------------------
+
+
+def _invertible_matrices(n, q, count, rng):
+    F = gf(q)
+    out = []
+    while len(out) < count:
+        M = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        try:
+            mat_inverse(F, M)
+        except ValueError:
+            continue
+        out.append(M)
+    return out
+
+
+def _vec_mat(F, v, M):
+    # v*M coordinate by coordinate: sum over i of v[i]*M[i][j]
+    out = []
+    for j in range(len(M[0])):
+        s = 0
+        for i, vi in enumerate(v):
+            s = F.add[s][F.mul[vi][M[i][j]]]
+        out.append(s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,q", GL_PAIRS)
+def test_matrix_to_perm_images_by_linearity(n, q):
+    F = gf(q)
+    mats = zoo._gl_generator_matrices(n, q) + \
+        _invertible_matrices(n, q, 4, random.Random(n * 10 + q))
+    for M in mats:
+        assert matrix_to_perm_images(F, n, M) == tuple(
+            vec_to_point(q, _vec_mat(F, point_to_vec(q, n, p), M))
+            for p in range(q ** n - 1))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (3, 3), (2, 4)])
+def test_span_points_match_in_span(n, q):
+    F = gf(q)
+    rng = random.Random(n * 10 + q)
+    for k in range(1, n + 1):
+        basis = _invertible_matrices(n, q, 1, rng)[0][:k]
+        assert span_points(F, basis) == {
+            p for p in range(q ** n - 1)
+            if in_span(F, basis, point_to_vec(q, n, p))}
