@@ -317,7 +317,9 @@ class PredicateProperty(SearchProperty):
 
 def partition_stabilizer(G: PermGroup, colors,
                          budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
-    """Subgroup of G preserving every color class setwise."""
+    """Subgroup of G preserving every color class setwise.  The package no
+    longer calls it: it is the tests' independent reference for
+    zoo.flag_stabilizer's closed form, and perfbench/layers.py wraps it."""
     return subgroup_search(G, ColorProperty(colors), budgets=budgets)
 
 

@@ -8,6 +8,10 @@ the first one in the extension is a {2,3}-Hall subgroup there meeting the
 inner copy exactly in it.  Exhaustiveness of the three classes is beyond
 desk scale and reported as an assumption, not a result.
 
+The flag stabilizers come from closed-form parabolic generators with a
+colour certificate, at their stated order (see zoo.flag_stabilizer), not
+from a search; the one backtrack search left is that normalizer's.
+
 On success the pipeline can record the extension's conjugacy verdict and
 Hall subgroup in a SpecialCaseRegistry the caller hands it; passing that
 object to `cpi_reduce(known=...)` lets the generic reduction decide the
@@ -94,7 +98,7 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     _claim(report, "involution", (hat.iota * hat.iota).is_identity(),
            "the block swap is an involution")
 
-    reps = [zoo.flag_stabilizer(5, 2, dims, budgets) for dims in DIMS]
+    reps = [zoo.flag_stabilizer(5, 2, dims) for dims in DIMS]
     hall_order = pi_part(G.order(), PI)
     for H, dims in zip(reps, DIMS):
         _claim(report, f"hall-{''.join(map(str, dims))}",

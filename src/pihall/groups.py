@@ -173,9 +173,10 @@ class _Chain:
     (stabilizers, action kernels); |kernel|·|Q̄| for a preimage;
     |G|/|kernel| for an action's image; |H| for a conjugate of H; the
     upper bounds |GL_n(q)| for ``zoo.gl`` and ``zoo.GLHat.inner`` (images
-    of invertible matrices) and 2|GL_n(q)| for ``zoo.GLHat.group`` (after
-    the constructor certifies that the swap is an involution normalizing
-    the inner copy).  Spans and backtrack results state none: their groups
+    of invertible matrices), the parabolic order for
+    ``zoo.flag_stabilizer`` (block-lower-triangular matrices) and
+    2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies
+    that the swap is an involution normalizing the inner copy).  Spans and backtrack results state none: their groups
     adopt the chain that found them (``PermGroup._adopt``).
     """
 

@@ -170,31 +170,55 @@ def _subgroup_sort_key(H: PermGroup):
 
 def _minimal_normals_large(G: PermGroup, budgets: Budgets,
                            seed: int) -> list[PermGroup]:
+    """The inclusion-minimal sampled proper normal closures, each kept as
+    the first sample that gives it.  Sampling stops as soon as the
+    candidates so far certify themselves (see _socle_certified); later
+    samples could only repeat or contain them."""
     order = G.order()
-    cands = [M for M in _sampled_closures(G, seed) if M.order() < order]
-    if not cands:
+    minimal: list[PermGroup] = []
+    verified: dict[PermGroup, bool] = {}
+    error = None
+    for M in _sampled_closures(G, seed):
+        if M.order() == order or any(K.order() <= M.order()
+                                     and K.is_subgroup_of(M)
+                                     for K in minimal):
+            continue
+        minimal = [K for K in minimal
+                   if not (M.order() < K.order() and M.is_subgroup_of(K))]
+        minimal.append(M)
+        try:
+            if _socle_certified(G, minimal, verified, budgets, seed):
+                return sorted(minimal, key=_subgroup_sort_key)
+            error = None
+        except BudgetExceededError as exc:
+            error = exc   # open for now: a later sample may replace M
+    if not minimal:
         if is_simple(G, budgets, seed):
             return [G]
         raise BudgetExceededError("minimal-normal",
                                   "no proper closure found by sampling")
-    # keep inclusion-minimal candidates
-    cands.sort(key=lambda H: H.order())
-    minimal: list[PermGroup] = []
-    for M in cands:
-        if any(K.order() <= M.order() and K.is_subgroup_of(M) for K in minimal):
-            continue
-        if any(M.same_group_as(K) for K in minimal):
-            continue
-        minimal.append(M)
-    for M in minimal:
-        if not _verify_minimal_normal(G, M, budgets, seed):
-            raise BudgetExceededError("minimal-normal",
-                                      "candidate failed minimality check")
-    socle = join_subgroups(G, minimal)
-    if not centralizer(G, socle, budgets).is_trivial():
+    if error is not None:
+        raise error
+    if not all(verified[M] for M in minimal):
         raise BudgetExceededError("minimal-normal",
-                                  "completeness check inconclusive")
-    return sorted(minimal, key=_subgroup_sort_key)
+                                  "candidate failed minimality check")
+    raise BudgetExceededError("minimal-normal",
+                              "completeness check inconclusive")
+
+
+def _socle_certified(G: PermGroup, minimal: list[PermGroup],
+                     verified: dict[PermGroup, bool], budgets: Budgets,
+                     seed: int) -> bool:
+    """True when every candidate is a verified minimal normal subgroup and
+    their join S has C_G(S) = 1; then they are all the minimal normal
+    subgroups.  One outside S would meet S trivially and centralize it;
+    one inside S would share a simple factor with a found one, S having
+    trivial centre.  `verified` caches each candidate's verification."""
+    for M in minimal:
+        if M not in verified:
+            verified[M] = _verify_minimal_normal(G, M, budgets, seed)
+    return all(verified[M] for M in minimal) and centralizer(
+        G, join_subgroups(G, minimal), budgets).is_trivial()
 
 
 def _verify_minimal_normal(G: PermGroup, M: PermGroup, budgets: Budgets,

@@ -9,9 +9,9 @@ on twice the degree.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import linalg
-from .backtrack import partition_stabilizer
-from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup, certify
 from .linalg import gf, mat_identity, mat_inverse, mat_mul, mat_transpose
 from .perms import Perm
@@ -131,6 +131,12 @@ def _gl_generator_matrices(n: int, q: int) -> list[tuple]:
     return mats
 
 
+def _check_gl(n: int, q: int) -> None:
+    if q > 9 or n > 6:
+        raise ValueError("gl(n,q) supports q <= 9 and n <= 6")
+    _check_degree(q ** n - 1)
+
+
 def gl(n: int, q: int) -> PermGroup:
     """GL(n,q) acting on the q^n - 1 nonzero row vectors (q <= 9, n <= 6).
 
@@ -138,9 +144,7 @@ def gl(n: int, q: int) -> PermGroup:
     they generate at most that many elements, and the chain certifies the
     order by reaching it (it raises VerificationError if they generate
     fewer; see pihall.groups)."""
-    if q > 9 or n > 6:
-        raise ValueError("gl(n,q) supports q <= 9 and n <= 6")
-    _check_degree(q ** n - 1)
+    _check_gl(n, q)
     field = gf(q)
     gens = [Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
             for M in _gl_generator_matrices(n, q)]
@@ -179,21 +183,51 @@ def parabolic_order(dims, q: int) -> int:
     return out
 
 
-def flag_stabilizer(n: int, q: int, dims,
-                    budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
+def _parabolic_generator_matrices(n: int, q: int, dims) -> list[tuple]:
+    """Block-lower-triangular generators of the standard-flag stabilizer:
+    each block's GL generators on the diagonal, then one elementary
+    transvection per adjacent pair of blocks, M[cut][cut-1] = 1 (a row of
+    the later block, a column of the earlier one)."""
+    mats = []
+    start = 0
+    for d in dims:
+        for B in _gl_generator_matrices(d, q):
+            M = [list(row) for row in mat_identity(n)]
+            for i in range(d):
+                M[start + i][start:start + d] = B[i]
+            mats.append(tuple(map(tuple, M)))
+        start += d
+    for cut in accumulate(dims[:-1]):
+        M = [list(row) for row in mat_identity(n)]
+        M[cut][cut - 1] = 1
+        mats.append(tuple(map(tuple, M)))
+    return mats
+
+
+def flag_stabilizer(n: int, q: int, dims) -> PermGroup:
     """Stabilizer in gl(n,q) of the standard flag with the given dimension
-    sequence, computed as the setwise stabilizer of the subspace point sets
-    and checked against the closed-form parabolic order."""
+    sequence, from closed-form parabolic generators, with no search.
+
+    Vectors are rows acting by v -> v*M, so M preserves every flag step
+    exactly when it is block lower triangular.  The generators are
+    certified to map each colour class of `standard_flag_colors` onto
+    itself, so they lie in the parabolic subgroup, whose order
+    `parabolic_order` is therefore an upper bound; the group states it,
+    and its chain certifies it by reaching it (VerificationError if the
+    generators generate less; see pihall.groups)."""
     dims = tuple(dims)
-    G = gl(n, q)
-    if len(dims) == 1:
-        return G
+    _check_gl(n, q)
+    field = gf(q)
     colors = standard_flag_colors(n, q, dims)
-    H = partition_stabilizer(G, colors, budgets)
-    expected = parabolic_order(dims, q)
-    certify(H.order() == expected,
-            f"flag stabilizer order {H.order()} != parabolic order {expected}")
-    H.name = f"flag{n}_{q}_" + "".join(map(str, dims))
+    gens = [Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
+            for M in _parabolic_generator_matrices(n, q, dims)]
+    certify(all(colors[y] == colors[x] for g in gens
+                for x, y in enumerate(g.images)),
+            "a parabolic generator moves a colour class of the flag")
+    H = PermGroup(q ** n - 1, gens,
+                  name=f"flag{n}_{q}_" + "".join(map(str, dims)),
+                  order=parabolic_order(dims, q))
+    H.chain()   # certifies the stated order now, or raises
     return H
 
 
@@ -242,11 +276,13 @@ class GLHat:
                                name=f"gl{n}_{q}_hat",
                                order=2 * gl_order(n, q))
 
-    def embed_matrix(self, M) -> Perm:
+    def embed_matrix(self, M, vec_part=None) -> Perm:
         """Degree-2(q^n-1) permutation: v -> v*M on the vector block,
-        c -> M^-1*c on the covector block."""
+        c -> M^-1*c on the covector block.  `vec_part`, when given, is the
+        vector-block action of M, already computed by the caller."""
         field, n, block = self._field, self.n, self.block
-        vec_part = linalg.matrix_to_perm_images(field, n, M)
+        if vec_part is None:
+            vec_part = linalg.matrix_to_perm_images(field, n, M)
         Minv_t = mat_transpose(mat_inverse(field, M))
         # column action c -> M^-1 c equals row action c -> c * (M^-1)^T
         covec_part = linalg.matrix_to_perm_images(field, n, Minv_t)
@@ -259,8 +295,9 @@ class GLHat:
         return PermGroup(2 * self.block, gens, name=name)
 
     def embed_perm(self, g: Perm) -> Perm:
-        M = self.perm_to_matrix(g)
-        return self.embed_matrix(M)
+        # perm_to_matrix certifies that its matrix induces g on the vectors
+        return self.embed_matrix(self.perm_to_matrix(g),
+                                 g.images[:self.block])
 
     def restrict_perm(self, g: Perm) -> Perm:
         """Restriction of a block-preserving element to the vector block."""

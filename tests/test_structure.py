@@ -120,6 +120,18 @@ def test_minimal_normals_above_budget():
     assert mins[0].same_group_as(hat.inner)
 
 
+@pytest.mark.parametrize("name", ["sym5", "psl2_13", "gl4_2", "alt5xalt5"])
+def test_sampled_minimal_normals_match_the_table(name):
+    # past the order budget sampling stops once its certificate holds;
+    # alt5xalt5's first closure is one factor, whose centralizer (the
+    # other factor) keeps it going
+    G = zoo.build_named(name)
+    sampled = minimal_normal_subgroups(G, Budgets(order_budget=1))
+    tabled = minimal_normal_subgroups(G)
+    assert len(sampled) == len(tabled)
+    assert all(any(M.same_group_as(K) for K in tabled) for M in sampled)
+
+
 def test_chief_series_sym4():
     cs = chief_series(zoo.sym(4))
     assert [t.order() for t in cs.terms] == [24, 12, 4, 1]

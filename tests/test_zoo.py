@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pihall import zoo
+from pihall.backtrack import partition_stabilizer
 from pihall.groups import PermGroup, VerificationError, _Chain
 from pihall.linalg import gf, in_span, mat_identity, mat_inverse, mat_mul, \
     mat_transpose, matrix_to_perm_images, point_to_vec, span_points, \
@@ -83,6 +84,57 @@ def test_flag_stabilizer_order_mismatch_fails_verification(monkeypatch):
     monkeypatch.setattr(zoo, "parabolic_order", lambda dims, q: 48)
     with pytest.raises(VerificationError):
         zoo.flag_stabilizer(3, 2, (1, 2))
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+FLAG_CASES = [(n, q, dims) for q in (2, 3) for n in range(2, 5)
+              for dims in _compositions(n) if len(dims) > 1] + \
+             [(5, 2, dims) for dims in ((2, 1, 2), (1, 2, 2), (2, 2, 1))]
+
+
+def test_flag_stabilizer_is_the_searched_colour_stabilizer():
+    # the closed form against an independent backtrack search of gl(n,q)
+    # for the subgroup preserving every colour class
+    assert len(FLAG_CASES) == 25
+    for n, q, dims in FLAG_CASES:
+        H = zoo.flag_stabilizer(n, q, dims)
+        colors = zoo.standard_flag_colors(n, q, dims)
+        S = partition_stabilizer(zoo.gl(n, q), colors)
+        assert S.order() == zoo.parabolic_order(dims, q), (n, q, dims)
+        assert H.same_group_as(S), (n, q, dims)
+
+
+def test_flag_generator_off_the_block_triangle_fails_verification(
+        monkeypatch):
+    # an upper transvection moves a vector of the first flag step out of it
+    closed_form = zoo._parabolic_generator_matrices
+
+    def with_upper(n, q, dims):
+        upper = [list(row) for row in mat_identity(n)]
+        upper[0][n - 1] = 1
+        return closed_form(n, q, dims) + [tuple(map(tuple, upper))]
+
+    monkeypatch.setattr(zoo, "_parabolic_generator_matrices", with_upper)
+    with pytest.raises(VerificationError, match="colour class"):
+        zoo.flag_stabilizer(3, 2, (1, 2))
+
+
+def test_flag_stabilizer_missing_transvection_fails_verification(
+        monkeypatch):
+    # without the last transvection the generators stay inside the
+    # parabolic subgroup but generate less than its stated order
+    closed_form = zoo._parabolic_generator_matrices
+    monkeypatch.setattr(zoo, "_parabolic_generator_matrices",
+                        lambda n, q, dims: closed_form(n, q, dims)[:-1])
+    with pytest.raises(VerificationError, match="stated order"):
+        zoo.flag_stabilizer(5, 2, (2, 1, 2))
 
 
 def test_gl52_hat_structure():
