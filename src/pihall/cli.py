@@ -21,7 +21,7 @@ from .groups import PermGroup, join_subgroups
 from .hall import classify_ECD, k_induced
 from .perms import Perm
 from .reduction import compare_with_oracle, cpi_reduce
-from .report import Report, class_fingerprints, make_report
+from .report import Report, class_summaries, make_report
 from .structure import derived_subgroup, is_normal, minimal_normal_subgroups
 
 EXIT_OK = 0
@@ -50,12 +50,16 @@ def load_group_file(path: Path) -> PermGroup:
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_PARSE,
                        f"{path}: JSON error at line {exc.lineno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise CliError(EXIT_PARSE, f"{path}: top level must be a JSON object")
     for key in ("degree", "generators"):
         if key not in data:
             raise CliError(EXIT_PARSE, f"{path}: missing field {key!r}")
     degree = data["degree"]
     if not isinstance(degree, int) or degree < 1:
         raise CliError(EXIT_PARSE, f"{path}: degree must be a positive integer")
+    if not isinstance(data["generators"], list):
+        raise CliError(EXIT_PARSE, f"{path}: generators must be a list")
     gens = []
     for i, images in enumerate(data["generators"]):
         try:
@@ -67,6 +71,31 @@ def load_group_file(path: Path) -> PermGroup:
                            f"{path}: generator #{i} has degree "
                            f"{gens[-1].degree}, expected {degree}")
     return PermGroup(degree, gens, name=data.get("name", path.stem))
+
+
+def load_manifest(path: Path) -> list[dict]:
+    """The entries of a corpus manifest file; errors name the entry and
+    the field."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_PARSE, f"bad manifest {path}: {exc}")
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise CliError(EXIT_PARSE, f"bad manifest {path}: top level must be "
+                                   f"an object with an 'entries' list")
+    for i, e in enumerate(entries):
+        where = f"bad manifest {path}: entry #{i}"
+        for key in ("name", "pi", "expected"):
+            if not isinstance(e, dict) or key not in e:
+                raise CliError(EXIT_PARSE, f"{where}: missing field {key!r}")
+        if not isinstance(e["name"], str) or e["name"] not in zoo.ZOO_NAMES:
+            raise CliError(EXIT_PARSE,
+                           f"{where}: unknown zoo name {e['name']!r}")
+        if not isinstance(e["pi"], str):
+            raise CliError(EXIT_PARSE, f"{where}: pi must be a string")
+        parse_pi(e["pi"])
+    return entries
 
 
 def resolve_group(spec: str) -> tuple[PermGroup, dict]:
@@ -156,7 +185,7 @@ def cmd_analyze(args) -> int:
         print(f"analyze {args.group}: {value}")
         return EXIT_BUDGET
     results = dict(value.flags())
-    results["hall_classes"] = class_fingerprints(value.classes)
+    results["hall_classes"] = class_summaries(value.classes)
     report = make_report("analyze", input_desc, pi, args.seed, budgets,
                          results, {"analyze_ms": elapsed})
     _emit(report, args)
@@ -244,12 +273,7 @@ def cmd_k(args) -> int:
 def cmd_corpus(args) -> int:
     from .suites import run_corpus
     budgets = _budgets(args)
-    entries = None
-    if args.manifest:
-        try:
-            entries = json.loads(Path(args.manifest).read_text())["entries"]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise CliError(EXIT_PARSE, f"bad manifest {args.manifest}: {exc}")
+    entries = load_manifest(Path(args.manifest)) if args.manifest else None
     t0 = time.perf_counter()
     run = run_corpus(entries=entries, budgets=budgets, seed=args.seed,
                      jobs=args.jobs)

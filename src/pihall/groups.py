@@ -367,7 +367,6 @@ class PermGroup:
         # stated order (see _Chain); read off the chain when not stated
         self._order = order
         self._chain_cache: _Chain | None = None
-        self._fingerprint = None
 
     @classmethod
     def _adopt(cls, chain: _Chain, generators: Iterable[Perm]) -> "PermGroup":
@@ -489,26 +488,7 @@ class PermGroup:
         for w in self.chain().iter_tuples():
             yield Perm(w, validate=False)
 
-    # -- invariants ------------------------------------------------------------
-
-    def fingerprint(self):
-        """Conjugation-invariant signature: (order, orbit-length multiset,
-        element-order histogram).  Enumerates every element; meant for
-        small groups."""
-        if self._fingerprint is None:
-            orders = sorted(p.order() for p in self.elements())
-            histogram = []
-            for value in orders:
-                if histogram and histogram[-1][0] == value:
-                    histogram[-1][1] += 1
-                else:
-                    histogram.append([value, 1])
-            self._fingerprint = (
-                self.order(),
-                self.orbit_sizes(),
-                tuple((v, c) for v, c in histogram),
-            )
-        return self._fingerprint
+    # -- identity --------------------------------------------------------------
 
     def cache_key(self):
         """Identity for caching: degree + generators in their given order.

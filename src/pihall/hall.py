@@ -11,11 +11,11 @@ The sweep's inner loops are batches over the element table.  A candidate
 x extends K only when every element of the coset Kx is a pi-element of
 order dividing the pi-part: a necessary condition, decided by the same
 pass that finds the cosets (`ElementTable.coset_reps` over the mask of
-such elements) before any extension is closed.  An orbit is searched
-a level at a time and kept as a breadth-first tree, along which the
-transporters are multiplied out.  The normalizer of a class member comes
-from the Schreier generators of that tree, computed a level at a time and
-closed one at a time until it has the stabilizer's order.
+such elements) before any extension is closed.  That one rule, one x
+per right coset Kx, is the only way either caller extends a class.  An
+orbit is searched a level at a time and kept as a breadth-first tree,
+along which a transporter is multiplied out when `are_conjugate` asks for
+one.
 
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
@@ -30,8 +30,7 @@ exactly when some pi-subgroup lies in no conjugate of the one Hall class's
 representative H.  With one effective prime it holds by Sylow.  Otherwise
 the sweep starts at the subgroups of prime order, grows only through
 classes inside a conjugate of H, and stops at the first class outside,
-which it keeps as a witness.  With two effective primes every pi-subgroup
-is solvable, so only normal extensions of prime index are tried.
+which it keeps as a witness.  It is exact for any number of primes.
 
 Negative answers are certificates; running out of a budget raises
 BudgetExceededError instead.
@@ -42,7 +41,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -186,8 +185,7 @@ class HallClassSet:
 
 class _SetOrbits:
     """Orbits of element-index sets under conjugation by the subgroup that
-    the elements `by` (indices) generate, of order `order`, memoized per
-    class.
+    the elements `by` (indices) generate, memoized per class.
 
     Each distinct class triggers one orbit BFS, a level at a time: the
     frontier is conjugated by every generator in batches of _SIFT_CHUNK
@@ -200,13 +198,11 @@ class _SetOrbits:
     parent's position times len(by), plus the generator's position (-1 for
     the root).  A transporter, an element that conjugates the class root
     to a member, is the product of the generators on the member's tree
-    path; the Schreier generators multiply them out for every member, one
-    batch per level."""
+    path; `transporter` joins two of them to decide conjugacy."""
 
-    def __init__(self, tbl: ElementTable, by: tuple[int, ...], order: int):
+    def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
         self.tbl = tbl
         self.by = by
-        self.order = order  # of the group `by` generates
         # G's own maps through conj_maps, where perfbench's tables.conj_maps
         # span counts them
         self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
@@ -287,43 +283,6 @@ class _SetOrbits:
             x = tbl.mul(x, g)
         return x
 
-    def schreier_generators(self, cid: int):
-        """Batches of t_j·g·t_i^-1 over the members j and generators g,
-        where the transporter t_j conjugates the class root to member j and
-        member i is member j conjugated by g.  They fix the root, and by
-        Schreier's lemma generate its stabilizer.
-
-        One batch per level of the tree from the root (or per _SIFT_CHUNK
-        members of a level), so a caller that has enough stops early.  The
-        transporters are multiplied out a level ahead, one batch of
-        products per level: a member's images lie at most one level
-        deeper."""
-        tbl, reps = self.tbl, self.class_reps[cid]
-        keys = list(reps)
-        parent, gen = np.divmod(self.class_links[cid], len(self.by))
-        by = np.asarray(self.by, dtype=np.int64)
-        inv = tbl._inverses()
-        tr = np.empty(len(keys), dtype=np.int64)
-        tr[0] = tbl.identity_idx
-        lo, hi = 0, 1  # the level's positions
-        while lo < len(keys):
-            # the next level: the positions from hi whose parents come
-            # before hi
-            deeper = np.flatnonzero(parent[hi:] >= hi)
-            end = hi + int(deeper[0]) if len(deeper) else len(keys)
-            if end > hi:
-                tr[hi:end] = _pair_products(tbl, tr[parent[hi:end]],
-                                            by[gen[hi:end]])
-            for s in range(lo, hi, _SIFT_CHUNK):
-                e = min(hi, s + _SIFT_CHUNK)
-                img = np.fromiter(map(reps.__getitem__,
-                                      self._images(keys[s:e])),
-                                  np.int64, (e - s) * len(by))
-                # t_j·g in the images' order
-                tg = tbl.products(tr[s:e], list(self.by)).T.ravel()
-                yield _pair_products(tbl, tg, inv[tr[img]])
-            lo, hi = hi, end
-
     def transporter(self, idxs_from: frozenset, idxs_to: frozenset) -> Perm | None:
         """Some x with (idxs_from)^x = idxs_to, or None if not conjugate."""
         tbl = self.tbl
@@ -342,19 +301,6 @@ def _key_rows(keys: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
 
 
-def _pair_products(tbl: ElementTable, lefts, rights) -> np.ndarray:
-    """Indices of a_i·b_i for the paired index arrays lefts and rights,
-    _SIFT_CHUNK pairs at a time."""
-    out = np.empty(len(lefts), dtype=np.int64)
-    for s in range(0, len(lefts), _SIFT_CHUNK):
-        a = tbl.rows[lefts[s:s + _SIFT_CHUNK]]
-        b = tbl.rows[rights[s:s + _SIFT_CHUNK]]
-        # the row of a·b is b's row read at a's images
-        at = a + (tbl.degree * np.arange(len(a)))[:, None]
-        out[s:s + len(a)] = tbl._indices(b.ravel()[at])
-    return out
-
-
 def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
     """Index-set orbits under conjugation by G, or by its subgroup A; one
     memo per generating tuple, kept on the table."""
@@ -362,8 +308,7 @@ def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
                else (tbl.idx_of_perm(g) for g in A.generators))
     orb = tbl.set_orbits.get(by)
     if orb is None:
-        order = tbl.size if A is None else A.order()
-        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by, order)
+        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by)
     return orb
 
 
@@ -377,14 +322,14 @@ def _pi_order_mask(tbl: ElementTable, pi: PiSet, m: int):
     return ok[class_id]
 
 
-def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
+def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, mask):
     """Classes of subgroups of order dividing m reached from the seeds, as
     (index set, class id), each new class yielded in breadth-first order.
 
     A class is represented by the first member reached, with the elements
-    that generate it; `seeds` gives such pairs.  Each is extended by the
-    elements `candidates(K)` gives, one closure each; classes of order m
-    are not extended."""
+    that generate it; `seeds` gives such pairs.  Each is extended by one
+    element per right coset wholly in `mask` (`_coset_candidates`), one
+    closure each; classes of order m are not extended."""
     seen: set[int] = set()
     queue: deque = deque()
     for K, gens in seeds:
@@ -394,7 +339,7 @@ def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
             queue.append((K, gens))
     while queue:
         K, gens = queue.popleft()
-        for x in candidates(K):
+        for x in _coset_candidates(tbl, mask, K):
             L = tbl.closure(gens + (x,), limit=m, known=K)
             if L is None or len(L) <= len(K) or m % len(L) != 0:
                 continue
@@ -426,8 +371,7 @@ def _hall_classes_over(tbl: ElementTable, pi: PiSet, m: int, P: PermGroup,
     orbits = _orbits_for(tbl)
     mask = _pi_order_mask(tbl, pi, m)
     p_gens = tuple(tbl.idx_of_perm(g) for g in P.generators)
-    grown = _grow(tbl, orbits, m, [(p_set, p_gens)],
-                  lambda K: _coset_candidates(tbl, mask, K))
+    grown = _grow(tbl, orbits, m, [(p_set, p_gens)], mask)
     return (cid for L, cid in grown if len(L) == m)
 
 
@@ -485,17 +429,13 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
                   budgets: Budgets = DEFAULT_BUDGETS) -> Perm | None:
     """Some x in G with H^x = K, or None as a non-conjugacy certificate.
 
-    Fast-rejects on conjugation invariants (order, orbit-length multiset,
-    and the exact element-order histogram for small subgroups), then
-    decides exactly: by index-set orbits within the enumeration budget,
-    by backtrack beyond it."""
+    Subgroups of different orders are not conjugate.  Otherwise the
+    answer is exact with no pre-filter: within the enumeration budget the
+    index-set orbit of H under G (`_SetOrbits.transporter`), past it a
+    backtrack search (`conjugating_element`, with its own checks)."""
     require_subgroup(G, H, "H")
     require_subgroup(G, K, "K")
     if H.order() != K.order():
-        return None
-    if sorted(map(len, H.orbits())) != sorted(map(len, K.orbits())):
-        return None
-    if H.order() <= 1000 and H.fingerprint() != K.fingerprint():
         return None
     if G.order() <= budgets.order_budget:
         tbl = get_table(G, budgets)
@@ -595,25 +535,21 @@ def _dominance_check(G: PermGroup, pi: PiSet, H: PermGroup,
     if len(effective) <= 1:
         return None  # Sylow: every p-subgroup lies in a conjugate of H
     tbl = get_table(G, budgets)
-    # pi-subgroups of at most two primes are solvable (Burnside)
-    primes = effective if len(effective) == 2 else None
-    witness = _grow_outside_hall(tbl, pi, tbl.indices_of_subgroup(H), primes)
+    witness = _grow_outside_hall(tbl, pi, tbl.indices_of_subgroup(H))
     return None if witness is None else tbl.subgroup(witness)
 
 
-def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
-                       primes: list[int] | None) -> frozenset | None:
+def _grow_outside_hall(tbl: ElementTable, pi: PiSet,
+                       h_set: frozenset) -> frozenset | None:
     """The first pi-subgroup (index set) found in no conjugate of the
     pi-Hall subgroup h_set, or None when there is none.
 
     Classes grow from the subgroups of prime order, one single-element
-    extension at a time, and only through classes inside a conjugate of
-    h_set.  A minimal pi-subgroup outside every conjugate has all its
-    proper subgroups inside, so it is an extension of a class that grows;
-    the sweep stops there.  Extensions of K: with `primes` (every
-    pi-subgroup solvable) one x per coset of K in N_G(K) with x^p in K,
-    p in `primes`, since a solvable group has a normal subgroup of prime
-    index; without, one x per right coset of K in G."""
+    extension at a time (one x per right coset of K, as in the oracle),
+    and only through classes inside a conjugate of h_set.  A minimal
+    pi-subgroup outside every conjugate has all its proper subgroups
+    inside, so it is an extension of a class that grows; the sweep stops
+    there."""
     m = len(h_set)
     orbits = _orbits_for(tbl)
     mask = _pi_order_mask(tbl, pi, m)
@@ -623,13 +559,7 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet, h_set: frozenset,
     _, reps = tbl.classes()
     seeds = ((tbl.closure([x]), (x,)) for x in reps
              if mask[x] and is_prime(tbl.element_order(x)))
-
-    def candidates(K):
-        if primes is None:
-            return _coset_candidates(tbl, mask, K)
-        return _normal_prime_candidates(tbl, orbits, mask, K, primes)
-
-    for L, cid in _grow(tbl, orbits, m, seeds, candidates):
+    for L, cid in _grow(tbl, orbits, m, seeds, mask):
         # a subgroup of prime-power order lies in a Sylow subgroup, hence
         # in a conjugate of H
         if (len(prime_divisors(len(L))) > 1
@@ -645,64 +575,6 @@ def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
     is necessary for <K, x> to be a pi-subgroup of order dividing it.  One
     `coset_reps` pass finds the cosets and applies the test."""
     return [x for x in tbl.coset_reps(K, within=mask) if x not in K]
-
-
-def _normal_prime_candidates(tbl: ElementTable, orbits: _SetOrbits, mask,
-                             K: frozenset, primes: list[int]):
-    """One element per coset of K in N_G(K) outside K with x^p in K for a
-    p in `primes`: <K, x> then contains K with index p.  As in
-    `_coset_candidates`, the coset Kx must lie wholly in `mask`; the
-    cosets come from one `coset_reps` pass over the mask within N_G(K),
-    which holds every coset Kx of its elements x."""
-    within = np.zeros(tbl.size, dtype=bool)
-    within[list(_set_stabilizer_elements(tbl, orbits, K))] = True
-    within &= mask
-    for x in tbl.coset_reps(K, within=within):
-        if x in K:
-            continue
-        o = tbl.element_order(x)
-        if any(o % p == 0 and _power_in_set(tbl, x, p, K) for p in primes):
-            yield x
-
-
-def _power_in_set(tbl: ElementTable, x: int, p: int, K: frozenset) -> bool:
-    y = x
-    for _ in range(p - 1):
-        y = tbl.mul(y, x)
-    return y in K
-
-
-def _set_stabilizer_elements(tbl: ElementTable, orbits: _SetOrbits,
-                             node: frozenset) -> set[int]:
-    """The elements of the acting group (G, or A for orbits under A) that
-    normalize the subgroup-set `node`.
-
-    The Schreier generators of the class root's stabilizer come in
-    batches along the orbit's breadth-first tree; each one not yet in the
-    group S so far is added by a closure over S, until |S| is the acting
-    group's order over the orbit length, the stabilizer's order
-    (certified).  The node's transporter then carries S to the node's
-    stabilizer."""
-    cid = orbits.class_id(node)
-    target = orbits.order // orbits.size(cid)
-    schreier = chain.from_iterable(map(np.ndarray.tolist,
-                                       orbits.schreier_generators(cid)))
-    S, kept = frozenset([tbl.identity_idx]), []
-    while len(S) < target:
-        s = next(schreier, None)
-        certify(s is not None,
-                "Schreier generators do not close to the normalizer")
-        if s not in S:
-            kept.append(s)
-            S = tbl.closure(kept, limit=target, known=S)
-            certify(S is not None, "a Schreier generator lies outside "
-                                   "the stabilizer")
-    pos = orbits.class_reps[cid][orbits.key_of(node)]
-    if pos == 0:
-        return set(S)
-    t = orbits.transporter_at(cid, pos)
-    # x -> t^-1 x t
-    return set(tbl.products(tbl.products(tbl.inv(t), sorted(S)), t).tolist())
 
 
 # -- induced Hall classes -----------------------------------------------------------

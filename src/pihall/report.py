@@ -52,7 +52,7 @@ def make_report(command: str, input_desc: dict, pi, seed: int,
                   timings=timings or {})
 
 
-def class_fingerprints(classes: HallClassSet) -> list[dict]:
+def class_summaries(classes: HallClassSet) -> list[dict]:
     """Serializable invariants of the Hall class representatives."""
     out = []
     for rep, size in zip(classes.class_reps, classes.class_sizes):

@@ -139,6 +139,33 @@ def test_group_file_parse_errors(capsys, tmp_path):
     code, _, err = run(["analyze", str(bad), "--pi", "2"], capsys)
     assert code == 2 and "line" in err
 
+    # a file of the wrong shape names what is wrong, also when it comes in
+    # as k's normal subgroup
+    for text, field in [('{"degree": 3, "generators": 5}', "generators"),
+                        ("5", "top level")]:
+        bad.write_text(text)
+        for argv in (["analyze", str(bad), "--pi", "2"],
+                     ["k", "sym5", "--normal", f"file:{bad}", "--pi", "2,3"]):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and field in err, (text, argv)
+
+
+def test_corpus_manifest_shape_errors(capsys, tmp_path):
+    from pihall import zoo as z
+    entry = next(e for e in z.corpus_manifest()
+                 if (e["name"], e["pi"]) == ("alt5", "2,3"))
+    cases = [([entry], "entries")]
+    for key in ("name", "pi", "expected"):
+        cases.append(({"entries": [{k: v for k, v in entry.items()
+                                    if k != key}]}, key))
+    cases.append(({"entries": [dict(entry, name="no-such-group")]},
+                  "no-such-group"))
+    path = tmp_path / "m.json"
+    for manifest, field in cases:
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(["corpus", "--manifest", str(path)], capsys)
+        assert code == 2 and repr(field) in err, field
+
 
 def test_zoo_emit_and_list(capsys, tmp_path):
     code, out, _ = run(["zoo", "list"], capsys)

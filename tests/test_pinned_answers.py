@@ -20,7 +20,7 @@ from pihall.example_gl52 import run_example
 from pihall.reduction import cpi_reduce
 
 PINNED_DIGEST = (
-    "5244657e3d82b65d09d1314bebca2fedc59dff83b4db58322614254c7db60b1f")
+    "9bec78d8907e24dd6519b7e7653f625499edfed13956b4636c67f3dfb79c6e21")
 PINNED_EXAMPLE_DIGEST = (
     "0e5e8ed89f38a2d96d92022b242b861692f6138577f1a2f4311e8830ebdc7b61")
 SEEDS = (1, 2)
