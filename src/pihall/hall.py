@@ -12,10 +12,14 @@ x extends K only when every element of the coset Kx is a pi-element of
 order dividing the pi-part: a necessary condition, decided by the same
 pass that finds the cosets (`ElementTable.coset_reps` over the mask of
 such elements) before any extension is closed.  That one rule, one x
-per right coset Kx, is the only way either caller extends a class.  An
-orbit is searched a level at a time and kept as a breadth-first tree,
-along which a transporter is multiplied out when `are_conjugate` asks for
-one.
+per right coset Kx, is the only way either caller extends a class.  The
+oracle's sweep has one seed P, and every class it extends contains P, so
+it runs one coset pass, over the cosets of P, and reads each later
+class's cosets off the cosets of P that pass kept (`_SeedCosets`); the
+dominance sweep has many seeds and runs a pass per class
+(`_coset_candidates`).  An orbit is searched a level at a time and kept
+as a breadth-first tree, along which a transporter is multiplied out when
+`are_conjugate` asks for one.
 
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
@@ -322,14 +326,16 @@ def _pi_order_mask(tbl: ElementTable, pi: PiSet, m: int):
     return ok[class_id]
 
 
-def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, mask):
+def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, candidates):
     """Classes of subgroups of order dividing m reached from the seeds, as
     (index set, class id), each new class yielded in breadth-first order.
 
     A class is represented by the first member reached, with the elements
-    that generate it; `seeds` gives such pairs.  Each is extended by one
-    element per right coset wholly in `mask` (`_coset_candidates`), one
-    closure each; classes of order m are not extended."""
+    that generate it; `seeds` gives such pairs.  Each is extended by the
+    elements `candidates(K)` gives, one per right coset Kx wholly in the
+    mask (`_coset_candidates`, or `_SeedCosets.candidates` when every
+    class contains the one seed), one closure each; classes of order m
+    are not extended."""
     seen: set[int] = set()
     queue: deque = deque()
     for K, gens in seeds:
@@ -339,7 +345,7 @@ def _grow(tbl: ElementTable, orbits: _SetOrbits, m: int, seeds, mask):
             queue.append((K, gens))
     while queue:
         K, gens = queue.popleft()
-        for x in _coset_candidates(tbl, mask, K):
+        for x in candidates(K):
             L = tbl.closure(gens + (x,), limit=m, known=K)
             if L is None or len(L) <= len(K) or m % len(L) != 0:
                 continue
@@ -369,9 +375,9 @@ def _hall_classes_over(tbl: ElementTable, pi: PiSet, m: int, P: PermGroup,
     """Ids of the classes of order-m pi-subgroups with a member containing
     P (not itself of order m), in the order the sweep from P finds them."""
     orbits = _orbits_for(tbl)
-    mask = _pi_order_mask(tbl, pi, m)
+    cosets = _SeedCosets(tbl, _pi_order_mask(tbl, pi, m), p_set)
     p_gens = tuple(tbl.idx_of_perm(g) for g in P.generators)
-    grown = _grow(tbl, orbits, m, [(p_set, p_gens)], mask)
+    grown = _grow(tbl, orbits, m, [(p_set, p_gens)], cosets.candidates)
     return (cid for L, cid in grown if len(L) == m)
 
 
@@ -559,7 +565,8 @@ def _grow_outside_hall(tbl: ElementTable, pi: PiSet,
     _, reps = tbl.classes()
     seeds = ((tbl.closure([x]), (x,)) for x in reps
              if mask[x] and is_prime(tbl.element_order(x)))
-    for L, cid in _grow(tbl, orbits, m, seeds, mask):
+    for L, cid in _grow(tbl, orbits, m, seeds,
+                        lambda K: _coset_candidates(tbl, mask, K)):
         # a subgroup of prime-power order lies in a Sylow subgroup, hence
         # in a conjugate of H
         if (len(prime_divisors(len(L))) > 1
@@ -573,8 +580,59 @@ def _coset_candidates(tbl: ElementTable, mask, K: frozenset):
     elements all give the same extension) that lies wholly in `mask`, the
     pi-elements of order dividing the pi-part.  Kx lies in <K, x>, so that
     is necessary for <K, x> to be a pi-subgroup of order dividing it.  One
-    `coset_reps` pass finds the cosets and applies the test."""
+    fresh `coset_reps` pass finds the cosets and applies the test."""
     return [x for x in tbl.coset_reps(K, within=mask) if x not in K]
+
+
+class _SeedCosets:
+    """The right cosets Px of a seed P that lie wholly in the mask, from
+    one `coset_reps` pass, and the candidates of every K ⊇ P read off them:
+    the Hall sweep grows only through such K, so it needs one pass.
+
+    The pass labels each element of a kept coset with the coset's least
+    element, and every other element with |G|.  K is the union of the
+    cosets Pt over T, the least elements of the P-cosets inside K.  So Kr
+    is the union of the cosets P(t·r), t in T: it lies wholly in the mask
+    exactly when each P(t·r) is a kept coset, and its least element is the
+    least of their labels.  One batched `products` call gives every t·r
+    for a batch of starts r, one per uncovered kept coset at an even
+    stride; each K-coset found covers the kept cosets it holds, as
+    `coset_reps` covers elements.  The candidates are those of
+    `_coset_candidates`, in the same order."""
+
+    def __init__(self, tbl: ElementTable, mask, p_set: frozenset):
+        self.tbl, self.p_set = tbl, p_set
+        self.reps, self.label = tbl.coset_reps(p_set, within=mask,
+                                               labels=True)
+
+    def candidates(self, K: frozenset) -> list[int]:
+        if K == self.p_set:  # its pass is the seed pass
+            return [x for x in self.reps if x not in K]
+        label, outside = self.label, self.tbl.size
+        in_k = np.zeros(outside + 1, dtype=bool)
+        in_k[label[np.fromiter(K, np.intp, len(K))]] = True
+        T = np.flatnonzero(in_k)
+        certify(not in_k[outside] and len(T) * len(self.p_set) == len(K),
+                "K is not a union of the seed's kept cosets")
+        # the kept cosets not yet covered, by their least elements
+        todo = np.zeros(outside + 1, dtype=bool)
+        todo[self.reps] = True
+        todo[T] = False
+        # rows a batch looks up: a chunk, and a quarter of the kept cosets,
+        # at most
+        batch = max(1, min(_SIFT_CHUNK, len(self.reps) // 4) // len(T))
+        found: set[int] = set()
+        while True:
+            free = np.flatnonzero(todo)
+            if not len(free):
+                return sorted(found)
+            starts = free[::max(1, len(free) // batch)][:batch]
+            # row j: the labels of the cosets P(t·r) over t in T, r = starts[j]
+            cosets = label[self.tbl.products(T, starts)]
+            todo[starts] = False  # so that every batch makes progress
+            todo[cosets] = False
+            cosets = cosets[(cosets < outside).all(axis=1)]
+            found.update(cosets.min(axis=1).tolist())
 
 
 # -- induced Hall classes -----------------------------------------------------------

@@ -8,17 +8,19 @@ the basic orbit.  The product is determined by (p_0, ..., p_k), so the
 index is a mixed-radix number whose digit at level L is the rank of p_L in
 the sorted basic orbit.  `locate` reads indices back for a batch of rows
 by a sift over the base columns only (p_0 is the image of b_0; removing
-u_0 gives the next level's images) and certifies each answer against the
-row found.
+u_0 gives the next level's images, and drops b_0's column) and certifies
+each answer against the row found.
 
 Every table-wide map is one sift: inverses, and conjugation by an
 element.  Conjugacy classes are orbits of the conjugation maps by G's
 generators, labelled by the least index in each orbit.  Batches of
 products (`products`) are sifted too; single products and small batches
-of rows are looked up in a bytes-keyed dict instead, and a small table
-uses it throughout.
+of rows are looked up in a bytes-keyed dict instead (keys cut from one
+void view of the rows), and a small table uses it throughout.
 The conjugation maps are also the basis of the Hall oracle's orbits of
-subgroups (as index sets) under G or a subgroup of it.
+subgroups (as index sets) under G or a subgroup of it, and `coset_reps`
+of its coset passes: one per class for the dominance sweep, and one, over
+the Sylow seed's cosets, for the Hall sweep, which keeps their labels.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def _orbit_minima(maps, n: int) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Each row's bytes, cut from one copy of the whole matrix."""
-    blob = rows.tobytes()
-    width = rows.shape[1] * rows.itemsize
-    return [blob[i:i + width] for i in range(0, len(blob), width)]
+    """Each row's bytes: the rows viewed as one void scalar each, which
+    `tolist` turns into bytes objects in one call."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
 
 
 class ElementTable:
@@ -123,9 +125,10 @@ class ElementTable:
     def _sifter(self) -> tuple[list[int], list]:
         """The base, and per nontrivial chain level in the order `_enumerate`
         walks them: (the digit of each point times the level's stride, its
-        offset into the flattened inverse transversal).  A point outside
-        the basic orbit reads digit 0: the sift then ends at some row, and
-        only the certifying comparison decides membership."""
+        offset into the flattened inverse transversal, that transversal),
+        all intp, the type numpy indexes with.  A point outside the basic
+        orbit reads digit 0: the sift then ends at some row, and only the
+        certifying comparison decides membership."""
         if self._sift_levels is None:
             d = self.degree
             base, levels = [], []
@@ -134,10 +137,10 @@ class ElementTable:
                 if len(lvl.orbit_list) == 1:
                     continue
                 pts = sorted(lvl.orbit_list)
-                rank = np.zeros(d, dtype=np.int64)
+                rank = np.zeros(d, dtype=np.intp)
                 rank[pts] = np.arange(len(pts))
                 reps = np.array([lvl.rep(pt) for pt in pts], dtype=np.intp)
-                inv = np.empty_like(reps, dtype=self.rows.dtype)
+                inv = np.empty_like(reps)
                 inv[np.arange(len(pts))[:, None], reps] = np.arange(d)
                 base.append(lvl.point)
                 levels.append((rank * stride, rank * d, inv.ravel()))
@@ -148,25 +151,28 @@ class ElementTable:
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """Indices (int64) of the given image rows, one element per row.
 
-        A batched sift: the image of the base point at each level gives
-        that level's digit, and the inverse of the transversal element it
-        names carries the later base images down a level.  Each answer is
-        certified against the row found; a row outside G raises
-        VerificationError."""
+        A batched sift over the base columns: the image of the level's
+        base point gives that level's digit, added into the index in
+        place, and the inverse of the transversal element it names carries
+        the later base images down a level; each column is dropped once its
+        level has read it.  Each answer is certified against the row found;
+        a row outside G raises VerificationError."""
         base, levels = self._sifter()
-        out = np.empty(len(rows), dtype=np.int64)
+        out = np.zeros(len(rows), dtype=np.int64)
+        last = len(levels) - 1
         for s in range(0, len(rows), _SIFT_CHUNK):
             part = rows[s:s + _SIFT_CHUNK]
-            imgs = part[:, base]
-            idx = 0
+            idx = out[s:s + len(part)]
+            imgs = part[:, base].astype(np.intp)
             for col, (digit, offset, inv) in enumerate(levels):
-                pts = imgs[:, col]
-                idx = idx + digit[pts]
-                if col + 1 < len(levels):
-                    imgs = inv[offset[pts][:, None] + imgs]
+                pts = imgs[:, 0]
+                idx += digit[pts]
+                if col < last:
+                    rest = imgs[:, 1:]
+                    rest += offset[pts][:, None]
+                    imgs = inv[rest]
             certify((self.rows[idx] == part).all(),
                     "a row sifts to a different element: not in G")
-            out[s:s + len(part)] = idx
         return out
 
     def _row_index(self) -> dict[bytes, int]:
@@ -430,10 +436,12 @@ class ElementTable:
                     "<gen_idxs>")
         return frozenset(seen)
 
-    def coset_reps(self, sub: frozenset, within=None) -> list[int]:
+    def coset_reps(self, sub: frozenset, within=None, labels: bool = False):
         """Least-index representatives of the right cosets Kx of the
         subgroup K = `sub` that lie wholly in the boolean mask `within`
-        (all of G when not given), in increasing order.
+        (all of G when not given), in increasing order.  With `labels`,
+        also a label per element (int32): the representative of its coset
+        when that coset is kept, and |G| otherwise.
 
         Only elements of the mask start a coset; a coset that reaches
         outside it is covered but not kept.  Each batch starts cosets
@@ -446,17 +454,23 @@ class ElementTable:
         batch = max(1, min(_SIFT_CHUNK, self.size // 4) // len(k_idx))
         todo = (np.ones(self.size, dtype=bool) if within is None
                 else within.copy())
+        label = (np.full(self.size, self.size, dtype=np.int32) if labels
+                 else None)
         reps: set[int] = set()
         while True:
             free = np.flatnonzero(todo)
             if not len(free):
-                return sorted(reps)
+                break
             starts = free[::max(1, len(free) // batch)][:batch]
             cosets = self.products(k_idx, starts)
             todo[cosets] = False
             if within is not None:
                 cosets = cosets[within[cosets].all(axis=1)]
-            reps.update(cosets.min(axis=1).tolist())
+            least = cosets.min(axis=1)
+            reps.update(least.tolist())
+            if labels:
+                label[cosets] = least[:, None]
+        return (sorted(reps), label) if labels else sorted(reps)
 
     def subgroup(self, idxs) -> PermGroup:
         """PermGroup from an element index set, generated by the elements,

@@ -3,9 +3,11 @@
 import time
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from pihall import zoo
+from pihall.arith import PiSet
 from pihall.groups import PermGroup
 from pihall.perms import Perm
 
@@ -100,6 +102,29 @@ def small_groups_up_to_degree_8(draw):
     else:
         G = zoo.wreath(sub(3, 2), 2)
     return G.degree, G.gen_tuples()
+
+
+@st.composite
+def small_groups_and_pi(draw):
+    """Random subgroups of S_n (n <= 6) and small direct and wreath products,
+    of order at most 144; pi a nonempty subset of {2, 3, 5}."""
+    def sub(min_degree, max_degree, min_gens, max_gens):
+        n = draw(st.integers(min_degree, max_degree))
+        images = draw(st.lists(st.permutations(range(n)), min_size=min_gens,
+                               max_size=max_gens))
+        return PermGroup(n, [Perm(tuple(p)) for p in images])
+
+    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
+    if kind == "sym":
+        G = sub(4, 6, 2, 3)
+    elif kind == "direct":
+        G = zoo.direct_product(sub(2, 5, 1, 2), sub(2, 4, 1, 2))
+    else:
+        G = zoo.wreath(sub(2, 3, 1, 2), 2)
+    assume(1 < G.order() <= 144)
+    pi = PiSet(draw(st.sampled_from(
+        [[2, 3], [2, 5], [3, 5], [2, 3, 5], [2], [3], [5]])))
+    return G, pi
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (brute_elements, brute_group_elements,
                       brute_subgroups_dividing, brute_subgroups_of_order,
-                      small_groups_up_to_degree_8)
+                      small_groups_and_pi, small_groups_up_to_degree_8)
 from pihall import backtrack, hall, structure, zoo
 from pihall.arith import PiSet, is_pi_number, p_part, pi_part, prime_divisors
 from pihall.backtrack import BudgetExceededError, conjugating_element
@@ -304,35 +305,8 @@ def _brute_classes(subs, by):
     return classes
 
 
-def _perm_group(n, images):
-    return PermGroup(n, [Perm(tuple(p)) for p in images])
-
-
-@st.composite
-def _small_groups_and_pi(draw):
-    """Random subgroups of S_n (n <= 6) and small direct and wreath products,
-    of order at most 144; pi a nonempty subset of {2, 3, 5}."""
-    def sub(min_degree, max_degree, min_gens, max_gens):
-        n = draw(st.integers(min_degree, max_degree))
-        images = draw(st.lists(st.permutations(range(n)), min_size=min_gens,
-                               max_size=max_gens))
-        return _perm_group(n, images)
-
-    kind = draw(st.sampled_from(["sym", "direct", "wreath"]))
-    if kind == "sym":
-        G = sub(4, 6, 2, 3)
-    elif kind == "direct":
-        G = zoo.direct_product(sub(2, 5, 1, 2), sub(2, 4, 1, 2))
-    else:
-        G = zoo.wreath(sub(2, 3, 1, 2), 2)
-    assume(1 < G.order() <= 144)
-    pi = PiSet(draw(st.sampled_from(
-        [[2, 3], [2, 5], [3, 5], [2, 3, 5], [2], [3], [5]])))
-    return G, pi
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_small_groups_and_pi())
+@given(small_groups_and_pi())
 def test_dominance_matches_brute_force(case):
     G, pi = case
     assume(1 < pi_part(G.order(), pi) < G.order())  # past the D = True exits
@@ -387,11 +361,13 @@ def test_oracle_closures_never_abort(monkeypatch):
 
 
 def test_coset_pass_looks_up_few_rows(monkeypatch):
-    # a work-count gate: the coset pass of a cold classify_ECD(gl4_2,
-    # {2,3}) (coset_reps, and the candidate tests on the cosets it finds)
-    # passes at most 110,000 rows to products; the cosets that meet the
-    # masks hold 81,372
-    rows, depth = [0], [0]
+    # a work-count gate: the coset passes of a cold classify_ECD(gl4_2,
+    # {2,3}) (the Hall sweep's one pass over the Sylow seed's cosets, the
+    # batched products that read the later classes' cosets off it, and the
+    # dominance sweep's passes) hand at most 46,500 rows to products
+    # (42,335 measured; a fresh pass per class handed 109,487); the Hall
+    # sweep runs coset_reps exactly once
+    rows, depth, passes = [0], [0], Counter()
     products = ElementTable.products
 
     def counting(self, lefts, rights):
@@ -399,8 +375,9 @@ def test_coset_pass_looks_up_few_rows(monkeypatch):
         rows[0] += got.size if depth[0] else 0
         return got
 
-    def inside(f):
+    def inside(f, kind=None):
         def wrapped(*args, **kwargs):
+            passes[kind] += 1
             depth[0] += 1
             try:
                 return f(*args, **kwargs)
@@ -410,19 +387,75 @@ def test_coset_pass_looks_up_few_rows(monkeypatch):
 
     monkeypatch.setattr(ElementTable, "products", counting)
     monkeypatch.setattr(ElementTable, "coset_reps",
-                        inside(ElementTable.coset_reps))
+                        inside(ElementTable.coset_reps, "coset_reps"))
     monkeypatch.setattr(hall, "_coset_candidates",
-                        inside(hall._coset_candidates))
+                        inside(hall._coset_candidates, "fresh"))
+    monkeypatch.setattr(hall._SeedCosets, "__init__",
+                        inside(hall._SeedCosets.__init__, "sweep"))
+    monkeypatch.setattr(hall._SeedCosets, "candidates",
+                        inside(hall._SeedCosets.candidates))
     monkeypatch.setattr(hall, "_classify_cache", {})
     structure._table_cache.clear()
     expected = next(e["expected"] for e in zoo.corpus_manifest()
                     if (e["name"], e["pi"]) == ("gl4_2", "2,3"))
     assert classify_ECD(zoo.build_named("gl4_2"), PI23).flags() == expected
-    assert 0 < rows[0] <= 110_000
+    assert 0 < rows[0] <= 46_500, rows[0]
+    # one Hall sweep; every other coset_reps call is a dominance pass
+    assert passes["sweep"] == 1
+    assert passes["coset_reps"] - passes["fresh"] == passes["sweep"]
+
+
+def _seed_candidates_checked(G, pi, seed=1):
+    """Runs the Hall sweep of all_hall_classes with each class's candidates
+    read off the seed's cosets and from a fresh pass; they must be equal.
+    Returns the number of classes above the seed that were checked."""
+    m = pi_part(G.order(), pi)
+    tbl, P, p_set = hall._sylow_seed(G, pi, Budgets(), seed)
+    mask = hall._pi_order_mask(tbl, pi, m)
+    cosets = hall._SeedCosets(tbl, mask, p_set)
+    above = [0]
+
+    def candidates(K):
+        got = cosets.candidates(K)
+        assert got == hall._coset_candidates(tbl, mask, K)
+        above[0] += len(K) > len(p_set)
+        return got
+
+    p_gens = tuple(tbl.idx_of_perm(g) for g in P.generators)
+    halls = {cid for L, cid in hall._grow(tbl, _orbits_for(tbl), m,
+                                          [(p_set, p_gens)], candidates)
+             if len(L) == m}
+    assert len(halls) == classify_EC(G, pi, seed=seed).k or len(p_set) == m
+    return above[0]
+
+
+def test_seed_cosets_give_the_fresh_candidates_on_the_manifest():
+    # the candidates of every class the Hall sweep extends, read off the
+    # Sylow seed's cosets, are those of a fresh coset pass
+    above = 0
+    for e in zoo.corpus_manifest():
+        G, pi = zoo.build_named(e["name"]), PiSet.parse(e["pi"])
+        m = pi_part(G.order(), pi)
+        if 1 < m < G.order():
+            above += _seed_candidates_checked(G, pi)
+    assert above >= 18  # classes above the seed, over the 45 pairs
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_groups_and_pi())
+# classes above the Sylow seed, which few drawn groups reach; reading the
+# cosets P(r·t) instead of P(t·r) changes the candidates of the second
+@example((zoo.direct_product(zoo.direct_product(zoo.sym(3), zoo.sym(3)),
+                             zoo.cyclic(5)), PI23))
+@example((zoo.direct_product(zoo.wreath(zoo.sym(3), 2), zoo.cyclic(5)), PI23))
+def test_seed_cosets_give_the_fresh_candidates(case):
+    G, pi = case
+    assume(1 < pi_part(G.order(), pi) < G.order())
+    _seed_candidates_checked(G, pi)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_small_groups_and_pi(), st.integers(0, 10**6))
+@given(small_groups_and_pi(), st.integers(0, 10**6))
 def test_coset_test_drops_only_hopeless_extensions(case, pick):
     # every right coset Kx the whole-coset test drops gives a <K, x> that
     # is not a pi-subgroup of order dividing the pi-part m; K is <y> for a
@@ -594,9 +627,9 @@ def test_k_induced_repeat_reads_the_classify_cache(monkeypatch):
 
 @st.composite
 def _small_groups_normal_and_pi(draw):
-    """A group G from _small_groups_and_pi, a proper nontrivial normal
+    """A group G from small_groups_and_pi, a proper nontrivial normal
     subgroup A, and pi a proper subset of the primes dividing |G|."""
-    G, _ = draw(_small_groups_and_pi())
+    G, _ = draw(small_groups_and_pi())
     primes = prime_divisors(G.order())
     normals = [A for A in normal_subgroups(G) if 1 < A.order() < G.order()]
     assume(len(primes) > 1 and normals)
@@ -739,7 +772,7 @@ def test_oracle_against_brute_force_enumeration():
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(_small_groups_and_pi())
+@given(small_groups_and_pi())
 # a Hall subgroup S3 x S3 two extensions above the Sylow seed; one extension
 # reaches a Hall subgroup in every group drawn here
 @example((zoo.direct_product(zoo.direct_product(zoo.sym(3), zoo.sym(3)),

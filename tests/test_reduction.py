@@ -2,11 +2,14 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_groups_and_pi
 from pihall import zoo
 from pihall.arith import PiSet
 from pihall.groups import PermGroup
-from pihall.hall import classify_ECD, is_hall
+from pihall.hall import classify_EC, classify_ECD, is_hall
 from pihall.perms import Perm
 from pihall.reduction import (automizer_cpi_check, compare_with_oracle,
                               corollary18_shortcut, cpi_reduce,
@@ -135,6 +138,35 @@ def test_theorem1_wreath():
 def test_theorem1_requires_conjugacy():
     with pytest.raises(ValueError):
         theorem1_suite(zoo.gl(3, 2), PI23)
+
+
+@st.composite
+def _almost_simple_products(draw):
+    """alt5, psl2_7 or sym5 times a small group (a random subgroup of S_n,
+    n <= 4), with pi two or three primes of the order: the nonabelian
+    chief factors and k >= 2 that the small drawn groups lack."""
+    simple = draw(st.sampled_from([zoo.alt(5), zoo.psl2(7), zoo.sym(5)]))
+    n = draw(st.integers(2, 4))
+    images = draw(st.lists(st.permutations(range(n)), min_size=1,
+                           max_size=2))
+    G = zoo.direct_product(
+        simple, PermGroup(n, [Perm(tuple(p)) for p in images]))
+    pi = PiSet(draw(st.sampled_from(
+        [[2, 3], [2, 5], [3, 5], [2, 7], [3, 7], [2, 3, 5], [2, 3, 7]])))
+    return G, pi
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(small_groups_and_pi(), _almost_simple_products()))
+def test_reduction_matches_the_oracle(case):
+    # the reduction's verdict is the oracle's C, and its witness is Hall
+    G, pi = case
+    trace = cpi_reduce(G, pi)
+    assert trace.verdict is classify_EC(G, pi).C
+    if trace.verdict:
+        assert is_hall(G, trace.hall_witness, pi)
+    else:
+        assert trace.hall_witness is None
 
 
 @pytest.mark.parametrize("name,pi,expected", [

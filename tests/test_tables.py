@@ -15,7 +15,7 @@ from pihall.backtrack import BudgetExceededError, VerificationError
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
-from pihall.tables import ElementTable
+from pihall.tables import ElementTable, _row_keys
 
 
 def test_enumeration_matches_brute_force():
@@ -92,6 +92,18 @@ def test_locate_reads_back_every_row(name):
     tbl = ElementTable(zoo.build_named(name))
     assert np.array_equal(tbl.locate(tbl.rows), np.arange(tbl.size))
     assert tbl.locate(tbl.rows[::-1]).tolist() == list(range(tbl.size))[::-1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+@pytest.mark.parametrize("count", [0, 1, 7, 200])
+def test_row_keys_are_the_rows_bytes(dtype, count):
+    rng = np.random.default_rng(count)
+    rows = rng.integers(0, 2 ** 15, size=(count, 9)).astype(dtype)
+    rows[:, -2:] = 0  # trailing zero bytes stay in the key
+    want = [rows[i].tobytes() for i in range(count)]
+    assert _row_keys(rows) == want
+    # a column slice is not contiguous: the same bytes as its copy
+    assert _row_keys(rows[:, 2:]) == [r[2:].tobytes() for r in rows]
 
 
 def test_locate_rejects_a_row_outside_the_group():
@@ -180,8 +192,18 @@ def test_coset_reps_match_brute_force(G, picks):
         whole = rng.random() < 0.5
         for y in coset:
             within[y] = whole or rng.random() < 0.7
-    assert tbl.coset_reps(K, within=within) == [
-        x for x, coset in zip(brute, cosets) if within[list(coset)].all()]
+    kept = [(x, coset) for x, coset in zip(brute, cosets)
+            if within[list(coset)].all()]
+    assert tbl.coset_reps(K, within=within) == [x for x, _ in kept]
+    # the labels: a kept coset's least element on each of its elements,
+    # and |G| on every other element
+    reps, label = tbl.coset_reps(K, within=within, labels=True)
+    assert reps == [x for x, _ in kept]
+    want = [tbl.size] * tbl.size
+    for x, coset in kept:
+        for y in coset:
+            want[y] = x
+    assert label.tolist() == want
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -230,6 +252,8 @@ def test_the_oracle_and_the_reduction_leave_numpy_ma_unimported():
             "from pihall.reduction import cpi_reduce\n"
             "G, pi = zoo.sym(5), PiSet([2, 3])\n"
             "classify_ECD(G, pi).flags()\n"
+            # a Hall sweep that extends a class above its Sylow seed
+            "classify_ECD(zoo.alt(5), PiSet([2, 5])).flags()\n"
             "cpi_reduce(G, pi)\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
