@@ -1,63 +1,19 @@
-"""Permutation actions of a group on labeled domains, with homomorphism
-support: image, kernel, and, for quotients, preimage.
+"""Permutation actions of a group on labeled domains.
 
 The action on the cosets of a normal subgroup N is the regular
 representation of G/N: its labels are canonical coset representatives,
 its image has order |G:N| (the number of labels) and its kernel is N, so
 it needs no stabilizer chain, and a preimage of q is the label q sends
-the coset N to.  The section, orbit and block actions find their kernels
-and image orders from a combined-domain stabilizer chain: each generator
-acts on (domain points + original points) and the whole domain block
-heads the base, so the stabilizer of that block is the kernel.
+the coset N to.  The section and block actions return their image groups
+alone; a caller that needs the kernel's order reads it as |G|/|image|.
 """
 
 from __future__ import annotations
 
 from .backtrack import BudgetExceededError, certify
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, _Chain, _ident, _inv, _mul, is_normal
+from .groups import PermGroup, _ident, _inv, _mul, is_normal
 from .perms import Perm
-
-
-class ActionHom:
-    """A homomorphism G -> Sym(domain) given by a label action."""
-
-    def __init__(self, G: PermGroup, labels: list, act, name: str | None = None):
-        self.source = G
-        self.labels = labels
-        self.index = {label: i for i, label in enumerate(labels)}
-        self.act = act
-        self.domain_size = len(labels)
-        n = G.degree
-        m = self.domain_size
-        combined = []
-        image_gens = []
-        for g in G.generators:
-            img = self._image_tuple(g.images)
-            image_gens.append(img)
-            combined.append(img + tuple(x + m for x in g.images))
-        # faithful on the original points, so the combined group is G
-        self._chain = _Chain(n + m, combined, hint=range(m), order=G.order())
-        self.quotient = PermGroup(
-            m, [Perm(t, validate=False) for t in image_gens], name=name,
-            order=G.order() // self._chain.order(m))
-        self._kernel: PermGroup | None = None
-
-    def _image_tuple(self, g: tuple[int, ...]) -> tuple[int, ...]:
-        index, act = self.index, self.act
-        return tuple(index[act(label, g)] for label in self.labels)
-
-    def image(self, p: Perm) -> Perm:
-        return Perm(self._image_tuple(p.images), validate=False)
-
-    def kernel(self) -> PermGroup:
-        if self._kernel is None:
-            m = self.domain_size
-            gens = [Perm(tuple(x - m for x in w[m:]), validate=False)
-                    for w in self._chain.strong_gens_from(m)]
-            self._kernel = PermGroup(self.source.degree, gens,
-                                     order=self._chain.order(m))
-        return self._kernel
 
 
 # -- coset actions ---------------------------------------------------------------
@@ -95,9 +51,6 @@ class QuotientHom:
         N, index = self._kernel, self.index
         return Perm(tuple(index[canonical_coset_rep(N, _mul(label, p.images))]
                           for label in self.labels), validate=False)
-
-    def kernel(self) -> PermGroup:
-        return self._kernel
 
     def preimage(self, q: Perm) -> Perm:
         """Some element of G mapping to q: the label of the coset q sends N
@@ -157,53 +110,33 @@ def coset_action(G: PermGroup, N: PermGroup,
 
 
 def section_action(G: PermGroup, A: PermGroup, B: PermGroup,
-                   budgets: Budgets = DEFAULT_BUDGETS) -> ActionHom:
-    """Conjugation action of G on the nonidentity cosets of B in A.
+                   budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
+    """Image of the conjugation action of G on the nonidentity cosets of B
+    in A.
 
-    Requires B normal in A and both normalized by G; the kernel is the
-    subgroup of G centralizing every coset of B in A."""
+    Requires B normal in A and both normalized by G.  The points are
+    coset_action(A, B)'s labels less the coset B itself (its point 0), so
+    a B that A does not normalize raises ValueError."""
     section_size = A.order() // B.order()
     budget = budgets.element_action_budget
     if section_size > budget:
         raise BudgetExceededError(
             "element-action", f"section size {section_size} > {budget}")
-
-    identity_label = canonical_coset_rep(B, _ident(G.degree))
-    labels = [identity_label]
-    seen = {identity_label}
-    head = 0
-    a_gens = A.gen_tuples()
-    while head < len(labels):
-        label = labels[head]
-        head += 1
-        for g in a_gens:
-            nxt = canonical_coset_rep(B, _mul(label, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                labels.append(nxt)
-    labels = [lab for lab in labels if lab != identity_label]
-
-    def act(label, g):
-        return canonical_coset_rep(B, _mul(_mul(_inv(g), label), g))
-
-    return ActionHom(G, labels, act,
+    labels = coset_action(A, B, budgets).labels[1:]
+    index = {label: i for i, label in enumerate(labels)}
+    gens = []
+    for g in G.gen_tuples():
+        g_inv = _inv(g)
+        gens.append(Perm(tuple(
+            index[canonical_coset_rep(B, _mul(_mul(g_inv, label), g))]
+            for label in labels), validate=False))
+    return PermGroup(len(labels), gens,
                      name=f"{A.name or 'A'}/{B.name or 'B'}-section")
 
 
-def orbit_restriction(G: PermGroup, orbit: list[int]) -> ActionHom:
-    """Action of G on one of its invariant point sets."""
-    points = sorted(orbit)
-    pos = {p: i for i, p in enumerate(points)}
-
-    def act(label, g):
-        return pos[g[points[label]]]
-
-    return ActionHom(G, list(range(len(points))), act,
-                     name=f"{G.name or 'G'}|orbit{points[0]}")
-
-
-def block_action(G: PermGroup, blocks: list[list[int]]) -> ActionHom:
-    """Action of G on a block system (blocks given as point lists)."""
+def block_action(G: PermGroup, blocks: list[list[int]]) -> PermGroup:
+    """Image of the action of G on a block system (blocks given as point
+    lists); singleton blocks over an orbit give the orbit's action."""
     rep_of = {}
     for blk in blocks:
         root = min(blk)
@@ -211,12 +144,9 @@ def block_action(G: PermGroup, blocks: list[list[int]]) -> ActionHom:
             rep_of[x] = root
     reps = sorted({min(blk) for blk in blocks})
     pos = {r: i for i, r in enumerate(reps)}
-
-    def act(label, g):
-        return pos[rep_of[g[reps[label]]]]
-
-    return ActionHom(G, list(range(len(reps))), act,
-                     name=f"{G.name or 'G'}|blocks")
+    gens = [Perm(tuple(pos[rep_of[g[r]]] for r in reps), validate=False)
+            for g in G.gen_tuples()]
+    return PermGroup(len(reps), gens, name=f"{G.name or 'G'}|blocks")
 
 
 def minimal_block_system(G: PermGroup, a: int, b: int) -> list[list[int]]:

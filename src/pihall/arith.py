@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
+
+# Miller-Rabin to the prime bases 2..37 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_BOUND = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality below MILLER_RABIN_BOUND: trial division by the
+    bases, then deterministic Miller-Rabin.  Past the bound a composite
+    verdict still holds, and a prime one, which the bases cannot certify
+    there, raises ValueError."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:  # no prime factor up to 37
         return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is past the exact primality bound "
+                         f"{MILLER_RABIN_BOUND}")
     return True
 
 
@@ -45,7 +60,8 @@ def prime_divisors(n: int) -> list[int]:
 
 
 class PiSet:
-    """A finite set of primes; the complement is implicit."""
+    """A finite set of primes; the complement is implicit.  A prime past
+    MILLER_RABIN_BOUND is rejected, as is_prime cannot certify it."""
 
     __slots__ = ("primes",)
 

@@ -155,10 +155,9 @@ class _Chain:
     """Stabilizer chain over image tuples.
 
     ``hint`` pre-creates levels on the given points, in order, so they head
-    the base even when early generators fix them.  Action homomorphisms use
-    this to peel a quotient action off the front of a combined domain: the
-    stabilizer of the whole hint block is then the chain suffix after the
-    hint levels.  Pre-created levels that stay trivial cost O(1) each.
+    the base even when early generators fix them (a point stabilizer, a
+    backtrack search's base).  Pre-created levels that stay trivial cost
+    O(1) each.
 
     ``order``, when given, must be at least the order of the group the
     generators generate: that order, computed, or an upper bound known by
@@ -167,26 +166,24 @@ class _Chain:
     order (see the module docstring).  A stated order that verification
     runs past or never reaches raises VerificationError; one that is too
     small but equals an intermediate product would stop the chain early
-    undetected.  The sources used are: the source group's order for an
-    action's combined chain (the action is faithful on the original
-    points); a complete chain's orbit-length product, or a suffix of it
-    (stabilizers, action kernels); |kernel|·|Q̄| for a preimage;
-    |G|/|kernel| for an action's image; |H| for a conjugate of H; the
-    upper bounds |GL_n(q)| for ``zoo.gl`` and ``zoo.GLHat.inner`` (images
-    of invertible matrices), the parabolic order for
-    ``zoo.flag_stabilizer`` (block-lower-triangular matrices) and
-    2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies
-    that the swap is an involution normalizing the inner copy).  Spans and backtrack results state none: their groups
-    adopt the chain that found them (``PermGroup._adopt``).
+    undetected.  The sources used are: a complete chain's orbit-length
+    product, or a suffix of it (stabilizers); |kernel|·|Q̄| for a
+    preimage; |G:N| for the regular image of a coset action; |H| for a
+    conjugate of H; the upper bounds |GL_n(q)| for ``zoo.gl`` and
+    ``zoo.GLHat.inner`` (images of invertible matrices), the parabolic
+    order for ``zoo.flag_stabilizer`` (block-lower-triangular matrices)
+    and 2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor
+    certifies that the swap is an involution normalizing the inner copy).
+    Spans and backtrack results state none: their groups adopt the chain
+    that found them (``PermGroup._adopt``).
     """
 
-    __slots__ = ("degree", "levels", "hint_len", "_order")
+    __slots__ = ("degree", "levels", "_order")
 
     def __init__(self, degree: int, gens: Iterable[tuple[int, ...]],
                  hint: Sequence[int] = (), order: int | None = None):
         self.degree = degree
         self.levels: list[_Level] = [_Level(h, degree) for h in hint]
-        self.hint_len = len(hint)
         self._order = order
         ident = _ident(degree)
         for g in gens:

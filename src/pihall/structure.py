@@ -9,7 +9,7 @@ sets of class ids in G's table (ElementTable.normal_closure_classes); only
 the returned subgroups are built as PermGroups.  Above the budget, normal
 closures grow a stabilizer chain one generator at a time, the chief series
 passes through quotients, and is_simple and minimal_normal_subgroups
-reduce along orbit restrictions and block actions; primitive groups are
+reduce along orbit and block actions; primitive groups are
 certified through a prime p dividing the degree with p^2 not dividing the
 order (every nontrivial normal subgroup is transitive, hence contains the
 normal closure of a Sylow p-subgroup).  Past these reductions, seeded
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .actions import (block_action, coset_action, nontrivial_block_system,
-                      orbit_restriction, section_action)
+                      section_action)
 from .arith import is_prime, p_part, prime_divisors
 from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
                         subgroup_search)
@@ -99,24 +99,23 @@ def _prime_order_classes(tbl: ElementTable) -> list[int]:
 
 
 def _is_simple_large(G: PermGroup, budgets: Budgets, seed: int) -> bool:
+    order = G.order()
     orbits = [o for o in G.orbits() if len(o) > 1]
     if len(orbits) > 1 or (orbits and len(orbits[0]) < G.degree):
         for orb in orbits:
-            hom = orbit_restriction(G, orb)
-            if hom.kernel().is_trivial():
-                return is_simple(hom.quotient, budgets, seed)
-        # every orbit restriction has a proper nontrivial kernel
+            image = block_action(G, [[x] for x in orb])
+            if image.order() == order:  # faithful on this orbit
+                return is_simple(image, budgets, seed)
+        # every orbit's action has a proper nontrivial kernel
         return False
     blocks = nontrivial_block_system(G)
     if blocks is not None:
-        hom = block_action(G, blocks)
-        k = hom.kernel().order()
-        if k == 1:
-            return is_simple(hom.quotient, budgets, seed)
-        return False
+        # G moves the blocks, so the kernel is proper: a nontrivial one
+        # refutes simplicity, and a faithful image carries the question
+        image = block_action(G, blocks)
+        return image.order() == order and is_simple(image, budgets, seed)
     # primitive: every nontrivial normal subgroup is transitive
     n = G.degree
-    order = G.order()
     for p in prime_divisors(n):
         if p_part(order, p) == p:
             z = p_element(G, p, random.Random(seed))
@@ -481,11 +480,10 @@ def _cyclic_decomposition(Q: PermGroup) -> list[PermGroup]:
 @dataclass
 class InducedAutomizer:
     """Automorphisms of a section A/B induced by conjugation in the ambient
-    group, realized faithfully as a permutation group."""
+    group, realized faithfully as a permutation group, and the route that
+    realized them."""
 
     section_image: PermGroup
-    inner_image: PermGroup
-    kernel: PermGroup
     route: str
 
 
@@ -495,35 +493,24 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
 
     Requires B <= A with both normalized by G.  Representation: the ambient
     group itself when B = 1 and A has trivial centralizer (G already acts
-    faithfully, whatever the section size); else conjugation on the
-    nonidentity section elements when the section is small; otherwise the
-    coset action on the section centralizer."""
+    faithfully, whatever the section size); else the image of G's
+    conjugation action on the nonidentity section elements when the
+    section is small; otherwise the coset action on the section
+    centralizer."""
     require_subgroup(G, A, "A")
     if not B.is_trivial():
         require_subgroup(A, B, "B")
     if not (is_normal(G, A) and is_normal(G, B)):
         raise ValueError("A and B must be normalized by the ambient group")
 
-    if B.is_trivial():
-        cent = centralizer(G, A, budgets)
-        if cent.is_trivial():
-            return InducedAutomizer(section_image=G, inner_image=A,
-                                    kernel=cent, route="ambient-faithful")
-
-    section_size = A.order() // B.order()
-    if section_size <= budgets.element_action_budget:
-        sec = section_action(G, A, B, budgets)
-        inner = PermGroup(sec.domain_size,
-                          [sec.image(a) for a in A.generators])
-        return InducedAutomizer(section_image=sec.quotient,
-                                inner_image=inner, kernel=sec.kernel(),
-                                route="element-action")
-
+    if B.is_trivial() and centralizer(G, A, budgets).is_trivial():
+        return InducedAutomizer(section_image=G, route="ambient-faithful")
+    if A.order() // B.order() <= budgets.element_action_budget:
+        image = section_action(G, A, B, budgets)
+        return InducedAutomizer(section_image=image, route="element-action")
     cent = _section_centralizer(G, A, B, budgets)
-    hom = coset_action(G, cent, budgets)
-    inner = PermGroup(hom.domain_size, [hom.image(a) for a in A.generators])
-    return InducedAutomizer(section_image=hom.quotient, inner_image=inner,
-                            kernel=cent, route="coset-on-centralizer")
+    image = coset_action(G, cent, budgets).quotient
+    return InducedAutomizer(section_image=image, route="coset-on-centralizer")
 
 
 def _section_centralizer(G: PermGroup, A: PermGroup, B: PermGroup,

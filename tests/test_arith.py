@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from pihall.arith import PiSet, is_pi_number, is_prime, p_part, pi_part, \
-    prime_factorization
+from pihall.arith import MILLER_RABIN_BOUND, PiSet, is_pi_number, is_prime, \
+    p_part, pi_part, prime_factorization
 
 
 def test_pi_part_of_one():
@@ -29,10 +31,29 @@ def test_p_part():
     assert p_part(720, 7) == 1
 
 
-@pytest.mark.parametrize("n,expect", [(2, True), (3, True), (4, False),
-                                      (31, True), (91, False), (1, False)])
+@pytest.mark.parametrize("n,expect", [
+    (2, True), (3, True), (4, False), (31, True), (91, False), (1, False),
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..23
+    (3215031751, False), (3825123056546413051, False),
+    # a 19-digit prime: tens of seconds by trial division
+    (10**18 + 3, True),
+    # past the bound, a composite verdict still holds
+    (10**24 + 9, False)])
 def test_is_prime(n, expect):
     assert is_prime(n) is expect
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if by_trial_division(n)]
+
+
+def test_is_prime_refuses_a_prime_past_the_bound():
+    assert MILLER_RABIN_BOUND < 10**24 + 7
+    with pytest.raises(ValueError):
+        is_prime(10**24 + 7)
 
 
 def test_piset_parse_and_reject():
@@ -43,6 +64,8 @@ def test_piset_parse_and_reject():
         PiSet.parse("")
     with pytest.raises(ValueError):
         PiSet([6])
+    with pytest.raises(ValueError):
+        PiSet.parse(f"2,{10**24 + 7}")
 
 
 def test_piset_semantics():

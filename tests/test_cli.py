@@ -35,6 +35,9 @@ def test_analyze_disjoint_pi(capsys):
 def test_analyze_exit_codes(capsys):
     code, _, err = run(["analyze", "alt5", "--pi", "2,notaprime"], capsys)
     assert code == 4
+    # a 25-digit prime is past the range where primality is exact
+    code, _, err = run(["analyze", "alt5", "--pi", f"2,{10**24 + 7}"], capsys)
+    assert code == 4 and "primality bound" in err
     code, _, err = run(["analyze", "missing-group", "--pi", "2"], capsys)
     assert code == 2
 

@@ -26,11 +26,11 @@ ALLOWED = {
 # Defaulted parameters no call in src/pihall passes, one reason each.
 ALLOWED_PARAMS = {
     "cpi_reduce(known)": "test-only special-case registry; removed with "
-                         "the registry (ROADMAP item 1)",
+                         "the registry (ROADMAP item 2)",
     "find_hall(known)": "test-only special-case registry; removed with "
-                        "the registry (ROADMAP item 1)",
+                        "the registry (ROADMAP item 2)",
     "run_example(known)": "test-only special-case registry; removed with "
-                          "the registry (ROADMAP item 1)",
+                          "the registry (ROADMAP item 2)",
     "partition_stabilizer(budgets)": "no caller in the package; kept with "
                                      "the function for the benchmark",
 }
@@ -147,7 +147,7 @@ def test_no_unpassed_defaulted_parameters():
 
 # -- stabilizer chains ------------------------------------------------------------
 
-CHAIN_MODULES = {"groups.py", "actions.py", "backtrack.py"}
+CHAIN_MODULES = {"groups.py", "backtrack.py"}
 
 
 def test_only_chain_modules_name_the_chain():
@@ -161,6 +161,15 @@ def test_only_chain_modules_name_the_chain():
                         for node in ast.walk(tree)))]
     assert not named, "_Chain named outside the chain modules: " + \
         ", ".join(named)
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements: a check the package relies on
+    # raises through `groups.certify` or an explicit error instead
+    found = [f"{fname}:{node.lineno}"
+             for fname, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/pihall: " + ", ".join(found)
 
 
 # -- budgets and seed -------------------------------------------------------------

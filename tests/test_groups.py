@@ -224,7 +224,6 @@ def test_stated_order_chain_is_identical(group, seed):
         N = normal_closure(G, [x])
         if order // N.order() <= 120:
             hom = coset_action(stated, N)
-            hom.kernel().chain()
             Q = hom.quotient
             Q.chain()
             Qsub = PermGroup(Q.degree, [hom.image(stated.random_element(rng))])

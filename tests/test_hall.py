@@ -341,23 +341,42 @@ def test_dominance_work_gate(monkeypatch):
 
 
 def test_oracle_closures_never_abort(monkeypatch):
-    # a work-count gate: every extension the sweeps close was let through
-    # by the whole-coset test, so none of them runs past the pi-part
-    aborted = [0]
+    # a work-count gate over a cold classify_ECD of the 45 pairs: the
+    # whole-coset test is necessary for <K, x> to be a pi-subgroup of order
+    # dividing the pi-part, not sufficient, so a closure the sweeps start
+    # can still run past it and abort.  The Hall sweep (from the Sylow
+    # seed, inside all_hall_classes) aborts none; the dominance sweep
+    # aborts one, on gl4_2/{2,3}, and no other closure aborts
+    aborted, where = Counter(), [None]
     closure = ElementTable.closure
 
     def counting(self, *args, **kwargs):
         got = closure(self, *args, **kwargs)
-        aborted[0] += got is None
+        aborted[where[0]] += got is None
         return got
 
+    def inside(f, name):
+        def wrapped(*args, **kwargs):
+            where[0] = name
+            try:
+                return f(*args, **kwargs)
+            finally:
+                where[0] = None
+        return wrapped
+
     monkeypatch.setattr(ElementTable, "closure", counting)
+    monkeypatch.setattr(hall, "all_hall_classes",
+                        inside(hall.all_hall_classes, "hall"))
+    monkeypatch.setattr(hall, "_grow_outside_hall",
+                        inside(hall._grow_outside_hall, "dominance"))
     monkeypatch.setattr(hall, "_classify_cache", {})
     structure._table_cache.clear()
-    expected = next(e["expected"] for e in zoo.corpus_manifest()
-                    if (e["name"], e["pi"]) == ("sym6", "2,3"))
-    assert classify_ECD(zoo.build_named("sym6"), PI23).flags() == expected
-    assert aborted[0] == 0
+    for e in zoo.corpus_manifest():
+        G, pi = zoo.build_named(e["name"]), PiSet.parse(e["pi"])
+        assert classify_ECD(G, pi).flags() == e["expected"], e["name"]
+    assert aborted["hall"] == 0
+    assert aborted["dominance"] <= 1
+    assert aborted[None] == 0
 
 
 def test_coset_pass_looks_up_few_rows(monkeypatch):
