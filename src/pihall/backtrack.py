@@ -16,7 +16,7 @@ from __future__ import annotations
 from .config import DEFAULT_BUDGETS, Budgets
 # VerificationError and certify live in groups; re-exported here
 from .groups import (PermGroup, VerificationError, _Chain, _ident, _inv, _mul,
-                     certify)
+                     certify, is_normal)
 from .perms import Perm
 
 
@@ -328,11 +328,7 @@ def normalizer(G: PermGroup, H: PermGroup,
     """Full normalizer of H in G."""
     if H.is_trivial():
         return G
-    g_inv_conj_ok = all(
-        all(H.chain().contains(_mul(_mul(_inv(g.images), h), g.images))
-            for h in H.gen_tuples())
-        for g in G.generators)
-    if g_inv_conj_ok:
+    if is_normal(G, H):
         return G
     return subgroup_search(G, ConjugacyProperty(H, H), known=H.gen_tuples(),
                            budgets=budgets)

@@ -352,14 +352,24 @@ def cmd_example(args) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, with_pi: bool = True) -> None:
     if with_pi:
         p.add_argument("--pi", required=True,
                        help="comma-separated primes, e.g. 2,3")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget-nodes", type=int,
+    p.add_argument("--budget-nodes", type=_positive_int,
                    default=DEFAULT_BUDGETS.node_budget)
-    p.add_argument("--budget-order", type=int,
+    p.add_argument("--budget-order", type=_positive_int,
                    default=DEFAULT_BUDGETS.order_budget)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the full JSON report to PATH")

@@ -36,6 +36,12 @@ the sweep starts at the subgroups of prime order, grows only through
 classes inside a conjugate of H, and stops at the first class outside,
 which it keeps as a witness.  It is exact for any number of primes.
 
+The reduction's extension step (`extend_hall`) lifts a Hall subgroup M of
+a normal subgroup A of pi-number index to a Hall subgroup of G that meets
+A in M.  One exists exactly when G = N_G(M)·A (the Frattini argument),
+which two normalizer searches decide; a Hall subgroup of N_G(M) is then
+the answer, certified to contain M.
+
 Negative answers are certificates; running out of a budget raises
 BudgetExceededError instead.
 """
@@ -673,27 +679,7 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
     return KReport(G, A, pi, len(cids), k_total, reps)
 
 
-# -- class invariance and extension ---------------------------------------------
-
-
-def class_is_G_invariant(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
-                         budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """Whether conjugation by G fixes the A-class {M^a}: for every
-    generator g, M^g must be A-conjugate to M."""
-    if not is_normal(G, A):
-        raise ValueError("A must be normal in G")
-    if not is_pi_number(G.order() // A.order(), pi):
-        raise ValueError("|G:A| must be a pi-number")
-    if not is_hall(A, M, pi):
-        raise ValueError("M must be a pi-Hall subgroup of A")
-    for g in G.generators:
-        if A.contains(g):
-            continue
-        Mg = PermGroup(G.degree, [h.conjugate(g) for h in M.generators],
-                       order=M.order())
-        if are_conjugate(A, Mg, M, budgets) is None:
-            return False
-    return True
+# -- extension through an invariant class ---------------------------------------
 
 
 def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
@@ -702,29 +688,29 @@ def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
     """A pi-Hall subgroup H of G with H ∩ A = M (exactly), or None when the
     A-class of M is not G-invariant (the two are equivalent).
 
-    Constructive: N = N_G(M) covers G over A by the Frattini argument and
-    has a pi-separable series over M, so a Hall subgroup of N works."""
-    if not class_is_G_invariant(G, A, M, pi, budgets):
-        return None
+    By the Frattini argument the class is G-invariant exactly when
+    G = N_G(M)·A, i.e. |N_G(M)|·|A| = |G|·|N_A(M)|.  Then N = N_G(M) has
+    the pi-separable series M ≤ N_A(M) ≤ N, and a Hall subgroup H of N is
+    Hall in G.  M is a normal pi-subgroup of N, so M ≤ H, and H ∩ A, a
+    pi-subgroup of A containing the Hall subgroup M, is M."""
+    if not is_normal(G, A):
+        raise ValueError("A must be normal in G")
+    if not is_pi_number(G.order() // A.order(), pi):
+        raise ValueError("|G:A| must be a pi-number")
+    if not is_hall(A, M, pi):
+        raise ValueError("M must be a pi-Hall subgroup of A")
     if A.same_group_as(G):
         return M
     N = normalizer(G, M, budgets)
     NA = normalizer(A, M, budgets)
-    # Frattini argument: G = N * A
-    certify(N.order() * A.order() // NA.order() == G.order(),
-            "Frattini factorization failed")
+    if N.order() * A.order() != G.order() * NA.order():
+        return None
     H = find_hall(N, pi, budgets, seed)
     certify(H is not None,
             "normalizer is pi-separable, yet no Hall subgroup was found")
     certify(is_hall(G, H, pi), "the normalizer's Hall subgroup is not Hall")
-    inter = intersect_subgroups(H, A, budgets)
-    if not inter.same_group_as(M):
-        x = are_conjugate(A, inter, M, budgets)
-        certify(x is not None, "H ∩ A must be A-conjugate to M")
-        H = PermGroup(G.degree, [h.conjugate(x) for h in H.generators],
-                      order=H.order())
-        inter = intersect_subgroups(H, A, budgets)
-        certify(inter.same_group_as(M), "conjugated H ∩ A is not M")
+    certify(M.is_subgroup_of(H), "M is normal in N_G(M) but not in its Hall "
+                                 "subgroup")
     return H
 
 

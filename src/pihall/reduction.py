@@ -22,11 +22,11 @@ from .actions import coset_action
 from .arith import PiSet, is_pi_number, pi_part
 from .backtrack import BudgetExceededError, certify, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, join_subgroups
+from .groups import PermGroup
 from .hall import classify_EC, extend_hall, is_hall
 from .registry import SpecialCaseRegistry
 from .structure import (ChiefSeries, chief_factor_decomposition, chief_series,
-                        factor_orbits, induced_automizer, normal_subgroups)
+                        factor_orbits, induced_automizer)
 
 
 @dataclass
@@ -258,22 +258,6 @@ def corollary18_shortcut(series: ChiefSeries, pi: PiSet) -> bool | None:
         if not classify_EC(section, pi, budgets, seed).C:
             return False
     return True
-
-
-def theorem1_suite(G: PermGroup, pi: PiSet,
-                   budgets: Budgets = DEFAULT_BUDGETS,
-                   seed: int = 1) -> list[tuple[PermGroup, bool]]:
-    """For a group with the conjugacy property: HA keeps it for a fixed Hall
-    subgroup H and every normal subgroup A.  Returns (A, verdict) pairs."""
-    base = classify_EC(G, pi, budgets, seed)
-    if not base.C:
-        raise ValueError("theorem1_suite requires the conjugacy property")
-    H = base.classes.class_reps[0]
-    out = []
-    for A in normal_subgroups(G, budgets):
-        HA = join_subgroups(G, [H, A])
-        out.append((A, classify_EC(HA, pi, budgets, seed).C))
-    return out
 
 
 @dataclass

@@ -1,15 +1,20 @@
 """Corpus runner and the numbered invariant suites.
 
-Each suite sweeps the corpus for instances satisfying its hypotheses and
-records violations; the suite keys follow the numbering of the underlying
-theory source, which is the interface the corpus command reports under.
-All expected values come from the oracle (either frozen at bootstrap time
-or recomputed here); nothing is hand-written.
+Each suite states one result of the theory: a generator that walks the
+corpus's instance streams (`_pairs`, `_proper_normals`, `_ha_instances`),
+skips the instances its hypotheses do not admit, and yields for each
+other one the messages of its failed conclusions (`_unless`), empty when
+they hold.  One counting loop (`_suite`) turns that into a SuiteResult.
+The suite keys follow the numbering of the underlying theory source,
+which is the interface the corpus command reports under.  All expected
+values come from the oracle (either frozen at bootstrap time or
+recomputed here); nothing is hand-written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from . import zoo
 from .actions import coset_action
@@ -20,9 +25,9 @@ from .groups import PermGroup, join_subgroups
 from .hall import (_orbits_for, are_conjugate, classify_EC,
                    intersect_subgroups, is_hall, k_induced,
                    pi_separable_series)
-from .reduction import compare_with_oracle, corollary18_shortcut, theorem1_suite
+from .reduction import compare_with_oracle, corollary18_shortcut
 from .structure import ChiefSeries, chief_series, get_table, is_normal, \
-    minimal_normal_subgroups, normal_subgroups
+    is_simple, minimal_normal_subgroups, normal_subgroups
 
 COROLLARY18_PI_SETS = ("2,5", "3,5", "5,7")
 
@@ -109,11 +114,23 @@ def _entry_names(entries) -> list[str]:
     return list(dict.fromkeys(e["name"] for e in entries))
 
 
+def _pairs(entries, ctx: CorpusContext):
+    """(entry, G, pi, label) for each entry, label naming it in messages."""
+    for e in entries:
+        yield (e, ctx.group(e["name"]), PiSet.parse(e["pi"]),
+               f"{e['name']}/{e['pi']}")
+
+
+def _proper_normals(e, G: PermGroup, ctx: CorpusContext):
+    """The normal subgroups of G other than 1 and G."""
+    for A in ctx.normals(e["name"]):
+        if A.order() not in (1, G.order()):
+            yield A
+
+
 def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult]:
     out = []
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+    for e, G, pi, _ in _pairs(entries, ctx):
         cmp = compare_with_oracle(G, pi, ctx.budgets, ctx.seed)
         try:
             observed = ctx.classify(G, pi).flags()
@@ -132,147 +149,127 @@ def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult
 # -- the numbered suites --------------------------------------------------------
 
 
-def suite_lemma4_1(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-4.1", "hall-intersection-and-image")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+def _suite(key: str, name: str):
+    """Make a suite of a generator over (entries, ctx) that yields, for
+    each instance its hypotheses admit, the list of its violations (empty
+    when the conclusion holds)."""
+    def wrap(instances):
+        @wraps(instances)
+        def suite(entries, ctx: CorpusContext) -> SuiteResult:
+            res = SuiteResult(key, name)
+            for violations in instances(entries, ctx):
+                res.checked += 1
+                res.violations += violations
+            return res
+        return suite
+    return wrap
+
+
+def _unless(*checks) -> list[str]:
+    """The messages of the (holds, message) checks that fail."""
+    return [message for holds, message in checks if not holds]
+
+
+@_suite("lemma-4.1", "hall-intersection-and-image")
+def suite_lemma4_1(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         rep = ctx.classify(G, pi)
         if not rep.E:
             continue
         H = rep.classes.class_reps[0]
-        for A in ctx.normals(e["name"]):
-            if A.order() in (1, G.order()):
-                continue
-            res.checked += 1
+        for A in _proper_normals(e, G, ctx):
             inter = intersect_subgroups(H, A, ctx.budgets)
-            if not is_hall(A, inter, pi):
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: H∩A not Hall in A "
-                    f"(|A|={A.order()})")
             hom = ctx.quotient(e["name"], A)
             Hbar = PermGroup(hom.domain_size,
                              [hom.image(h) for h in H.generators])
-            if not is_hall(hom.quotient, Hbar, pi):
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: HA/A not Hall in G/A "
-                    f"(|A|={A.order()})")
-    return res
+            yield _unless(
+                (is_hall(A, inter, pi),
+                 f"{label}: H∩A not Hall in A (|A|={A.order()})"),
+                (is_hall(hom.quotient, Hbar, pi),
+                 f"{label}: HA/A not Hall in G/A (|A|={A.order()})"))
 
 
-def suite_lemma4_2(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-4.2", "separable-series-dominance")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+@_suite("lemma-4.2", "separable-series-dominance")
+def suite_lemma4_2(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         if pi_separable_series(ctx.series(e["name"]), pi) is None:
             continue
-        res.checked += 1
         rep = ctx.classify(G, pi)
-        if not (rep.E and rep.C and rep.D):
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: separable series exists but flags "
-                f"are {rep.flags()}")
-    return res
+        # flags() reads D, as the condition does whenever C holds (D is
+        # False at no cost without C)
+        yield _unless((rep.E and rep.C and rep.D,
+                       f"{label}: separable series exists but flags "
+                       f"are {rep.flags()}"))
 
 
-def suite_lemma5(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-5", "extension-closure")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
-        for A in ctx.normals(e["name"]):
-            if A.order() in (1, G.order()):
-                continue
+@_suite("lemma-5", "extension-closure")
+def suite_lemma5(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
+        for A in _proper_normals(e, G, ctx):
             hom = ctx.quotient(e["name"], A)
             if not (ctx.classify(A, pi).C and
                     ctx.classify(hom.quotient, pi).C):
                 continue
-            res.checked += 1
-            if not ctx.classify(G, pi).C:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: A and G/A conjugacy holds "
-                    f"(|A|={A.order()}) but G fails")
-    return res
+            yield _unless((ctx.classify(G, pi).C,
+                           f"{label}: A and G/A conjugacy holds "
+                           f"(|A|={A.order()}) but G fails"))
 
 
-def suite_lemma7(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-7", "normalizer-inheritance")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+@_suite("lemma-7", "normalizer-inheritance")
+def suite_lemma7(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         rep = ctx.classify(G, pi)
         if not rep.C:
             continue
         H = rep.classes.class_reps[0]
-        for A in ctx.normals(e["name"]):
-            if A.order() in (1, G.order()):
-                continue
-            res.checked += 1
+        for A in _proper_normals(e, G, ctx):
             HA = join_subgroups(G, [H, A])
-            N1 = normalizer(G, HA, ctx.budgets)
-            if not ctx.classify(N1, pi).C:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: N_G(HA) fails (|A|={A.order()})")
             inter = intersect_subgroups(H, A, ctx.budgets)
-            N2 = normalizer(G, inter, ctx.budgets)
-            if not ctx.classify(N2, pi).C:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: N_G(H∩A) fails (|A|={A.order()})")
-    return res
+            yield _unless(
+                (ctx.classify(normalizer(G, HA, ctx.budgets), pi).C,
+                 f"{label}: N_G(HA) fails (|A|={A.order()})"),
+                (ctx.classify(normalizer(G, inter, ctx.budgets), pi).C,
+                 f"{label}: N_G(H∩A) fails (|A|={A.order()})"))
 
 
-def suite_lemma9(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-9", "quotient-inheritance")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+@_suite("lemma-9", "quotient-inheritance")
+def suite_lemma9(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         if not ctx.classify(G, pi).C:
             continue
-        for A in ctx.normals(e["name"]):
-            if A.order() in (1, G.order()):
-                continue
-            res.checked += 1
+        for A in _proper_normals(e, G, ctx):
             hom = ctx.quotient(e["name"], A)
-            if not ctx.classify(hom.quotient, pi).C:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: quotient by |A|={A.order()} "
-                    f"fails")
-    return res
+            yield _unless((ctx.classify(hom.quotient, pi).C,
+                           f"{label}: quotient by |A|={A.order()} fails"))
 
 
 def _ha_instances(entries, ctx: CorpusContext):
-    """(entry, G, pi, H, A) with HA normal in G and A a proper normal
+    """(label, G, pi, H, A, HA) with HA normal in G and A a proper normal
     subgroup; the instances Lemmas 11-13 quantify over."""
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+    for e, G, pi, label in _pairs(entries, ctx):
         rep = ctx.classify(G, pi)
         if not rep.E:
             continue
         H = rep.classes.class_reps[0]
-        for A in ctx.normals(e["name"]):
-            if A.order() in (1, G.order()):
-                continue
+        for A in _proper_normals(e, G, ctx):
             HA = join_subgroups(G, [H, A])
             if is_normal(G, HA):
-                yield e, G, pi, H, A, HA
+                yield label, G, pi, H, A, HA
 
 
-def suite_lemma11(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-11", "induced-iff-invariant")
-    for e, G, pi, H, A, HA in _ha_instances(entries, ctx):
+@_suite("lemma-11", "induced-iff-invariant")
+def suite_lemma11(entries, ctx: CorpusContext):
+    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
         C = centralizer(G, A, ctx.budgets)
-        HAC = join_subgroups(G, [H, A, C])
-        if not is_normal(G, HAC):
+        if not is_normal(G, join_subgroups(G, [H, A, C])):
             continue
-        res.checked += 1
         tbl = get_table(G, ctx.budgets)
         a_set = tbl.indices_of_subgroup(A)
         orbits = _orbits_for(tbl, A)
         # the A-classes of the G-induced Hall subgroups H^g ∩ A
         induced = {orbits.class_id(tbl.indices_of_subgroup(K) & a_set)
                    for K in ctx.classify(G, pi).classes.class_reps}
+        violations = []
         for M in ctx.classify(A, pi).classes.class_reps:
             is_induced = orbits.class_id(tbl.indices_of_subgroup(M)) in induced
             h_invariant = all(
@@ -281,33 +278,29 @@ def suite_lemma11(entries, ctx: CorpusContext) -> SuiteResult:
                                  [x.conjugate(h) for x in M.generators]),
                     M, ctx.budgets) is not None
                 for h in H.generators)
-            if is_induced != h_invariant:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: class of |M|={M.order()} "
-                    f"induced={is_induced} invariant={h_invariant}")
-    return res
+            violations += _unless((is_induced == h_invariant,
+                                   f"{label}: class of |M|={M.order()} "
+                                   f"induced={is_induced} "
+                                   f"invariant={h_invariant}"))
+        yield violations
 
 
-def suite_lemma12(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-12", "induced-count-descends-to-HA")
-    for e, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        res.checked += 1
+@_suite("lemma-12", "induced-count-descends-to-HA")
+def suite_lemma12(entries, ctx: CorpusContext):
+    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
         kG = k_induced(G, A, pi, ctx.budgets, ctx.seed)
         kHA = k_induced(HA, A, pi, ctx.budgets, ctx.seed)
-        if kG.k_induced > kG.k_total:
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: induced count exceeds total")
-        if kG.k_induced != kHA.k_induced:
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: k^G(A)={kG.k_induced} but "
-                f"k^HA(A)={kHA.k_induced} (|A|={A.order()})")
-    return res
+        yield _unless(
+            (kG.k_induced <= kG.k_total,
+             f"{label}: induced count exceeds total"),
+            (kG.k_induced == kHA.k_induced,
+             f"{label}: k^G(A)={kG.k_induced} but "
+             f"k^HA(A)={kHA.k_induced} (|A|={A.order()})"))
 
 
-def suite_lemma13(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-13", "one-class-three-ways")
-    for e, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        res.checked += 1
+@_suite("lemma-13", "one-class-three-ways")
+def suite_lemma13(entries, ctx: CorpusContext):
+    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
         cond1 = k_induced(G, A, pi, ctx.budgets, ctx.seed).k_induced == 1
         cond2 = ctx.classify(HA, pi).C
         # every two Hall subgroups of G conjugate by an element of A:
@@ -320,20 +313,16 @@ def suite_lemma13(entries, ctx: CorpusContext) -> SuiteResult:
             orbits = _orbits_for(tbl, A)
             cond3 = (orbits.size(orbits.class_id(h_set))
                      == rep.classes.class_sizes[0])
-        if not (cond1 == cond2 == cond3):
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: |A|={A.order()} "
-                f"k=1:{cond1} HA-conj:{cond2} A-conj:{cond3}")
-    return res
+        yield _unless((cond1 == cond2 == cond3,
+                       f"{label}: |A|={A.order()} "
+                       f"k=1:{cond1} HA-conj:{cond2} A-conj:{cond3}"))
 
 
-def suite_lemma15(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-15", "product-count-multiplies")
-    for e in entries:
+@_suite("lemma-15", "product-count-multiplies")
+def suite_lemma15(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         if zoo.ZOO_NAMES[e["name"]]["kind"] != "direct_product":
             continue
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
         mins = minimal_normal_subgroups(G, ctx.budgets, ctx.seed)
         # the two disjoint-action factors are the orbit-split normal parts
         factors = [M for M in mins if M.order() > 1]
@@ -342,68 +331,53 @@ def suite_lemma15(entries, ctx: CorpusContext) -> SuiteResult:
         A1, A2 = factors[0], factors[1]
         if A1.order() * A2.order() != G.order():
             continue
-        res.checked += 1
-        k = ctx.classify(G, pi).k
-        k1 = ctx.classify(A1, pi).k
-        k2 = ctx.classify(A2, pi).k
-        if k != k1 * k2:
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: k={k} but factors give {k1}*{k2}")
-    return res
+        k, k1, k2 = (ctx.classify(X, pi).k for X in (G, A1, A2))
+        yield _unless((k == k1 * k2,
+                       f"{label}: k={k} but factors give {k1}*{k2}"))
 
 
-def suite_lemma16(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("lemma-16", "transitive-factors-collapse")
-    for e in entries:
+@_suite("lemma-16", "transitive-factors-collapse")
+def suite_lemma16(entries, ctx: CorpusContext):
+    for e, G, pi, label in _pairs(entries, ctx):
         if zoo.ZOO_NAMES[e["name"]]["kind"] != "wreath":
             continue
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
         rep = ctx.classify(G, pi)
         if not rep.E:
             continue
         H = rep.classes.class_reps[0]
-        mins = minimal_normal_subgroups(G, ctx.budgets, ctx.seed)
-        for A in mins:
+        for A in minimal_normal_subgroups(G, ctx.budgets, ctx.seed):
             subs = minimal_normal_subgroups(A, ctx.budgets, ctx.seed) \
                 if A.order() > 1 and not A.same_group_as(G) else []
             if len(subs) < 2:
                 continue
             C = centralizer(G, A, ctx.budgets)
-            HAC = join_subgroups(G, [H, A, C])
-            if HAC.order() != G.order():
+            if join_subgroups(G, [H, A, C]).order() != G.order():
                 continue
-            res.checked += 1
-            S1 = subs[0]
-            N = normalizer(G, S1, ctx.budgets)
+            N = normalizer(G, subs[0], ctx.budgets)
             kGA = k_induced(G, A, pi, ctx.budgets, ctx.seed).k_induced
-            kNS = k_induced(N, S1, pi, ctx.budgets, ctx.seed).k_induced
-            if kGA != kNS:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: k^G(A)={kGA} but "
-                    f"k^N(S1)={kNS}")
-    return res
+            kNS = k_induced(N, subs[0], pi, ctx.budgets, ctx.seed).k_induced
+            yield _unless((kGA == kNS,
+                           f"{label}: k^G(A)={kGA} but k^N(S1)={kNS}"))
 
 
-def suite_theorem1(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("theorem-1", "hall-times-normal-keeps-conjugacy")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
-        if not ctx.classify(G, pi).C:
+@_suite("theorem-1", "hall-times-normal-keeps-conjugacy")
+def suite_theorem1(entries, ctx: CorpusContext):
+    """For G with the conjugacy property and a fixed Hall subgroup H, HA
+    keeps it for every normal subgroup A (1 and G included)."""
+    for e, G, pi, label in _pairs(entries, ctx):
+        rep = ctx.classify(G, pi)
+        if not rep.C:
             continue
-        for A, ok in theorem1_suite(G, pi, ctx.budgets, ctx.seed):
-            res.checked += 1
-            if not ok:
-                res.violations.append(
-                    f"{e['name']}/{e['pi']}: HA fails for |A|={A.order()}")
-    return res
+        H = rep.classes.class_reps[0]
+        for A in ctx.normals(e["name"]):
+            HA = join_subgroups(G, [H, A])
+            yield _unless((ctx.classify(HA, pi).C,
+                           f"{label}: HA fails for |A|={A.order()}"))
 
 
 def _almost_simple_socle(G: PermGroup, ctx: CorpusContext) -> PermGroup | None:
     """The socle when G is almost simple (unique nonabelian simple minimal
     normal subgroup with trivial centralizer), else None."""
-    from .structure import is_simple
     mins = minimal_normal_subgroups(G, ctx.budgets, ctx.seed)
     if len(mins) != 1:
         return None
@@ -417,12 +391,10 @@ def _almost_simple_socle(G: PermGroup, ctx: CorpusContext) -> PermGroup | None:
     return S
 
 
-def suite_theorem10(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("theorem-10", "almost-simple-class-counts")
+@_suite("theorem-10", "almost-simple-class-counts")
+def suite_theorem10(entries, ctx: CorpusContext):
     socle_cache: dict[str, PermGroup | None] = {}
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
+    for e, G, pi, label in _pairs(entries, ctx):
         if not ctx.classify(G, pi).E:
             continue
         if e["name"] not in socle_cache:
@@ -430,7 +402,6 @@ def suite_theorem10(entries, ctx: CorpusContext) -> SuiteResult:
         S = socle_cache[e["name"]]
         if S is None:
             continue
-        res.checked += 1
         k = k_induced(G, S, pi, ctx.budgets, ctx.seed).k_induced
         if 2 not in pi:
             allowed = {1}
@@ -438,48 +409,39 @@ def suite_theorem10(entries, ctx: CorpusContext) -> SuiteResult:
             allowed = {1, 2}
         else:
             allowed = {1, 2, 3, 4, 9}
-        if k not in allowed:
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: induced count {k} outside {allowed}")
-        if not is_pi_number(k, pi):
-            res.violations.append(
-                f"{e['name']}/{e['pi']}: induced count {k} is not a "
-                f"pi-number")
-    return res
+        yield _unless(
+            (k in allowed, f"{label}: induced count {k} outside {allowed}"),
+            (is_pi_number(k, pi),
+             f"{label}: induced count {k} is not a pi-number"))
 
 
-def suite_corollary18(entries, ctx: CorpusContext) -> SuiteResult:
-    res = SuiteResult("corollary-18", "composition-factor-criterion")
+@_suite("corollary-18", "composition-factor-criterion")
+def suite_corollary18(entries, ctx: CorpusContext):
     for name in _entry_names(entries):
         G = ctx.group(name)
         series = ctx.series(name)
         for pi_key in COROLLARY18_PI_SETS:
             pi = PiSet.parse(pi_key)
-            res.checked += 1
             crit = corollary18_shortcut(series, pi)
             oracle = ctx.classify(G, pi).C
-            if crit != oracle:
-                res.violations.append(
-                    f"{name}/{pi_key}: criterion {crit} vs oracle {oracle}")
-    return res
+            yield _unless((crit == oracle, f"{name}/{pi_key}: criterion "
+                                           f"{crit} vs oracle {oracle}"))
 
 
-def suite_oracle_selfcheck(entries, ctx: CorpusContext) -> SuiteResult:
+def _class_signature(classes) -> tuple:
+    return (classes.k, sorted(classes.class_sizes),
+            sorted((r.order(), r.orbit_sizes()) for r in classes.class_reps))
+
+
+@_suite("oracle-selfcheck", "seed-independence")
+def suite_oracle_selfcheck(entries, ctx: CorpusContext):
     """Re-run the oracle with a different seed: class counts and class
     invariants must match."""
-    res = SuiteResult("oracle-selfcheck", "seed-independence")
-    for e in entries:
-        G = ctx.group(e["name"])
-        pi = PiSet.parse(e["pi"])
-        res.checked += 1
+    for e, G, pi, label in _pairs(entries, ctx):
         a = classify_EC(G, pi, ctx.budgets, ctx.seed).classes
         b = classify_EC(G, pi, ctx.budgets, ctx.seed + 1).classes
-        sig_a = sorted((r.order(), r.orbit_sizes()) for r in a.class_reps)
-        sig_b = sorted((r.order(), r.orbit_sizes()) for r in b.class_reps)
-        if a.k != b.k or sorted(a.class_sizes) != sorted(b.class_sizes) \
-                or sig_a != sig_b:
-            res.violations.append(f"{e['name']}/{e['pi']}: seeds disagree")
-    return res
+        yield _unless((_class_signature(a) == _class_signature(b),
+                       f"{label}: seeds disagree"))
 
 
 SUITES = [

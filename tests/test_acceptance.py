@@ -16,6 +16,7 @@ from pihall.config import DEFAULT_BUDGETS
 from pihall.hall import classify_ECD, _classify_cache
 from pihall.structure import _table_cache
 from pihall.suites import run_corpus
+from test_pinned_answers import PINNED_CORPUS_DIGEST, digest
 
 CORPUS_TIME_LIMIT_S = 600
 EXAMPLE_TIME_LIMIT_S = 60
@@ -124,6 +125,13 @@ def test_criterion_6_corollary18(corpus_run):
           "{{2,5},{3,5},{5,7}} match the oracle")
     assert s.checked > 0
     assert s.passed, s.violations
+
+
+def test_corpus_results_are_pinned(corpus_run):
+    run, _ = corpus_run
+    assert [s.checked for s in run.suites] == [
+        77, 20, 75, 75, 75, 68, 68, 68, 2, 4, 133, 11, 63, 45]
+    assert digest(run.to_dict()) == PINNED_CORPUS_DIGEST
 
 
 def test_criterion_7_benchmarks():

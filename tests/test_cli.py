@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from pihall import cli, hall, structure
-from pihall.config import DEFAULT_BUDGETS
+from pihall.config import DEFAULT_BUDGETS, Budgets
 from pihall.tables import ElementTable
 
 
@@ -40,6 +42,19 @@ def test_analyze_exit_codes(capsys):
     assert code == 4 and "primality bound" in err
     code, _, err = run(["analyze", "missing-group", "--pi", "2"], capsys)
     assert code == 2
+    # a budget below 1 or not an integer is a parse error naming its flag
+    for argv in (["analyze", "sym5", "--pi", "2,3", "--budget-order", "0"],
+                 ["analyze", "sym5", "--pi", "2,3", "--budget-nodes", "-5"],
+                 ["reduce", "sym5", "--pi", "2,3", "--budget-nodes", "-5"],
+                 ["corpus", "--budget-order", "ten"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and argv[-2] in err, (argv, err)
+    for field in ("node_budget", "order_budget", "coset_degree_budget",
+                  "element_action_budget"):
+        with pytest.raises(ValueError, match=field):
+            Budgets(**{field: 0})
 
 
 def test_budget_exit_code(capsys):

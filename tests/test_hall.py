@@ -14,9 +14,9 @@ from pihall.backtrack import BudgetExceededError, conjugating_element
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.hall import (_orbits_for, all_hall_classes, are_conjugate,
-                         class_is_G_invariant, classify_EC, classify_ECD,
-                         extend_hall, find_hall, intersect_subgroups, is_hall,
-                         k_induced, pi_separable_series, sylow)
+                         classify_EC, classify_ECD, extend_hall, find_hall,
+                         intersect_subgroups, is_hall, k_induced,
+                         pi_separable_series, sylow)
 from pihall.perms import Perm
 from pihall.structure import (chief_series, get_table,
                               minimal_normal_subgroups, normal_closure,
@@ -701,10 +701,20 @@ def test_k_induced_over_the_trivial_subgroup():
 # -- invariance / extension -----------------------------------------------------------
 
 
+def class_is_G_invariant(G, A, M):
+    """Reference for the invariance extend_hall decides: M^g is A-conjugate
+    to M for every generator g of G."""
+    return all(
+        are_conjugate(A, PermGroup(G.degree,
+                                   [h.conjugate(g) for h in M.generators],
+                                   order=M.order()), M) is not None
+        for g in G.generators if not A.contains(g))
+
+
 def test_class_invariance_inside_the_group_itself():
     A5 = zoo.alt(5)
     M = all_hall_classes(A5, PI23).class_reps[0]
-    assert class_is_G_invariant(A5, A5, M, PI23)
+    assert extend_hall(A5, A5, M, PI23) is M
 
 
 def test_extend_hall_sym5():
@@ -717,11 +727,10 @@ def test_extend_hall_sym5():
 
 def test_extend_hall_restores_exact_intersection():
     # the same claim for every class representative of the socle
-    DP = zoo.direct_product(zoo.alt(5), zoo.alt(5))
     W = zoo.wreath(zoo.alt(5), 2)
     socle = minimal_normal_subgroups(W)[0]
     for M in all_hall_classes(socle, PI23).class_reps:
-        if not class_is_G_invariant(W, socle, M, PI23):
+        if not class_is_G_invariant(W, socle, M):
             continue
         H = extend_hall(W, socle, M, PI23)
         assert H is not None
@@ -729,15 +738,25 @@ def test_extend_hall_restores_exact_intersection():
 
 
 def test_extend_hall_none_iff_not_invariant():
-    # Alt(5) inside Sym(5) with pi = {2}: Sylow-2 classes of Alt(5) are
-    # permuted... a case where invariance can fail is rare in the corpus;
-    # check the equivalence on a product with a swapping extension instead
-    W = zoo.wreath(zoo.alt(5), 2)
-    socle = minimal_normal_subgroups(W)[0]
-    for M in all_hall_classes(socle, PI23).class_reps:
-        inv = class_is_G_invariant(W, socle, M, PI23)
-        got = extend_hall(W, socle, M, PI23)
-        assert (got is not None) == inv
+    # (G, A, the order extend_hall gives for each Hall class of A)
+    W5 = zoo.wreath(zoo.alt(5), 2)
+    hat = zoo.GLHat(3, 2)
+    W7 = zoo.wreath(zoo.gl(3, 2), 2)
+    cases = [
+        (W5, minimal_normal_subgroups(W5)[0], [288]),
+        # the swap exchanges GL3(2)'s two {2,3}-classes: neither extends
+        (hat.group, hat.inner, [None, None]),
+        # the shift swaps two of the base's four classes; two extend
+        (W7, minimal_normal_subgroups(W7)[0], [1152, None, None, 1152]),
+    ]
+    for G, A, expected in cases:
+        got = []
+        for M in all_hall_classes(A, PI23).class_reps:
+            H = extend_hall(G, A, M, PI23)
+            assert (H is not None) == class_is_G_invariant(G, A, M)
+            got.append(None if H is None else H.order())
+        assert got == expected
+    assert classify_EC(hat.group, PI23).k == 0
 
 
 # -- pi-separable series ---------------------------------------------------------------

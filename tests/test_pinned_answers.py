@@ -1,13 +1,15 @@
 """The answers of the oracle and the reduction on the 45 manifest pairs, at
 seeds 1 and 2, pinned by one digest; the GL5(2) example's report at seed 1,
-pinned by another.
+pinned by another; the `results` of a seed-1 corpus run (entries and
+suites, `run_corpus().to_dict()`), pinned by a third, which
+tests/test_acceptance.py checks on the run it already makes.
 
-A change that only makes the program faster must leave both digests alone.
-A change that moves a witness (another member of the same class, another
-Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
-CHANGES.md; `python tests/test_pinned_answers.py` prints both digests of
-the current tree, and `--json` prints the answers and the report they
-cover.
+A change that only makes the program faster must leave all three digests
+alone.  A change that moves a witness (another member of the same class,
+another Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
+CHANGES.md; `python tests/test_pinned_answers.py` prints the three digests
+of the current tree, and `--json` prints the answers and the report the
+first two cover.
 """
 
 import hashlib
@@ -18,11 +20,14 @@ from pihall import hall, structure, zoo
 from pihall.arith import PiSet
 from pihall.example_gl52 import run_example
 from pihall.reduction import cpi_reduce
+from pihall.suites import run_corpus
 
 PINNED_DIGEST = (
     "9bec78d8907e24dd6519b7e7653f625499edfed13956b4636c67f3dfb79c6e21")
 PINNED_EXAMPLE_DIGEST = (
     "0e5e8ed89f38a2d96d92022b242b861692f6138577f1a2f4311e8830ebdc7b61")
+PINNED_CORPUS_DIGEST = (
+    "2721bd9f4fb5841b59a5c60695c5b6701939ecbebbc2cb786a9ac04b44177348")
 SEEDS = (1, 2)
 
 
@@ -84,3 +89,5 @@ if __name__ == "__main__":
     else:
         print("answers", digest(answers))
         print("example", digest(report))
+        _cold()
+        print("corpus", digest(run_corpus().to_dict()))

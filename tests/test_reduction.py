@@ -12,8 +12,7 @@ from pihall.groups import PermGroup
 from pihall.hall import classify_EC, classify_ECD, is_hall
 from pihall.perms import Perm
 from pihall.reduction import (automizer_cpi_check, compare_with_oracle,
-                              corollary18_shortcut, cpi_reduce,
-                              theorem1_suite)
+                              corollary18_shortcut, cpi_reduce)
 from pihall.registry import SpecialCaseRegistry
 from pihall.structure import chief_factor_decomposition, chief_series
 
@@ -121,23 +120,6 @@ def test_shortcut_recorded_in_trace():
     tr = cpi_reduce(zoo.alt(5), PI25)
     assert tr.shortcut_verdict is False
     assert tr.shortcut_agrees is True
-
-
-def test_theorem1_trivial_and_full():
-    res = theorem1_suite(zoo.sym(4), PI23)
-    orders = sorted(A.order() for A, _ in res)
-    assert orders[0] == 1 and orders[-1] == 24
-    assert all(ok for _, ok in res)
-
-
-def test_theorem1_wreath():
-    res = theorem1_suite(zoo.wreath(zoo.sym(4), 2), PI23)
-    assert res and all(ok for _, ok in res)
-
-
-def test_theorem1_requires_conjugacy():
-    with pytest.raises(ValueError):
-        theorem1_suite(zoo.gl(3, 2), PI23)
 
 
 @st.composite
