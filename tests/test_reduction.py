@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_groups_and_pi
 from pihall import zoo
 from pihall.arith import PiSet
+from pihall.config import DEFAULT_BUDGETS
 from pihall.groups import PermGroup
 from pihall.hall import classify_EC, classify_ECD, is_hall
 from pihall.perms import Perm
@@ -15,6 +16,7 @@ from pihall.reduction import (automizer_cpi_check, compare_with_oracle,
                               corollary18_shortcut, cpi_reduce)
 from pihall.registry import SpecialCaseRegistry
 from pihall.structure import chief_factor_decomposition, chief_series
+from pihall.suites import CorpusContext, suite_theorem1
 
 PI23 = PiSet([2, 3])
 PI25 = PiSet([2, 5])
@@ -120,6 +122,32 @@ def test_shortcut_recorded_in_trace():
     tr = cpi_reduce(zoo.alt(5), PI25)
     assert tr.shortcut_verdict is False
     assert tr.shortcut_agrees is True
+
+
+def _theorem1(name):
+    ctx = CorpusContext(DEFAULT_BUDGETS, 1)
+    entry = next(e for e in zoo.corpus_manifest()
+                 if (e["name"], e["pi"]) == (name, "2,3"))
+    return ctx, suite_theorem1([entry], ctx)
+
+
+def test_theorem1_trivial_and_full():
+    ctx, res = _theorem1("sym4")
+    # every normal subgroup is checked, 1 and G included
+    assert sorted(A.order() for A in ctx.normals("sym4")) == [1, 4, 12, 24]
+    assert res.checked == 4 and res.passed
+
+
+def test_theorem1_wreath():
+    ctx, res = _theorem1("sym4wr2")
+    assert res.checked == len(ctx.normals("sym4wr2")) > 0 and res.passed
+
+
+def test_theorem1_requires_conjugacy():
+    # GL(3,2) has two classes of {2,3}-Hall subgroups: no instance to check
+    ctx, res = _theorem1("gl3_2")
+    assert not ctx.classify(ctx.group("gl3_2"), PI23).C
+    assert res.checked == 0 and res.passed
 
 
 @st.composite

@@ -6,7 +6,7 @@ from pihall.suites import (COROLLARY18_PI_SETS, CorpusContext,
                            run_entry_comparisons, suite_corollary18,
                            suite_lemma4_1, suite_lemma5, suite_lemma12,
                            suite_lemma13, suite_lemma15, suite_lemma16,
-                           suite_theorem1, suite_theorem10)
+                           suite_theorem10)
 
 
 def mini_entries(names_pis):
@@ -53,16 +53,6 @@ def test_lemma16_on_wreath():
     ctx = CorpusContext(DEFAULT_BUDGETS, 1)
     res = suite_lemma16(mini_entries([("alt5wr2", "2,3")]), ctx)
     assert res.checked >= 1 and res.passed
-
-
-def test_theorem1_checks_every_normal_subgroup():
-    ctx = CorpusContext(DEFAULT_BUDGETS, 1)
-    res = suite_theorem1(mini_entries([("sym4", "2,3"), ("sym4wr2", "2,3"),
-                                       ("gl3_2", "2,3")]), ctx)
-    # every normal subgroup, 1 and G included; gl3_2 has no C and is skipped
-    assert sorted(A.order() for A in ctx.normals("sym4")) == [1, 4, 12, 24]
-    assert res.checked == 4 + len(ctx.normals("sym4wr2"))
-    assert res.passed
 
 
 def test_theorem10_sees_almost_simple_entries():
