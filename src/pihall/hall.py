@@ -51,6 +51,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -62,7 +63,7 @@ from .backtrack import (BudgetExceededError, certify, conjugating_element,
                         element_centralizer, normalizer)
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, p_element, require_subgroup, span
+from .groups import PermGroup, p_element, require_subgroup
 from .perms import Perm
 from .registry import SpecialCaseRegistry
 from .structure import ChiefSeries, get_table, is_normal
@@ -98,18 +99,10 @@ def _sylow_in_table(tbl: ElementTable, p: int, target: int,
     rng: P is normal in <P, x>, so P<x> is a p-group.  While |P| < target
     such an x exists (p divides |N_G(P) : P|, and the p-part of an element
     of order p in N_G(P)/P is one)."""
-    rows, inv = tbl.rows, tbl._inverses()
     p_mask = _pi_order_mask(tbl, PiSet([p]), target)
     P, gens = frozenset([tbl.identity_idx]), ()
     while len(P) < target:
-        in_p = np.zeros(tbl.size, dtype=bool)
-        in_p[list(P)] = True
-        cand = np.flatnonzero(p_mask & ~in_p)
-        for h in gens:
-            # the row of x^-1 h x, for every candidate x at once
-            conj = np.take_along_axis(rows[cand], rows[h][rows[inv[cand]]],
-                                      axis=1)
-            cand = cand[in_p[tbl._indices(conj)]]
+        cand = tbl.normalizing(P, gens, np.flatnonzero(p_mask & ~tbl.mask(P)))
         certify(len(cand) > 0, "no p-element normalizes a p-subgroup below "
                                "the Sylow order")
         x = int(cand[rng.randrange(len(cand))])
@@ -161,19 +154,6 @@ def _sylow_descent(G: PermGroup, p: int, budgets: Budgets,
                 _sylow_descent(hom.quotient, p, budgets, seed))
         P = _sylow_descent(N, p, budgets, seed)
     return P
-
-
-# -- subgroup intersections (element filter) ---------------------------------------
-
-
-def intersect_subgroups(H: PermGroup, A: PermGroup,
-                        budgets: Budgets = DEFAULT_BUDGETS) -> PermGroup:
-    """H intersect A by enumerating the smaller subgroup's elements."""
-    small, big = (H, A) if H.order() <= A.order() else (A, H)
-    if small.order() > budgets.order_budget:
-        raise BudgetExceededError("intersection", f"|smaller side| = "
-                                  f"{small.order()} > {budgets.order_budget}")
-    return span(H.degree, filter(big.contains, small.elements()))
 
 
 # -- the oracle ---------------------------------------------------------------------
@@ -653,30 +633,40 @@ class KReport:
     pi: PiSet
     k_induced: int
     k_total: int
-    induced_class_reps: list[PermGroup]
     e_holds: bool = True
+    # the A-orbits of index sets and the ids of the induced classes
+    _classes: tuple = field(default=(None, ()), repr=False)
+
+    @cached_property
+    def induced_class_reps(self) -> list[PermGroup]:
+        """One subgroup per induced A-class, on its least member as a
+        sorted index tuple; built on first read."""
+        orbits, cids = self._classes
+        least = sorted(min(map(tuple, orbits.members(cid).tolist()))
+                       for cid in cids)
+        return [orbits.tbl.subgroup(s) for s in least]
 
 
 def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
               budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1) -> KReport:
-    """Number of A-classes of subgroups H ∩ A over the Hall classes of G."""
+    """Number of A-classes of subgroups H ∩ A over the Hall classes of G.
+
+    A's normality is read off G's element table (a union of classes);
+    the representatives of the induced classes are built only when the
+    report's `induced_class_reps` is read."""
     require_subgroup(G, A, "A")
-    if not is_normal(G, A):
+    tbl = get_table(G, budgets)
+    a_set = tbl.indices_of_subgroup(A)
+    if not tbl.is_normal(a_set):
         raise ValueError("A must be normal in G")
     k_total = classify_EC(A, pi, budgets, seed).k
     halls = classify_EC(G, pi, budgets, seed).classes
     if halls.k == 0:
-        return KReport(G, A, pi, 0, k_total, [], e_holds=False)
-    tbl = get_table(G, budgets)
-    a_set = tbl.indices_of_subgroup(A)
+        return KReport(G, A, pi, 0, k_total, e_holds=False)
     orbits = _orbits_for(tbl, A)
     cids = {orbits.class_id(tbl.indices_of_subgroup(H) & a_set)
             for H in halls.class_reps}
-    # each induced A-class on its least member as a sorted index tuple
-    least = sorted(min(map(tuple, orbits.members(cid).tolist()))
-                   for cid in cids)
-    reps = [tbl.subgroup(s) for s in least]
-    return KReport(G, A, pi, len(cids), k_total, reps)
+    return KReport(G, A, pi, len(cids), k_total, _classes=(orbits, cids))
 
 
 # -- extension through an invariant class ---------------------------------------

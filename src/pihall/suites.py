@@ -5,6 +5,13 @@ corpus's instance streams (`_pairs`, `_proper_normals`, `_ha_instances`),
 skips the instances its hypotheses do not admit, and yields for each
 other one the messages of its failed conclusions (`_unless`), empty when
 they hold.  One counting loop (`_suite`) turns that into a SuiteResult.
+Within the order budget their subgroup questions (normality, joins,
+intersections, centralizers, normalizers, invariance of a class) are
+asked of G's element table as index sets, never by a backtrack search;
+a `PermGroup` is made only for a group handed to the oracle, and G
+itself stands for a join or normalizer that is all of G.  The context
+keeps, once per run, each group's table, subgroups' index sets, the
+joins HA and the induced counts.
 The suite keys follow the numbering of the underlying theory source,
 which is the interface the corpus command reports under.  All expected
 values come from the oracle (either frozen at bootstrap time or
@@ -18,16 +25,16 @@ from functools import wraps
 
 from . import zoo
 from .actions import coset_action
-from .arith import PiSet, is_pi_number
-from .backtrack import BudgetExceededError, centralizer, normalizer
+from .arith import PiSet, is_pi_number, pi_part
+from .backtrack import BudgetExceededError
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import PermGroup, join_subgroups
-from .hall import (_orbits_for, are_conjugate, classify_EC,
-                   intersect_subgroups, is_hall, k_induced,
+from .groups import PermGroup
+from .hall import (KReport, _orbits_for, classify_EC, is_hall, k_induced,
                    pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut
-from .structure import ChiefSeries, chief_series, get_table, is_normal, \
-    is_simple, minimal_normal_subgroups, normal_subgroups
+from .structure import ChiefSeries, chief_series, get_table, is_simple, \
+    minimal_normal_subgroups, normal_subgroups
+from .tables import ElementTable
 
 COROLLARY18_PI_SETS = ("2,5", "3,5", "5,7")
 
@@ -68,41 +75,79 @@ class CorpusEntryResult:
 
 
 class CorpusContext:
-    """Shared per-run caches: built groups, normal subgroup lists, chief
-    series and quotients, each built once under the run's budgets and
-    seed."""
+    """Shared per-run caches: built groups and their element tables,
+    normal subgroup lists, subgroups as index sets, the joins HA the
+    suites form, induced counts, chief series and quotients, each built
+    once under the run's budgets and seed."""
 
     def __init__(self, budgets: Budgets, seed: int):
         self.budgets = budgets
         self.seed = seed
         self._groups: dict[str, PermGroup] = {}
+        self._tables: dict[str, ElementTable] = {}
         self._normals: dict[str, list[PermGroup]] = {}
+        self._indices: dict = {}
+        self._joins: dict = {}
+        self._induced: dict = {}
         self._series: dict[str, ChiefSeries] = {}
         self._quotients: dict = {}
 
+    @staticmethod
+    def _memo(cache: dict, key, make):
+        """cache[key], made by make() on first use."""
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
     def group(self, name: str) -> PermGroup:
-        if name not in self._groups:
-            self._groups[name] = zoo.build_named(name)
-        return self._groups[name]
+        return self._memo(self._groups, name, lambda: zoo.build_named(name))
+
+    def table(self, name: str) -> ElementTable:
+        return self._memo(self._tables, name,
+                          lambda: get_table(self.group(name), self.budgets))
+
+    def indices(self, name: str, H: PermGroup) -> tuple[list[int], frozenset]:
+        """(H's generators, H's elements) as indices into the table of the
+        group `name`."""
+        tbl = self.table(name)
+        return self._memo(self._indices, (name, H.cache_key()), lambda: (
+            [tbl.idx_of_perm(g) for g in H.generators],
+            tbl.indices_of_subgroup(H)))
+
+    def join(self, name: str, H: PermGroup,
+             A: PermGroup) -> tuple[PermGroup, frozenset]:
+        """HA and its index set, for H and a normal subgroup A of G =
+        group(name): a closure over A's index set.  The group handed on
+        is G itself when HA is all of G, and otherwise has H's generators,
+        then A's, and its order."""
+        def make():
+            G, tbl = self.group(name), self.table(name)
+            ha_set = tbl.closure(self.indices(name, H)[0],
+                                 known=self.indices(name, A)[1])
+            HA = G if len(ha_set) == tbl.size else PermGroup(
+                G.degree, H.generators + A.generators, order=len(ha_set))
+            return HA, ha_set
+        return self._memo(self._joins,
+                          (name, H.cache_key(), A.cache_key()), make)
+
+    def induced(self, G: PermGroup, A: PermGroup, pi: PiSet) -> KReport:
+        """The A-classes of the H ∩ A, H Hall in G (`k_induced`)."""
+        return self._memo(
+            self._induced, (G.cache_key(), A.cache_key(), pi.primes),
+            lambda: k_induced(G, A, pi, self.budgets, self.seed))
 
     def normals(self, name: str) -> list[PermGroup]:
-        if name not in self._normals:
-            self._normals[name] = normal_subgroups(self.group(name),
-                                                   self.budgets)
-        return self._normals[name]
+        return self._memo(self._normals, name, lambda: normal_subgroups(
+            self.group(name), self.budgets))
 
     def series(self, name: str) -> ChiefSeries:
-        if name not in self._series:
-            self._series[name] = chief_series(self.group(name), self.budgets,
-                                              self.seed)
-        return self._series[name]
+        return self._memo(self._series, name, lambda: chief_series(
+            self.group(name), self.budgets, self.seed))
 
     def quotient(self, name: str, A: PermGroup):
-        key = (name, A.cache_key())
-        if key not in self._quotients:
-            self._quotients[key] = coset_action(self.group(name), A,
-                                                self.budgets)
-        return self._quotients[key]
+        return self._memo(self._quotients, (name, A.cache_key()),
+                          lambda: coset_action(self.group(name), A,
+                                               self.budgets))
 
     def classify(self, G: PermGroup, pi: PiSet):
         """E, C, k and the classes; D is computed only where it is read."""
@@ -121,9 +166,9 @@ def _pairs(entries, ctx: CorpusContext):
                f"{e['name']}/{e['pi']}")
 
 
-def _proper_normals(e, G: PermGroup, ctx: CorpusContext):
+def _proper_normals(name: str, G: PermGroup, ctx: CorpusContext):
     """The normal subgroups of G other than 1 and G."""
-    for A in ctx.normals(e["name"]):
+    for A in ctx.normals(name):
         if A.order() not in (1, G.order()):
             yield A
 
@@ -177,13 +222,14 @@ def suite_lemma4_1(entries, ctx: CorpusContext):
         if not rep.E:
             continue
         H = rep.classes.class_reps[0]
-        for A in _proper_normals(e, G, ctx):
-            inter = intersect_subgroups(H, A, ctx.budgets)
+        _, h_set = ctx.indices(e["name"], H)
+        for A in _proper_normals(e["name"], G, ctx):
+            _, a_set = ctx.indices(e["name"], A)
             hom = ctx.quotient(e["name"], A)
             Hbar = PermGroup(hom.domain_size,
                              [hom.image(h) for h in H.generators])
             yield _unless(
-                (is_hall(A, inter, pi),
+                (len(h_set & a_set) == pi_part(len(a_set), pi),
                  f"{label}: H∩A not Hall in A (|A|={A.order()})"),
                 (is_hall(hom.quotient, Hbar, pi),
                  f"{label}: HA/A not Hall in G/A (|A|={A.order()})"))
@@ -205,7 +251,7 @@ def suite_lemma4_2(entries, ctx: CorpusContext):
 @_suite("lemma-5", "extension-closure")
 def suite_lemma5(entries, ctx: CorpusContext):
     for e, G, pi, label in _pairs(entries, ctx):
-        for A in _proper_normals(e, G, ctx):
+        for A in _proper_normals(e["name"], G, ctx):
             hom = ctx.quotient(e["name"], A)
             if not (ctx.classify(A, pi).C and
                     ctx.classify(hom.quotient, pi).C):
@@ -221,15 +267,30 @@ def suite_lemma7(entries, ctx: CorpusContext):
         rep = ctx.classify(G, pi)
         if not rep.C:
             continue
+        tbl = ctx.table(e["name"])
         H = rep.classes.class_reps[0]
-        for A in _proper_normals(e, G, ctx):
-            HA = join_subgroups(G, [H, A])
-            inter = intersect_subgroups(H, A, ctx.budgets)
+        h_gens, h_set = ctx.indices(e["name"], H)
+        for A in _proper_normals(e["name"], G, ctx):
+            a_gens, a_set = ctx.indices(e["name"], A)
+            _, ha_set = ctx.join(e["name"], H, A)
             yield _unless(
-                (ctx.classify(normalizer(G, HA, ctx.budgets), pi).C,
+                (ctx.classify(_normalizer(tbl, G, ha_set, h_gens + a_gens),
+                              pi).C,
                  f"{label}: N_G(HA) fails (|A|={A.order()})"),
-                (ctx.classify(normalizer(G, inter, ctx.budgets), pi).C,
+                (ctx.classify(_normalizer(tbl, G, h_set & a_set), pi).C,
                  f"{label}: N_G(H∩A) fails (|A|={A.order()})"))
+
+
+def _normalizer(tbl: ElementTable, G: PermGroup, sub: frozenset,
+                gens=None) -> PermGroup:
+    """N_G(K) for the subgroup K = `sub` of G's table that the elements
+    `gens` generate (a few read off `sub` when not given): G itself when K
+    is normal."""
+    if tbl.is_normal(sub):
+        return G
+    if gens is None:
+        gens = tbl.generators(sub)
+    return tbl.subgroup(tbl.normalizing(sub, gens).tolist())
 
 
 @_suite("lemma-9", "quotient-inheritance")
@@ -237,59 +298,66 @@ def suite_lemma9(entries, ctx: CorpusContext):
     for e, G, pi, label in _pairs(entries, ctx):
         if not ctx.classify(G, pi).C:
             continue
-        for A in _proper_normals(e, G, ctx):
+        for A in _proper_normals(e["name"], G, ctx):
             hom = ctx.quotient(e["name"], A)
             yield _unless((ctx.classify(hom.quotient, pi).C,
                            f"{label}: quotient by |A|={A.order()} fails"))
 
 
 def _ha_instances(entries, ctx: CorpusContext):
-    """(label, G, pi, H, A, HA) with HA normal in G and A a proper normal
-    subgroup; the instances Lemmas 11-13 quantify over."""
+    """(name, label, G, pi, H, A, HA) with HA normal in G and A a proper
+    normal subgroup; the instances Lemmas 11-13 quantify over."""
     for e, G, pi, label in _pairs(entries, ctx):
         rep = ctx.classify(G, pi)
         if not rep.E:
             continue
         H = rep.classes.class_reps[0]
-        for A in _proper_normals(e, G, ctx):
-            HA = join_subgroups(G, [H, A])
-            if is_normal(G, HA):
-                yield label, G, pi, H, A, HA
+        for A in _proper_normals(e["name"], G, ctx):
+            HA, ha_set = ctx.join(e["name"], H, A)
+            if ctx.table(e["name"]).is_normal(ha_set):
+                yield e["name"], label, G, pi, H, A, HA
+
+
+def _induced_and_invariant(ctx: CorpusContext, name: str, pi: PiSet,
+                           A: PermGroup, h_gens):
+    """(M, induced, invariant) for each Hall class representative M of the
+    normal subgroup A of G = group(name): whether M's A-class holds some
+    H^g ∩ A (H Hall in G), and whether it is invariant under the elements
+    h_gens (indices), i.e. keeps its A-class under conjugation by each."""
+    tbl = ctx.table(name)
+    _, a_set = ctx.indices(name, A)
+    orbits = _orbits_for(tbl, A)
+    induced = {orbits.class_id(ctx.indices(name, K)[1] & a_set)
+               for K in ctx.classify(ctx.group(name), pi).classes.class_reps}
+    for M in ctx.classify(A, pi).classes.class_reps:
+        m_idx = sorted(ctx.indices(name, M)[1])
+        cid = orbits.class_id(m_idx)
+        yield M, cid in induced, all(
+            orbits.class_id(tbl.conj_map(h)[m_idx]) == cid for h in h_gens)
 
 
 @_suite("lemma-11", "induced-iff-invariant")
 def suite_lemma11(entries, ctx: CorpusContext):
-    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        C = centralizer(G, A, ctx.budgets)
-        if not is_normal(G, join_subgroups(G, [H, A, C])):
+    for name, label, G, pi, H, A, HA in _ha_instances(entries, ctx):
+        tbl = ctx.table(name)
+        h_gens, _ = ctx.indices(name, H)
+        a_gens, _ = ctx.indices(name, A)
+        # <H, A, C_G(A)> = C_G(A)·<H, A>: the centralizer is normal
+        hac = tbl.closure(h_gens + a_gens, known=tbl.centralizing(a_gens))
+        if not tbl.is_normal(hac):
             continue
-        tbl = get_table(G, ctx.budgets)
-        a_set = tbl.indices_of_subgroup(A)
-        orbits = _orbits_for(tbl, A)
-        # the A-classes of the G-induced Hall subgroups H^g ∩ A
-        induced = {orbits.class_id(tbl.indices_of_subgroup(K) & a_set)
-                   for K in ctx.classify(G, pi).classes.class_reps}
-        violations = []
-        for M in ctx.classify(A, pi).classes.class_reps:
-            is_induced = orbits.class_id(tbl.indices_of_subgroup(M)) in induced
-            h_invariant = all(
-                are_conjugate(
-                    A, PermGroup(G.degree,
-                                 [x.conjugate(h) for x in M.generators]),
-                    M, ctx.budgets) is not None
-                for h in H.generators)
-            violations += _unless((is_induced == h_invariant,
-                                   f"{label}: class of |M|={M.order()} "
-                                   f"induced={is_induced} "
-                                   f"invariant={h_invariant}"))
-        yield violations
+        yield [f"{label}: class of |M|={M.order()} induced={induced} "
+               f"invariant={invariant}"
+               for M, induced, invariant
+               in _induced_and_invariant(ctx, name, pi, A, h_gens)
+               if induced != invariant]
 
 
 @_suite("lemma-12", "induced-count-descends-to-HA")
 def suite_lemma12(entries, ctx: CorpusContext):
-    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        kG = k_induced(G, A, pi, ctx.budgets, ctx.seed)
-        kHA = k_induced(HA, A, pi, ctx.budgets, ctx.seed)
+    for name, label, G, pi, H, A, HA in _ha_instances(entries, ctx):
+        kG = ctx.induced(G, A, pi)
+        kHA = ctx.induced(HA, A, pi)
         yield _unless(
             (kG.k_induced <= kG.k_total,
              f"{label}: induced count exceeds total"),
@@ -300,18 +368,16 @@ def suite_lemma12(entries, ctx: CorpusContext):
 
 @_suite("lemma-13", "one-class-three-ways")
 def suite_lemma13(entries, ctx: CorpusContext):
-    for label, G, pi, H, A, HA in _ha_instances(entries, ctx):
-        cond1 = k_induced(G, A, pi, ctx.budgets, ctx.seed).k_induced == 1
+    for name, label, G, pi, H, A, HA in _ha_instances(entries, ctx):
+        cond1 = ctx.induced(G, A, pi).k_induced == 1
         cond2 = ctx.classify(HA, pi).C
         # every two Hall subgroups of G conjugate by an element of A:
         # one class overall, and the A-orbit of H is its whole G-class
         rep = ctx.classify(G, pi)
         cond3 = False
         if rep.k == 1:
-            tbl = get_table(G, ctx.budgets)
-            h_set = tbl.indices_of_subgroup(rep.classes.class_reps[0])
-            orbits = _orbits_for(tbl, A)
-            cond3 = (orbits.size(orbits.class_id(h_set))
+            orbits = _orbits_for(ctx.table(name), A)
+            cond3 = (orbits.size(orbits.class_id(ctx.indices(name, H)[1]))
                      == rep.classes.class_sizes[0])
         yield _unless((cond1 == cond2 == cond3,
                        f"{label}: |A|={A.order()} "
@@ -344,18 +410,22 @@ def suite_lemma16(entries, ctx: CorpusContext):
         rep = ctx.classify(G, pi)
         if not rep.E:
             continue
-        H = rep.classes.class_reps[0]
+        tbl = ctx.table(e["name"])
+        h_gens, _ = ctx.indices(e["name"], rep.classes.class_reps[0])
         for A in minimal_normal_subgroups(G, ctx.budgets, ctx.seed):
             subs = minimal_normal_subgroups(A, ctx.budgets, ctx.seed) \
                 if A.order() > 1 and not A.same_group_as(G) else []
             if len(subs) < 2:
                 continue
-            C = centralizer(G, A, ctx.budgets)
-            if join_subgroups(G, [H, A, C]).order() != G.order():
+            a_gens, _ = ctx.indices(e["name"], A)
+            # <H, A, C_G(A)> = C_G(A)·<H, A>: the centralizer is normal
+            hac = tbl.closure(h_gens + a_gens, known=tbl.centralizing(a_gens))
+            if len(hac) != tbl.size:
                 continue
-            N = normalizer(G, subs[0], ctx.budgets)
-            kGA = k_induced(G, A, pi, ctx.budgets, ctx.seed).k_induced
-            kNS = k_induced(N, subs[0], pi, ctx.budgets, ctx.seed).k_induced
+            s_gens, s_set = ctx.indices(e["name"], subs[0])
+            N = _normalizer(tbl, G, s_set, s_gens)
+            kGA = ctx.induced(G, A, pi).k_induced
+            kNS = ctx.induced(N, subs[0], pi).k_induced
             yield _unless((kGA == kNS,
                            f"{label}: k^G(A)={kGA} but k^N(S1)={kNS}"))
 
@@ -370,15 +440,15 @@ def suite_theorem1(entries, ctx: CorpusContext):
             continue
         H = rep.classes.class_reps[0]
         for A in ctx.normals(e["name"]):
-            HA = join_subgroups(G, [H, A])
+            HA, _ = ctx.join(e["name"], H, A)
             yield _unless((ctx.classify(HA, pi).C,
                            f"{label}: HA fails for |A|={A.order()}"))
 
 
-def _almost_simple_socle(G: PermGroup, ctx: CorpusContext) -> PermGroup | None:
-    """The socle when G is almost simple (unique nonabelian simple minimal
-    normal subgroup with trivial centralizer), else None."""
-    mins = minimal_normal_subgroups(G, ctx.budgets, ctx.seed)
+def _almost_simple_socle(name: str, ctx: CorpusContext) -> PermGroup | None:
+    """The socle when G = group(name) is almost simple (unique nonabelian
+    simple minimal normal subgroup with trivial centralizer), else None."""
+    mins = minimal_normal_subgroups(ctx.group(name), ctx.budgets, ctx.seed)
     if len(mins) != 1:
         return None
     S = mins[0]
@@ -386,7 +456,7 @@ def _almost_simple_socle(G: PermGroup, ctx: CorpusContext) -> PermGroup | None:
         return None
     if not is_simple(S, ctx.budgets, ctx.seed):
         return None
-    if not centralizer(G, S, ctx.budgets).is_trivial():
+    if len(ctx.table(name).centralizing(ctx.indices(name, S)[0])) > 1:
         return None
     return S
 
@@ -398,11 +468,11 @@ def suite_theorem10(entries, ctx: CorpusContext):
         if not ctx.classify(G, pi).E:
             continue
         if e["name"] not in socle_cache:
-            socle_cache[e["name"]] = _almost_simple_socle(G, ctx)
+            socle_cache[e["name"]] = _almost_simple_socle(e["name"], ctx)
         S = socle_cache[e["name"]]
         if S is None:
             continue
-        k = k_induced(G, S, pi, ctx.budgets, ctx.seed).k_induced
+        k = ctx.induced(G, S, pi).k_induced
         if 2 not in pi:
             allowed = {1}
         elif 3 not in pi:

@@ -21,6 +21,16 @@ The conjugation maps are also the basis of the Hall oracle's orbits of
 subgroups (as index sets) under G or a subgroup of it, and `coset_reps`
 of its coset passes: one per class for the dominance sweep, and one, over
 the Sylow seed's cosets, for the Hall sweep, which keeps their labels.
+
+Subgroups are index sets of one table, and the corpus suites ask their
+subgroup questions of them with no chain and no backtrack search: a join
+is a `closure` from a known subgroup, an intersection of subgroups is the
+set intersection, normality is a union of classes (`is_normal`), C_G(X)
+is one batched row comparison per generator of X (`centralizing`), and
+N_G(K) one batched conjugation per generator of K, x^-1 k x in K
+(`normalizing`, which also grows the Sylow seed).  Those take generating
+sets (`generators` reads a few off a set), never a subgroup's every
+element.
 """
 
 from __future__ import annotations
@@ -382,6 +392,59 @@ class ElementTable:
         return frozenset(np.flatnonzero(chosen[class_id]).tolist())
 
     # -- subgroups as index sets ---------------------------------------------
+
+    def mask(self, idxs) -> np.ndarray:
+        """The index set as a boolean array over the table."""
+        inside = np.zeros(self.size, dtype=bool)
+        inside[list(idxs)] = True
+        return inside
+
+    def is_normal(self, sub: frozenset) -> bool:
+        """Whether the subgroup `sub` (an index set) is normal: a union of
+        conjugacy classes, i.e. the classes its elements meet hold exactly
+        |sub| elements.  (A boolean array over the class ids, not
+        np.unique, whose first call imports numpy.ma.)"""
+        class_id, reps = self.classes()
+        met = np.zeros(len(reps), dtype=bool)
+        met[class_id[list(sub)]] = True
+        return int(self._class_size[met].sum()) == len(sub)
+
+    def centralizing(self, gen_idxs) -> frozenset:
+        """Indices of C_G(X), X the elements gen_idxs (or the group they
+        generate): the x with x·a = a·x for each a, by batched row
+        comparisons over the table, a chunk at a time."""
+        keep = np.ones(self.size, dtype=bool)
+        for s in range(0, self.size, _SIFT_CHUNK):
+            R = self.rows[s:s + _SIFT_CHUNK]
+            for row in self.rows[list(gen_idxs)]:
+                # x·a reads a's row at x's images, a·x reads x's at a's
+                keep[s:s + len(R)] &= (row[R] == R[:, row]).all(axis=1)
+        return frozenset(np.flatnonzero(keep).tolist())
+
+    def normalizing(self, sub: frozenset, gen_idxs,
+                    among: np.ndarray | None = None) -> np.ndarray:
+        """The elements x of `among` (an index array; all of G when not
+        given), in its order, with x^-1 k x in K for each k in gen_idxs,
+        the generators of the subgroup K = `sub`: N_G(K) ∩ among.  One
+        batched test per generator, over the candidates left."""
+        rows, inv, inside = self.rows, self._inverses(), self.mask(sub)
+        cand = np.arange(self.size) if among is None else among
+        for k in gen_idxs:
+            # the row of x^-1 k x, for every candidate x at once
+            conj = np.take_along_axis(rows[cand], rows[k][rows[inv[cand]]],
+                                      axis=1)
+            cand = cand[inside[self._indices(conj)]]
+        return cand
+
+    def generators(self, sub: frozenset) -> list[int]:
+        """A few generators of the subgroup `sub` (an index set): each
+        element, in index order, outside the closure of those before it."""
+        gens, got = [], frozenset([self.identity_idx])
+        for x in sorted(sub):
+            if x not in got:
+                gens.append(x)
+                got = self.closure(gens, known=got)
+        return gens
 
     def closure(self, gen_idxs, limit: int | None = None,
                 known: frozenset | None = None) -> frozenset | None:

@@ -21,6 +21,8 @@ ALLOWED = {
     "ECDReport.d_witness": "the D counterexample a report exposes",
     "partition_stabilizer": "a layer boundary of perfbench/layers.py; "
                             "removed when the benchmark drops it",
+    "are_conjugate": "a layer boundary of perfbench/layers.py; removed "
+                     "when the benchmark drops it",
 }
 
 # Defaulted parameters no call in src/pihall passes, one reason each.
@@ -33,6 +35,8 @@ ALLOWED_PARAMS = {
                           "the registry (ROADMAP item 2)",
     "partition_stabilizer(budgets)": "no caller in the package; kept with "
                                      "the function for the benchmark",
+    "are_conjugate(budgets)": "no caller in the package; kept with the "
+                              "function for the benchmark",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

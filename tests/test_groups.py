@@ -11,8 +11,7 @@ from conftest import (brute_elements, brute_group_elements,
 from pihall import groups, zoo
 from pihall.actions import coset_action
 from pihall.backtrack import normalizer
-from pihall.groups import PermGroup, VerificationError, _Chain
-from pihall.hall import intersect_subgroups
+from pihall.groups import PermGroup, VerificationError, _Chain, span
 from pihall.perms import Perm
 from pihall.structure import normal_closure
 from pihall.tables import ElementTable
@@ -251,6 +250,11 @@ def test_stated_order_chain_is_identical(group, seed):
 # -- adopted chains: a found subgroup keeps the chain that found it ------------
 
 
+def intersection(H, A):
+    """H ∩ A, spanned by the elements of H that A contains."""
+    return span(H.degree, filter(A.contains, H.elements()))
+
+
 def test_found_subgroups_build_no_second_chain():
     G = zoo.sym(4)
     tbl = ElementTable(G)
@@ -263,7 +267,7 @@ def test_found_subgroups_build_no_second_chain():
         "ElementTable.subgroup":
             lambda: tbl.subgroup(tbl.closure([tbl.idx_of_perm(three)])),
         "normal_closure": lambda: normal_closure(G, [three]),
-        "intersect_subgroups": lambda: intersect_subgroups(G, A4),
+        "span of an element filter": lambda: intersection(G, A4),
         "normalizer": lambda: normalizer(G, C3),
     }
     for name, find in finders.items():
@@ -287,8 +291,7 @@ def test_adopted_chains_match_brute_force(group, seed):
     found = [
         tbl.subgroup(tbl.closure([tbl.idx_of_perm(x), tbl.idx_of_perm(y)])),
         normal_closure(G, [x]),
-        intersect_subgroups(PermGroup(degree, [x, y]),
-                            normal_closure(G, [y])),
+        intersection(PermGroup(degree, [x, y]), normal_closure(G, [y])),
         normalizer(G, PermGroup(degree, [x])),
     ]
     g_els = brute_group_elements(G)

@@ -1,12 +1,16 @@
 import json
 
-from pihall import zoo
+from pihall import backtrack, hall, structure, zoo
+from pihall.arith import PiSet
 from pihall.config import DEFAULT_BUDGETS
-from pihall.suites import (COROLLARY18_PI_SETS, CorpusContext,
-                           run_entry_comparisons, suite_corollary18,
-                           suite_lemma4_1, suite_lemma5, suite_lemma12,
-                           suite_lemma13, suite_lemma15, suite_lemma16,
-                           suite_theorem10)
+from pihall.groups import PermGroup
+from pihall.hall import are_conjugate
+from pihall.structure import minimal_normal_subgroups
+from pihall.suites import (COROLLARY18_PI_SETS, SUITES, CorpusContext,
+                           _induced_and_invariant, run_entry_comparisons,
+                           suite_corollary18, suite_lemma4_1, suite_lemma5,
+                           suite_lemma12, suite_lemma13, suite_lemma15,
+                           suite_lemma16, suite_theorem10)
 
 
 def mini_entries(names_pis):
@@ -86,3 +90,46 @@ def test_corollary18_builds_one_chief_series_per_group(monkeypatch):
     res = suite_corollary18(entries, ctx)
     assert res.checked == 6 and res.passed
     assert sorted(builds) == ["alt5", "sym5"]
+
+
+def test_suites_run_no_backtrack_search(monkeypatch):
+    # a work gate: within the order budget every subgroup question the
+    # suites ask (normality, joins, intersections, centralizers,
+    # normalizers, invariance of a class) is answered on an element table
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backtrack search in a suite")
+
+    monkeypatch.setattr(backtrack, "subgroup_search", forbidden)
+    monkeypatch.setattr(structure, "subgroup_search", forbidden)
+    hall._classify_cache.clear()
+    structure._table_cache.clear()
+    entries = [e for e in zoo.corpus_manifest() if e["order"] <= 800]
+    ctx = CorpusContext(DEFAULT_BUDGETS, 1)
+    results = [suite(entries, ctx) for suite in SUITES]
+    assert all(r.passed for r in results)
+    assert [r.checked for r in results] == [
+        56, 18, 54, 54, 54, 53, 53, 53, 1, 2, 100, 9, 45, 37]
+
+
+def test_lemma11_invariance_matches_are_conjugate(monkeypatch):
+    # GL3(2) wr 2 over its base: the shift swaps two of the base's four
+    # {2,3}-classes.  The corpus has no class that is neither induced nor
+    # invariant, so only this input tells the A-classes from the G-classes
+    monkeypatch.setitem(zoo.ZOO_NAMES, "gl3_2wr2", {
+        "kind": "wreath", "base": {"kind": "gl", "n": 3, "q": 2}, "n": 2})
+    pi = PiSet([2, 3])
+    ctx = CorpusContext(DEFAULT_BUDGETS, 1)
+    W = ctx.group("gl3_2wr2")
+    A = minimal_normal_subgroups(W)[0]
+    H = ctx.classify(W, pi).classes.class_reps[0]
+    h_gens = ctx.indices("gl3_2wr2", H)[0]
+    got = _induced_and_invariant(ctx, "gl3_2wr2", pi, A, h_gens)
+    assert [(induced, invariant) for _, induced, invariant in got] == [
+        (True, True), (False, False), (False, False), (True, True)]
+    # each generator h of H alone, against whether M^h is A-conjugate to M
+    for h, h_idx in zip(H.generators, h_gens):
+        for M, _, invariant in _induced_and_invariant(ctx, "gl3_2wr2", pi,
+                                                      A, [h_idx]):
+            Mh = PermGroup(W.degree, [x.conjugate(h) for x in M.generators],
+                           order=M.order())
+            assert invariant == (are_conjugate(A, Mh, M) is not None)

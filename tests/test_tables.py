@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_group_elements
+from conftest import (brute_centralizer, brute_group_elements,
+                      brute_normalizer, small_groups_up_to_degree_8)
 from pihall import zoo
-from pihall.backtrack import BudgetExceededError, VerificationError
+from pihall.backtrack import (BudgetExceededError, VerificationError,
+                              centralizer, normalizer)
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
@@ -243,6 +245,32 @@ def test_closure_from_a_subgroup_outside_the_generators():
     assert tbl.closure([b], limit=3, known=tbl.closure([a])) is None
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_groups_up_to_degree_8(), st.lists(st.integers(0, 10 ** 6),
+                                              min_size=1, max_size=2))
+@example((6, zoo.sym(6).gen_tuples()), [5, 77])
+@example((8, zoo.psl2(7).gen_tuples()), [100])
+def test_subgroup_questions_match_brute_force(group, picks):
+    # K is generated by one or two drawn elements of G
+    degree, gens = group
+    G = PermGroup(degree, gens)
+    tbl = ElementTable(G)
+    k_gens = [pick % tbl.size for pick in picks]
+    K = PermGroup(degree, [tbl.perm_of(k) for k in k_gens])
+    k_set = tbl.closure(k_gens)
+    assert tbl.closure(tbl.generators(k_set)) == k_set
+    want_n = brute_normalizer(G, K)
+    want_c = brute_centralizer(G, K)
+    got_n = tbl.normalizing(k_set, k_gens)
+    got_c = tbl.centralizing(k_gens)
+    assert {tbl.perm_of(x) for x in got_n} == want_n
+    assert {tbl.perm_of(x) for x in got_c} == want_c
+    assert list(got_n) == sorted(got_n)
+    assert tbl.is_normal(k_set) == (len(want_n) == G.order())
+    assert len(got_n) == normalizer(G, K).order()
+    assert len(got_c) == centralizer(G, K).order()
+
+
 def test_the_oracle_and_the_reduction_leave_numpy_ma_unimported():
     # the first np.unique call imports numpy.ma (about 1.7 MB and 30 ms)
     code = ("import sys\n"
@@ -250,11 +278,17 @@ def test_the_oracle_and_the_reduction_leave_numpy_ma_unimported():
             "from pihall.arith import PiSet\n"
             "from pihall.hall import classify_ECD\n"
             "from pihall.reduction import cpi_reduce\n"
+            "from pihall.suites import run_corpus\n"
             "G, pi = zoo.sym(5), PiSet([2, 3])\n"
             "classify_ECD(G, pi).flags()\n"
             # a Hall sweep that extends a class above its Sylow seed
             "classify_ECD(zoo.alt(5), PiSet([2, 5])).flags()\n"
             "cpi_reduce(G, pi)\n"
+            # the suites' table questions: lemma-7's normalizers, lemma-11's
+            # centralizer and invariance, theorem-10's socle centralizer
+            "run_corpus([e for e in zoo.corpus_manifest()\n"
+            "            if (e['name'], e['pi']) in (('sym4', '2,3'),\n"
+            "                                        ('sym5', '2,3'))])\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
