@@ -302,16 +302,6 @@ class CentralizerProperty(SearchProperty):
         return all(g[z[x]] == z[g[x]] for x in range(len(g)))
 
 
-class PredicateProperty(SearchProperty):
-    """No pruning; accept by an arbitrary predicate on the element."""
-
-    def __init__(self, pred):
-        self.pred = pred
-
-    def accept(self, g):
-        return self.pred(g)
-
-
 # -- public operations ---------------------------------------------------------
 
 

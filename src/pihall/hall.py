@@ -17,9 +17,8 @@ oracle's sweep has one seed P, and every class it extends contains P, so
 it runs one coset pass, over the cosets of P, and reads each later
 class's cosets off the cosets of P that pass kept (`_SeedCosets`); the
 dominance sweep has many seeds and runs a pass per class
-(`_coset_candidates`).  An orbit is searched a level at a time and kept
-as a breadth-first tree, along which a transporter is multiplied out when
-`are_conjugate` asks for one.
+(`_coset_candidates`).  An orbit is searched a level at a time, and only
+its members are kept: the classes are all the sweeps read.
 
 The oracle (`all_hall_classes`) is exhaustive within the enumeration
 budget: the sweep starts at a Sylow subgroup for one pi-prime, and every
@@ -52,7 +51,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -177,37 +175,28 @@ class _SetOrbits:
     """Orbits of element-index sets under conjugation by the subgroup that
     the elements `by` (indices) generate, memoized per class.
 
-    Each distinct class triggers one orbit BFS, a level at a time: the
+    Each distinct class triggers one orbit search, a level at a time: the
     frontier is conjugated by every generator in batches of _SIFT_CHUNK
     members, and the images are sorted and keyed by their index bytes;
     one dict lookup per image then finds the new members.  Every member's
     key is registered, so later queries for conjugate sets are dictionary
-    hits.
-    The search is kept as a breadth-first tree: per class, each member's
-    position in BFS order (the root is 0) and, per position, its link: the
-    parent's position times len(by), plus the generator's position (-1 for
-    the root).  A transporter, an element that conjugates the class root
-    to a member, is the product of the generators on the member's tree
-    path; `transporter` joins two of them to decide conjugacy."""
+    hits.  Per class, the members' keys are kept in the order the search
+    finds them, and its canonical member, the least."""
 
     def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
         self.tbl = tbl
-        self.by = by
         # G's own maps through conj_maps, where perfbench's tables.conj_maps
         # span counts them
         self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
                      else [tbl.conj_map(t) for t in by])
         self.class_of: dict[bytes, int] = {}
-        # per class, member -> its position in BFS order
+        # per class, its members' keys (each mapped to the class id)
         self.class_reps: list[dict[bytes, int]] = []
-        # per class, the link of each position
-        self.class_links: list[np.ndarray] = []
         self.class_canon: list[frozenset] = []
 
     def _images(self, keys: list[bytes]):
         """The keys of the conjugates of the given members (by their keys)
-        by each generator: item r is member r // len(by) conjugated by
-        generator r % len(by)."""
+        by each generator."""
         if not self.maps:
             return []  # the trivial group fixes every set
         rows = _key_rows(keys)
@@ -222,26 +211,18 @@ class _SetOrbits:
         if cid is not None:
             return cid
         cid = len(self.class_reps)
-        nby = len(self.by)
-        reps = {key: 0}
-        links = [-1]
+        reps = {key: cid}
         frontier = [key]
         while frontier:
-            start = len(reps) - len(frontier)  # the frontier's first position
             nxt = []
             for s in range(0, len(frontier), _SIFT_CHUNK):
-                # item r is the image of position start + s + r // nby
-                base = (start + s) * nby
-                images = self._images(frontier[s:s + _SIFT_CHUNK])
-                for r, k in enumerate(images):
+                for k in self._images(frontier[s:s + _SIFT_CHUNK]):
                     if k not in reps:
-                        reps[k] = len(reps)
-                        links.append(base + r)
+                        reps[k] = cid
                         nxt.append(k)
             frontier = nxt
-        self.class_of.update(zip(reps, repeat(cid)))
+        self.class_of.update(reps)
         self.class_reps.append(reps)
-        self.class_links.append(np.array(links))
         self.class_canon.append(frozenset(
             np.frombuffer(min(reps), dtype=np.int64).tolist()))
         return cid
@@ -259,31 +240,6 @@ class _SetOrbits:
     def members(self, cid: int):
         """Every member of the class, one sorted index array per row."""
         return _key_rows(list(self.class_reps[cid]))
-
-    def transporter_at(self, cid: int, pos: int) -> int:
-        """The element conjugating the class root to the member at `pos`:
-        the generators on the tree path from the root, multiplied out."""
-        tbl, links, nby = self.tbl, self.class_links[cid], len(self.by)
-        path = []
-        while pos > 0:
-            pos, gi = divmod(int(links[pos]), nby)
-            path.append(self.by[gi])
-        x = tbl.identity_idx
-        for g in reversed(path):
-            x = tbl.mul(x, g)
-        return x
-
-    def transporter(self, idxs_from: frozenset, idxs_to: frozenset) -> Perm | None:
-        """Some x with (idxs_from)^x = idxs_to, or None if not conjugate."""
-        tbl = self.tbl
-        cid = self.class_id(idxs_from)
-        reps = self.class_reps[cid]
-        pos_to = reps.get(self.key_of(idxs_to))
-        if pos_to is None:
-            return None
-        r_from = self.transporter_at(cid, reps[self.key_of(idxs_from)])
-        return tbl.perm_of(tbl.mul(tbl.inv(r_from),
-                                   self.transporter_at(cid, pos_to)))
 
 
 def _key_rows(keys: list[bytes]) -> np.ndarray:
@@ -422,22 +378,24 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
     """Some x in G with H^x = K, or None as a non-conjugacy certificate.
 
     Subgroups of different orders are not conjugate.  Otherwise the
-    answer is exact with no pre-filter: within the enumeration budget the
-    index-set orbit of H under G (`_SetOrbits.transporter`), past it a
-    backtrack search (`conjugating_element`, with its own checks)."""
+    answer is exact with no pre-filter: within the enumeration budget one
+    batched conjugation test over G's element table finds the x with
+    h^x in K for each generator h of H (`ElementTable.normalizing`), and
+    as |H| = |K| any such x has H^x = K; past the budget a backtrack
+    search (`conjugating_element`, with its own checks)."""
     require_subgroup(G, H, "H")
     require_subgroup(G, K, "K")
     if H.order() != K.order():
         return None
     if G.order() <= budgets.order_budget:
         tbl = get_table(G, budgets)
-        orbits = _orbits_for(tbl)
-        h_set = tbl.indices_of_subgroup(H)
-        k_set = tbl.indices_of_subgroup(K)
-        x = orbits.transporter(h_set, k_set)
-        if x is not None:
-            certify(all(K.contains(h.conjugate(x)) for h in H.generators),
-                    "transporter does not conjugate H onto K")
+        found = tbl.normalizing(tbl.indices_of_subgroup(K),
+                                [tbl.idx_of_perm(h) for h in H.generators])
+        if not len(found):
+            return None
+        x = tbl.perm_of(int(found[0]))
+        certify(all(K.contains(h.conjugate(x)) for h in H.generators),
+                "transporter does not conjugate H onto K")
         return x
     return conjugating_element(G, H, K, budgets)
 

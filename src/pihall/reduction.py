@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .actions import coset_action
-from .arith import PiSet, is_pi_number, pi_part
+from .arith import PiSet, is_pi_number, pi_part, prime_factorization
 from .backtrack import BudgetExceededError, certify, normalizer
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup
@@ -197,16 +197,23 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
         # H_i over the previous term is a Hall subgroup of G over it
         certify(Hi.order() == A.order() * pi_part(G.order() // A.order(), pi),
                 f"level {i}: H_i is not Hall over the previous term")
+        order = series.factor_order(i)
         abelian = series.factor_is_abelian(i)
-        factors = chief_factor_decomposition(series, i)
-        count = len(factors)
         if abelian:
+            # an abelian chief factor is elementary abelian, of order p^k:
+            # k cyclic factors
+            powers = prime_factorization(order)
+            certify(len(powers) == 1, f"level {i}: an abelian chief factor "
+                                      f"of order {order}, not a prime power")
+            (count,) = powers.values()
             checks = [AutomizerCheck(factor_index=0, automizer_order=1,
                                      cpi_verdict=True, orbit_size=count)]
         else:
+            factors = chief_factor_decomposition(series, i)
+            count = len(factors)
             checks = automizer_cpi_check(Hi, B, factors, pi, budgets, seed,
                                          known)
-        record = LevelRecord(index=i, factor_order=series.factor_order(i),
+        record = LevelRecord(index=i, factor_order=order,
                              factor_kind="abelian" if abelian else "semisimple",
                              simple_factor_count=count,
                              automizer_checks=checks,

@@ -26,12 +26,11 @@ from typing import Iterator
 from .actions import (block_action, coset_action, nontrivial_block_system,
                       section_action)
 from .arith import is_prime, p_part, prime_divisors
-from .backtrack import (BudgetExceededError, PredicateProperty, centralizer,
-                        subgroup_search)
+from .backtrack import BudgetExceededError, centralizer
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
-from .groups import (PermGroup, _inv, _mul, is_normal, join_subgroups,
-                     p_element, require_subgroup, span)
+from .groups import (PermGroup, is_normal, join_subgroups, p_element,
+                     require_subgroup, span)
 from .perms import Perm
 from .tables import ElementTable, require_order_within
 
@@ -431,12 +430,15 @@ def _chief_terms_by_quotients(G: PermGroup, budgets: Budgets,
 def chief_factor_decomposition(series: ChiefSeries,
                                i: int) -> list[PermGroup]:
     """Subgroups of terms[i-1] containing terms[i] whose images modulo
-    terms[i] are the simple direct factors of the chief factor (cyclic
-    factors for an abelian one); computed once per series, under its
-    budgets and seed."""
+    terms[i] are the simple direct factors of a nonabelian chief factor;
+    computed once per series, under its budgets and seed.  An abelian
+    factor raises ValueError: it is elementary abelian of order p^k, and
+    `cpi_reduce` reads its k cyclic factors off that order."""
     got = series._decompositions.get(i)
     if got is not None:
         return got
+    if series.factor_is_abelian(i):
+        raise ValueError(f"chief factor {i} is abelian")
     budgets, seed = series.budgets, series.seed
     A, B = series.factor_pair(i)
     hom = None
@@ -446,9 +448,7 @@ def chief_factor_decomposition(series: ChiefSeries,
         hom = coset_action(A, B, budgets)
         Q = hom.quotient
 
-    if series.factor_is_abelian(i):
-        parts = _cyclic_decomposition(Q)
-    elif is_simple(Q, budgets, seed):
+    if is_simple(Q, budgets, seed):
         parts = [Q]
     else:
         parts = minimal_normal_subgroups(Q, budgets, seed)
@@ -464,14 +464,6 @@ def chief_factor_decomposition(series: ChiefSeries,
         out = [hom.preimage_group(p) for p in parts]
     series._decompositions[i] = out
     return out
-
-
-def _cyclic_decomposition(Q: PermGroup) -> list[PermGroup]:
-    """Cyclic direct factors of an elementary abelian group, greedily from
-    its elements in deterministic order."""
-    elements = sorted(Q.elements(), key=lambda p: p.images)
-    return [PermGroup(Q.degree, [x])
-            for x in span(Q.degree, elements, order=Q.order()).generators]
 
 
 # -- induced automorphisms on a section -------------------------------------------
@@ -496,35 +488,27 @@ def induced_automizer(G: PermGroup, A: PermGroup, B: PermGroup,
     faithfully, whatever the section size); else the image of G's
     conjugation action on the nonidentity section elements when the
     section is small; otherwise the coset action on the section
-    centralizer."""
+    centralizer C_G(A/B).  For B != 1 that centralizer is the preimage,
+    under the action of G on the cosets of B, of the centralizer of A's
+    image in G/B, a pruned search in the quotient; so this route needs
+    |G:B| within `coset_degree_budget`."""
     require_subgroup(G, A, "A")
     if not B.is_trivial():
         require_subgroup(A, B, "B")
     if not (is_normal(G, A) and is_normal(G, B)):
         raise ValueError("A and B must be normalized by the ambient group")
 
-    if B.is_trivial() and centralizer(G, A, budgets).is_trivial():
+    cent = centralizer(G, A, budgets) if B.is_trivial() else None
+    if cent is not None and cent.is_trivial():
         return InducedAutomizer(section_image=G, route="ambient-faithful")
     if A.order() // B.order() <= budgets.element_action_budget:
         image = section_action(G, A, B, budgets)
         return InducedAutomizer(section_image=image, route="element-action")
-    cent = _section_centralizer(G, A, B, budgets)
+    if cent is None:
+        hom = coset_action(G, B, budgets)
+        Abar = PermGroup(hom.domain_size,
+                         [hom.image(a) for a in A.generators])
+        cent = hom.preimage_group(centralizer(hom.quotient, Abar, budgets))
     image = coset_action(G, cent, budgets).quotient
     return InducedAutomizer(section_image=image, route="coset-on-centralizer")
 
-
-def _section_centralizer(G: PermGroup, A: PermGroup, B: PermGroup,
-                         budgets: Budgets) -> PermGroup:
-    """{g : [g, a] in B for all a in A} by predicate backtrack."""
-    a_gens = A.gen_tuples()
-    b_chain = B.chain()
-
-    def pred(g):
-        g_inv = _inv(g)
-        for a in a_gens:
-            comm = _mul(_mul(_mul(g_inv, _inv(a)), g), a)
-            if not b_chain.contains(comm):
-                return False
-        return True
-
-    return subgroup_search(G, PredicateProperty(pred), budgets=budgets)

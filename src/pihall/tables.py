@@ -28,7 +28,8 @@ is a `closure` from a known subgroup, an intersection of subgroups is the
 set intersection, normality is a union of classes (`is_normal`), C_G(X)
 is one batched row comparison per generator of X (`centralizing`), and
 N_G(K) one batched conjugation per generator of K, x^-1 k x in K
-(`normalizing`, which also grows the Sylow seed).  Those take generating
+(`normalizing`, which also grows the Sylow seed and, with the generators
+of another subgroup H, finds the x with H^x <= K).  Those take generating
 sets (`generators` reads a few off a set), never a subgroup's every
 element.
 """
@@ -219,9 +220,6 @@ class ElementTable:
     def perm_of(self, i: int) -> Perm:
         return Perm(tuple(int(x) for x in self.rows[i]), validate=False)
 
-    def mul(self, i: int, j: int) -> int:
-        return self._row_index()[self.rows[j][self.rows[i]].tobytes()]
-
     def products(self, lefts, rights) -> np.ndarray:
         """Indices of a·b for a in lefts and b in rights, shaped
         (len(rights), len(lefts)); a single index on either side drops its
@@ -239,9 +237,6 @@ class ElementTable:
             self._inv = self._map(
                 lambda R: np.argsort(R, axis=1).astype(dtype), np.int32)
         return self._inv
-
-    def inv(self, i: int) -> int:
-        return int(self._inverses()[i])
 
     def element_order(self, i: int) -> int:
         """Order of element i, computed once per conjugacy class (from the
@@ -424,9 +419,11 @@ class ElementTable:
     def normalizing(self, sub: frozenset, gen_idxs,
                     among: np.ndarray | None = None) -> np.ndarray:
         """The elements x of `among` (an index array; all of G when not
-        given), in its order, with x^-1 k x in K for each k in gen_idxs,
-        the generators of the subgroup K = `sub`: N_G(K) ∩ among.  One
-        batched test per generator, over the candidates left."""
+        given), in its order, with x^-1 k x in K = `sub` for each k in
+        gen_idxs.  When gen_idxs generate K, that is N_G(K) ∩ among; when
+        they generate another subgroup H, it is the x with H^x <= K (so
+        H^x = K when |H| = |K|).  One batched test per generator, over the
+        candidates left."""
         rows, inv, inside = self.rows, self._inverses(), self.mask(sub)
         cand = np.arange(self.size) if among is None else among
         for k in gen_idxs:

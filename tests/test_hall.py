@@ -104,8 +104,8 @@ def test_oracle_needs_no_backtrack_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("backtrack route taken")
 
+    # every search structure runs goes through backtrack's module functions
     monkeypatch.setattr(backtrack, "subgroup_search", forbidden)
-    monkeypatch.setattr(structure, "subgroup_search", forbidden)
     monkeypatch.setattr(hall, "p_element", forbidden)
     for name, pi in [("alt5xsym4", "2,3"), ("sym4wr2", "2"),
                      ("psl2_13", "2,3")]:
@@ -531,8 +531,8 @@ def test_are_conjugate_distinguishes_hall_classes():
     "entry", [e for e in zoo.corpus_manifest() if e["order"] <= 800],
     ids=lambda e: f"{e['name']}-{e['pi']}")
 def test_are_conjugate_table_route_matches_backtrack(entry):
-    # independent evidence: the element-table transporter against the
-    # backtrack search, on every pair of Hall class representatives and on
+    # independent evidence: the element table's batched conjugation test
+    # against the backtrack search, on every pair of Hall class representatives and on
     # a conjugate of each
     G = zoo.build_named(entry["name"])
     reps = all_hall_classes(G, PiSet.parse(entry["pi"])).class_reps
@@ -590,17 +590,22 @@ def test_set_orbits_match_brute_force(group, pick):
             members = [frozenset(r) for r in orbits.members(cid).tolist()]
             assert {perms(m) for m in members} == conjugates
             assert orbits.canon(cid) == min(members, key=orbits.key_of)
-            # every transporter maps the root onto its member
-            root = perms(members[0])
-            for pos, member in enumerate(members):
-                t = tbl.perm_of(orbits.transporter_at(cid, pos))
-                assert conj(root, t) == perms(member)
-            for a in by[::max(1, len(by) // 5)]:
-                image = conj(k_els, a)
-                x = orbits.transporter(k_set, frozenset(map(tbl.idx_of_perm,
-                                                            image)))
-                assert x is not None and acting.contains(x)
-                assert conj(k_els, x) == image
+    # conjugacy in G: a transporter onto each sampled conjugate K^a
+    for K in subgroups:
+        k_els = frozenset(brute_group_elements(K))
+        for a in els[::max(1, len(els) // 5)]:
+            x = are_conjugate(G, K, PermGroup(degree, [k.conjugate(a)
+                                                       for k in K.generators]))
+            assert x is not None and G.contains(x)
+            assert conj(k_els, x) == conj(k_els, a)
+    # and none onto a cyclic subgroup of K = <g>'s order outside its class
+    K = subgroups[0]
+    k_conjugates = {conj(brute_group_elements(K), a) for a in els}
+    outside = next((y for y in els if y.order() == K.order()
+                    and frozenset(brute_elements([y], degree))
+                    not in k_conjugates), None)
+    if outside is not None:
+        assert are_conjugate(G, K, PermGroup(degree, [outside])) is None
 
 
 # -- k_induced ----------------------------------------------------------------------

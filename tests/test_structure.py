@@ -162,10 +162,19 @@ def test_chief_series_extension():
     assert cs.terms[1].same_group_as(hat.inner)
 
 
-def test_chief_factor_decomposition_v4():
+def test_abelian_chief_factor_count_from_its_order():
+    # V4 over 1, sym4's third level: 2^2, two cyclic factors
+    trace = cpi_reduce(zoo.sym(4), PiSet([2, 3]))
+    level = trace.levels[2]
+    assert (level.factor_order, level.factor_kind) == (4, "abelian")
+    assert level.simple_factor_count == 2
+    assert level.automizer_checks[0].orbit_size == 2
+
+
+def test_chief_factor_decomposition_rejects_an_abelian_factor():
     cs = chief_series(zoo.sym(4))
-    parts = chief_factor_decomposition(cs, 3)  # V4 over 1
-    assert len(parts) == 2 and all(p.order() == 2 for p in parts)
+    with pytest.raises(ValueError):
+        chief_factor_decomposition(cs, 3)  # V4 over 1
 
 
 def test_chief_factor_decomposition_simple_factor():
@@ -255,6 +264,21 @@ def test_induced_automizer_coset_route():
     assert aut.route == "coset-on-centralizer"
     # the cyclic factor centralizes A: the kernel has order 360/120 = 3
     assert aut.section_image.order() == 120
+
+
+def test_induced_automizer_coset_route_over_a_nontrivial_b():
+    # route (c) with B != 1: C_G(A/B) is taken in G/B, here S5×C3 over its
+    # C3, against a brute-force C_G(G/C3)
+    G = zoo.direct_product(zoo.sym(5), zoo.cyclic(3))
+    C3 = PermGroup(8, [Perm(list(range(5)) + [6, 7, 5])])
+    tiny = Budgets(element_action_budget=10)
+    aut = induced_automizer(G, G, C3, tiny)
+    assert aut.route == "coset-on-centralizer"
+    assert aut.section_image.order() == 120
+    c3 = brute_group_elements(C3)
+    brute = {g for g in brute_group_elements(G)
+             if all(g.commutator(a) in c3 for a in G.generators)}
+    assert len(brute) == G.order() // aut.section_image.order() == 3
 
 
 def test_induced_automizer_requires_normal():
