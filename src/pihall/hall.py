@@ -395,7 +395,7 @@ def are_conjugate(G: PermGroup, H: PermGroup, K: PermGroup,
             return None
         x = tbl.perm_of(int(found[0]))
         certify(all(K.contains(h.conjugate(x)) for h in H.generators),
-                "transporter does not conjugate H onto K")
+                "the element found does not conjugate H onto K")
         return x
     return conjugating_element(G, H, K, budgets)
 

@@ -267,18 +267,32 @@ def test_induced_automizer_coset_route():
 
 
 def test_induced_automizer_coset_route_over_a_nontrivial_b():
-    # route (c) with B != 1: C_G(A/B) is taken in G/B, here S5×C3 over its
-    # C3, against a brute-force C_G(G/C3)
-    G = zoo.direct_product(zoo.sym(5), zoo.cyclic(3))
-    C3 = PermGroup(8, [Perm(list(range(5)) + [6, 7, 5])])
+    # route (c) with B != 1: C_G(A/B) is taken in G/B.  On S5×C3 over its
+    # C3 (A = G) the kernel is C3; on S5×S3×C3 over its C3 with A = A5×C3,
+    # A's image is centralized by the S3 factor, which the centre of G/B
+    # (trivial) does not show: the kernel is S3×C3
+    def padded(p, lo, n):
+        return Perm(list(range(lo)) + [lo + x for x in p.images]
+                    + list(range(lo + p.degree, n)))
+
+    S5C3 = zoo.direct_product(zoo.sym(5), zoo.cyclic(3))
+    S5S3C3 = zoo.direct_product(zoo.direct_product(zoo.sym(5), zoo.sym(3)),
+                                zoo.cyclic(3))
+    c3 = [padded(g, 5, 8) for g in zoo.cyclic(3).generators]
+    c3_last = [padded(g, 8, 11) for g in zoo.cyclic(3).generators]
+    a5 = [padded(g, 0, 11) for g in zoo.alt(5).generators]
+    cases = [(S5C3, S5C3, PermGroup(8, c3), 3),
+             (S5S3C3, PermGroup(11, a5 + c3_last), PermGroup(11, c3_last),
+              18)]
     tiny = Budgets(element_action_budget=10)
-    aut = induced_automizer(G, G, C3, tiny)
-    assert aut.route == "coset-on-centralizer"
-    assert aut.section_image.order() == 120
-    c3 = brute_group_elements(C3)
-    brute = {g for g in brute_group_elements(G)
-             if all(g.commutator(a) in c3 for a in G.generators)}
-    assert len(brute) == G.order() // aut.section_image.order() == 3
+    for G, A, B, kernel in cases:
+        aut = induced_automizer(G, A, B, tiny)
+        assert aut.route == "coset-on-centralizer"
+        assert aut.section_image.order() == 120
+        b_els = brute_group_elements(B)
+        brute = {g for g in brute_group_elements(G)
+                 if all(g.commutator(a) in b_els for a in A.generators)}
+        assert len(brute) == G.order() // aut.section_image.order() == kernel
 
 
 def test_induced_automizer_requires_normal():
