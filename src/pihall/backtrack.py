@@ -66,10 +66,15 @@ class _Searcher:
 
     # -- K (known subgroup) handling ---------------------------------------
 
-    def set_known(self, gens) -> None:
-        # hinted with the search base, so K's levels line up with ours
-        self.k_gens = list(gens)
-        self.k_chain = _Chain(self.degree, self.k_gens, hint=self.base)
+    def set_known(self, K: PermGroup | None) -> None:
+        # hinted with the search base, so K's levels line up with ours, and
+        # stopped at K's order
+        if K is None:
+            self.k_gens, order = [], None
+        else:
+            self.k_gens, order = K.gen_tuples(), K.order()
+        self.k_chain = _Chain(self.degree, self.k_gens, hint=self.base,
+                              order=order)
         self._minmaps.clear()
 
     def add_known(self, g) -> None:
@@ -105,9 +110,9 @@ class _Searcher:
     def find(self) -> tuple[int, ...] | None:
         """One element satisfying the property (outside K when K is set)."""
         ident = _ident(self.degree)
-        return self._dfs(0, ident, ident, True)
+        return self._dfs(0, ident, True)
 
-    def _dfs(self, level, w, w_inv, prefix_identity):
+    def _dfs(self, level, w, prefix_identity):
         if level == len(self.levels):
             self.nodes += 1
             if self.nodes > self.budget:
@@ -133,14 +138,8 @@ class _Searcher:
                 continue
             self.prop.push(level, b, c)
             try:
-                if delta == b:
-                    w2, w2_inv = w, w_inv
-                else:
-                    t = lvl.rep(delta)
-                    w2 = _mul(t, w)
-                    w2_inv = _mul(w_inv, lvl.rep_inv(delta))
-                got = self._dfs(level + 1, w2, w2_inv,
-                                prefix_identity and c == b)
+                w2 = w if delta == b else _mul(lvl.rep(delta), w)
+                got = self._dfs(level + 1, w2, prefix_identity and c == b)
                 if got is not None:
                     return got
             finally:
@@ -149,12 +148,13 @@ class _Searcher:
 
 
 def subgroup_search(G: PermGroup, prop: SearchProperty,
-                    known: list[tuple[int, ...]] = (),
+                    known: PermGroup | None = None,
                     budgets: Budgets = DEFAULT_BUDGETS,
                     chain: _Chain | None = None) -> PermGroup:
-    """The subgroup {g in G : property holds}; `known` seeds the result."""
+    """The subgroup {g in G : property holds}; `known`, a subgroup of it,
+    seeds the result, and its chain stops at `known.order()`."""
     searcher = _Searcher(G.degree, chain or G.chain(), prop, budgets)
-    searcher.set_known([g for g in known if g != _ident(G.degree)])
+    searcher.set_known(known)
     while True:
         g = searcher.find()
         if g is None:
@@ -320,7 +320,7 @@ def normalizer(G: PermGroup, H: PermGroup,
         return G
     if is_normal(G, H):
         return G
-    return subgroup_search(G, ConjugacyProperty(H, H), known=H.gen_tuples(),
+    return subgroup_search(G, ConjugacyProperty(H, H), known=H,
                            budgets=budgets)
 
 

@@ -135,14 +135,20 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     H1_lift = hat.embed_subgroup(H1, name="hall212@hat")
     x = hat.iota * hat.embed_perm(g1)
     x_inv = x.inverse()
-    _claim(report, "corrected-swap-normalizes",
-           all(H1_lift.contains(x_inv * h * x) for h in H1_lift.generators),
+    normalizes = all(H1_lift.contains(x_inv * h * x)
+                     for h in H1_lift.generators)
+    _claim(report, "corrected-swap-normalizes", normalizes,
            "the flag-corrected involution normalizes the lifted subgroup")
+    # an involution normalizing H1_lift extends it by index at most 2, so
+    # H states 2|H1_lift|; the claims read the order its chain certifies
+    stated = (2 * H1_lift.order()
+              if normalizes and (x * x).is_identity() else None)
     H = PermGroup(hat.group.degree, list(H1_lift.generators) + [x],
-                  name="hall@hat")
+                  name="hall@hat", order=stated)
+    h_order = H.chain().order()
     _claim(report, "extension-hall-order",
-           H.order() == 18432 == pi_part(hat.group.order(), PI),
-           f"|H| = {H.order()} = 2^11*3^2", order=H.order())
+           h_order == 18432 == pi_part(hat.group.order(), PI),
+           f"|H| = {h_order} = 2^11*3^2", order=h_order)
     _claim(report, "extension-hall", is_hall(hat.group, H, PI),
            "H is a {2,3}-Hall subgroup of the extension")
     # H meets the inner copy exactly in the lifted subgroup: x swaps the
@@ -150,7 +156,7 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     _claim(report, "meets-inner-in-first-rep",
            x.images[0] >= hat.block
            and H1_lift.is_subgroup_of(H)
-           and H.order() == 2 * H1_lift.order(),
+           and h_order == 2 * H1_lift.chain().order(),
            "H ∩ inner = lifted first representative (index-2 arithmetic)")
     # N(H1) in the extension equals H: the arithmetic certificate (inner
     # part self-normalizing, x outside the inner copy) pins the order, and

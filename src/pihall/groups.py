@@ -8,8 +8,12 @@ once the chain exists, so they are safe to share across threads.
 A chain told an order for its group stops verifying Schreier generators
 once the product of its basic orbit lengths reaches that order.  The stated
 order must be at least the true order |G|: either |G| itself, computed, or
-an upper bound known by construction (the generators lie in a group of
-that order, as invertible matrices lie in GL_n(q)).  The stop is then
+an upper bound known by construction.  The bounds by construction are the
+zoo builders' closed forms (n! for a symmetric group, |G|·|H| for a direct
+product, |GL_n(q)| for invertible matrices, ...), |H| for the image of H
+under a homomorphism (a subgroup of GL_n(q) lifted to the paired action),
+the known subgroup's order for the chain a backtrack search grows from it,
+and 2|K| for K extended by an involution normalizing it.  The stop is then
 certified, not sampled: each level's generators lie in the true
 stabilizer, so the product is at most |G|, with equality exactly when every
 level generates its full stabilizer, i.e. when the chain is complete.  A
@@ -25,8 +29,11 @@ check of a stated order reads the chain's: `G.chain().order()`.
 
 A subgroup found by growing a chain (`span`, the backtrack searches) adopts
 that chain instead of building a second one from its generators.  An
-adopted chain was completed with no stated order, so every Schreier
-generator was checked, and it is never extended afterwards.
+adopted chain is complete: a span's was completed with no stated order, so
+every Schreier generator was checked, and a search's starts as its known
+subgroup's chain stopped at that subgroup's order, certified as above,
+then completed in full after each element the search adds.  It is never
+extended afterwards.
 
 Internally the chain works on raw image tuples for speed; the public API
 speaks :class:`~pihall.perms.Perm`.
@@ -169,13 +176,22 @@ class _Chain:
     undetected.  The sources used are: a complete chain's orbit-length
     product, or a suffix of it (stabilizers); |kernel|·|Q̄| for a
     preimage; |G:N| for the regular image of a coset action; |H| for a
-    conjugate of H; the upper bounds |GL_n(q)| for ``zoo.gl`` and
-    ``zoo.GLHat.inner`` (images of invertible matrices), the parabolic
-    order for ``zoo.flag_stabilizer`` (block-lower-triangular matrices)
-    and 2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor
-    certifies that the swap is an involution normalizing the inner copy).
-    Spans and backtrack results state none: their groups adopt the chain
-    that found them (``PermGroup._adopt``).
+    conjugate of H; the closed forms of the zoo builders (n! for ``sym``,
+    n!/2 for ``alt``, n for ``cyclic``, 2n for ``dihedral``, |G|·|H| for
+    ``direct_product``, |G|^n·n for ``wreath``, p(p²-1)/2 for ``psl2``);
+    the upper bounds |GL_n(q)| for ``zoo.gl`` and ``zoo.GLHat.inner``
+    (images of invertible matrices), the parabolic order for
+    ``zoo.flag_stabilizer`` (block-lower-triangular matrices) and
+    2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies
+    that the swap is an involution normalizing the inner copy); |H| for
+    ``zoo.GLHat.embed_subgroup(H)`` (the image of H under the
+    homomorphism M -> embed_matrix(M)); the known subgroup's order for
+    the chain a backtrack subgroup search grows
+    (``backtrack.subgroup_search``); and 2|H1_lift| for the GL5(2)
+    example's H = <H1_lift, x> (after the example checks that x is an
+    involution normalizing H1_lift).  Spans state none, and a search's
+    result states nothing beyond its known subgroup's order: their groups
+    adopt the chain that found them (``PermGroup._adopt``).
     """
 
     __slots__ = ("degree", "levels", "_order")
@@ -368,7 +384,10 @@ class PermGroup:
     @classmethod
     def _adopt(cls, chain: _Chain, generators: Iterable[Perm]) -> "PermGroup":
         """The group the generators generate, owning `chain`: a complete
-        chain of that group, which nothing extends afterwards."""
+        chain of that group, which nothing extends afterwards.  A search's
+        chain may have stopped at its known subgroup's stated order, when
+        the search added nothing to it; reaching that order certified the
+        chain complete, as for any stated order."""
         G = cls(chain.degree, generators, order=chain.order())
         G._chain_cache = chain
         return G

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 # modulus polynomials for the non-prime fields, coded base p
 _POLYS = {4: (2, 0b111), 8: (2, 0b1011), 9: (3, 10)}  # x^2+x+1, x^3+x+1, x^2+1
 
@@ -42,6 +44,9 @@ class GF:
                 if self.mul[a][b] == 1:
                     self.inv[a] = b
                     break
+        # the same tables as arrays, for numpy lookups over many vectors
+        self.add_array = np.array(self.add, dtype=np.intp)
+        self.mul_array = np.array(self.mul, dtype=np.intp)
 
     def _digits(self, a):
         out = []
@@ -166,10 +171,6 @@ def rref(field: GF, rows) -> list[tuple]:
     return [tuple(b) for b in basis]
 
 
-def in_span(field: GF, basis, v) -> bool:
-    return len(rref(field, list(basis) + [v])) == len(rref(field, basis))
-
-
 def span_points(field: GF, basis) -> set[int]:
     """Point indices of the nonzero vectors in the span of the basis."""
     add, mul = field.add, field.mul
@@ -206,16 +207,19 @@ def matrix_to_perm_images(field: GF, n: int, M) -> tuple[int, ...]:
     """Permutation of the q^n - 1 nonzero vectors induced by v -> v*M.
 
     By linearity: the vector of index value d*q^i + low (0 < d < q,
-    low < q^i) has image image(low) + d*M[i], so each image costs one
-    vector addition of a scaled row instead of a full vector-matrix
-    product."""
+    low < q^i) has image image(low) + d*M[i].  So the images of the
+    q^i..q^(i+1)-1 block are one addition-table lookup over the images of
+    the values below q^i and the scaled rows d*M[i], and the point indices
+    are the images' digit sums weighted by powers of q."""
     q = field.q
-    add, mul = field.add, field.mul
-    images: list[tuple] = [(0,) * n]   # by index value; value 0 is v = 0
+    scaled = field.mul_array[:, np.array(M, dtype=np.intp)]  # [d, i] = d*M[i]
+    images = np.zeros((q ** n, n), dtype=np.intp)   # row = index value
+    size = 1
     for i in range(n):
-        scaled = [tuple(mul[d][x] for x in M[i]) for d in range(q)]
-        for d in range(1, q):
-            for low in range(q ** i):
-                images.append(tuple(map(lambda a, b: add[a][b],
-                                        images[low], scaled[d])))
-    return tuple(vec_to_point(q, v) for v in images[1:])
+        block = field.add_array[images[None, :size], scaled[1:, i, None]]
+        images[size:q * size] = block.reshape(-1, n)
+        size *= q
+    points = (images[1:] * q ** np.arange(n)).sum(axis=1) - 1
+    if points.min(initial=0) < 0:
+        raise ValueError("matrix is singular")
+    return tuple(points.tolist())

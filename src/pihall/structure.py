@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator
 
 from .actions import (block_action, coset_action, nontrivial_block_system,
                       section_action)
-from .arith import is_prime, p_part, prime_divisors
+from .arith import is_prime, p_part, prime_divisors, prime_factorization
 from .backtrack import BudgetExceededError, centralizer
 from .cache import LRUCache
 from .config import DEFAULT_BUDGETS, Budgets
@@ -433,7 +434,12 @@ def chief_factor_decomposition(series: ChiefSeries,
     terms[i] are the simple direct factors of a nonabelian chief factor;
     computed once per series, under its budgets and seed.  An abelian
     factor raises ValueError: it is elementary abelian of order p^k, and
-    `cpi_reduce` reads its k cyclic factors off that order."""
+    `cpi_reduce` reads its k cyclic factors off that order.
+
+    A chief factor A/B is T^k for a simple T, so k divides every prime
+    exponent of |A/B|.  When those exponents have gcd 1, k = 1 and the
+    factor is [A] with no quotient built; otherwise the regular quotient
+    A/B is split into its minimal normal subgroups."""
     got = series._decompositions.get(i)
     if got is not None:
         return got
@@ -441,6 +447,9 @@ def chief_factor_decomposition(series: ChiefSeries,
         raise ValueError(f"chief factor {i} is abelian")
     budgets, seed = series.budgets, series.seed
     A, B = series.factor_pair(i)
+    if gcd(*prime_factorization(series.factor_order(i)).values()) == 1:
+        series._decompositions[i] = [A]
+        return [A]
     hom = None
     if B.is_trivial():
         Q = A

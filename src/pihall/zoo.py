@@ -1,6 +1,10 @@
 """Deterministic constructors for the test groups.
 
 Every builder is pure: two calls produce bit-identical generator lists.
+Each states its group's order in closed form (n! for sym, |G|·|H| for a
+direct product, p(p²-1)/2 for PSL(2,p), ...), an upper bound by
+construction that the group's chain certifies by reaching it (see
+:mod:`pihall.groups`).
 Matrix groups enter as permutation actions on nonzero vectors (see
 :mod:`pihall.linalg` for the point indexing); the dual-paired action on
 vectors and covectors realizes the inverse-transpose extension of GL_n(q)
@@ -10,6 +14,7 @@ on twice the degree.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import factorial
 
 from . import linalg
 from .groups import PermGroup, certify
@@ -31,19 +36,20 @@ def sym(n: int) -> PermGroup:
         gens.append(Perm.from_cycles(n, (0, 1)))
     if n >= 3:
         gens.append(Perm.from_cycles(n, tuple(range(n))))
-    return PermGroup(n, gens, name=f"sym{n}")
+    return PermGroup(n, gens, name=f"sym{n}", order=factorial(n))
 
 
 def alt(n: int) -> PermGroup:
     _check_degree(n)
     gens = [Perm.from_cycles(n, (i, i + 1, i + 2)) for i in range(max(0, n - 2))]
-    return PermGroup(n, gens, name=f"alt{n}")
+    return PermGroup(n, gens, name=f"alt{n}",
+                     order=factorial(n) // 2 if n >= 2 else 1)
 
 
 def cyclic(n: int) -> PermGroup:
     _check_degree(n)
     gens = [Perm.from_cycles(n, tuple(range(n)))] if n >= 2 else []
-    return PermGroup(max(n, 1), gens, name=f"cyclic{n}")
+    return PermGroup(max(n, 1), gens, name=f"cyclic{n}", order=max(n, 1))
 
 
 def dihedral(n: int) -> PermGroup:
@@ -53,7 +59,7 @@ def dihedral(n: int) -> PermGroup:
     _check_degree(n)
     rot = Perm.from_cycles(n, tuple(range(n)))
     ref = Perm([(n - i) % n for i in range(n)])
-    return PermGroup(n, [rot, ref], name=f"dihedral{n}")
+    return PermGroup(n, [rot, ref], name=f"dihedral{n}", order=2 * n)
 
 
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -65,7 +71,8 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     gens += [Perm(list(range(n)) + [n + x for x in h.images], validate=False)
              for h in H.generators]
     return PermGroup(n + m, gens,
-                     name=f"({G.name or 'G'}x{H.name or 'H'})")
+                     name=f"({G.name or 'G'}x{H.name or 'H'})",
+                     order=G.order() * H.order())
 
 
 def wreath(G: PermGroup, n: int) -> PermGroup:
@@ -77,7 +84,8 @@ def wreath(G: PermGroup, n: int) -> PermGroup:
             for g in G.generators]
     shift = Perm([(x + d) % total for x in range(total)], validate=False)
     gens.append(shift)
-    return PermGroup(total, gens, name=f"({G.name or 'G'}wr{n})")
+    return PermGroup(total, gens, name=f"({G.name or 'G'}wr{n})",
+                     order=G.order() ** n * n)
 
 
 # -- projective and linear groups ---------------------------------------------
@@ -97,7 +105,8 @@ def psl2(p: int) -> PermGroup:
         images.append(inf if z == 0 else (-pow(z, -1, p)) % p)
     images.append(0)
     flip = Perm(images)
-    return PermGroup(p + 1, [shift, flip], name=f"psl2_{p}")
+    return PermGroup(p + 1, [shift, flip], name=f"psl2_{p}",
+                     order=6 if p == 2 else p * (p * p - 1) // 2)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -290,9 +299,12 @@ class GLHat:
                     validate=False)
 
     def embed_subgroup(self, H: PermGroup, name=None) -> PermGroup:
-        """Lift a subgroup of gl(n,q) on the vector block to the paired action."""
+        """Lift a subgroup of gl(n,q) on the vector block to the paired
+        action.  States |H|: M -> embed_matrix(M) is a homomorphism, so the
+        lift has at most |H| elements, and its chain certifies the order by
+        reaching it (see pihall.groups)."""
         gens = [self.embed_perm(g) for g in H.generators]
-        return PermGroup(2 * self.block, gens, name=name)
+        return PermGroup(2 * self.block, gens, name=name, order=H.order())
 
     def embed_perm(self, g: Perm) -> Perm:
         # perm_to_matrix certifies that its matrix induces g on the vectors
@@ -494,11 +506,16 @@ def dual_flag_conjugator(H_a: PermGroup, H_b: PermGroup):
     field = gf(q)
 
     def adapted_basis(chain):
+        # `echelon` is the row-reduced form of `basis`, grown by one rref
+        # per vector; v is new exactly when it raises the rank
         basis: list[tuple] = []
+        echelon: list[tuple] = []
         for step in chain:
             for v in step:
-                if not linalg.in_span(field, basis, v):
+                grown = linalg.rref(field, echelon + [v])
+                if len(grown) > len(echelon):
                     basis.append(v)
+                    echelon = grown
         return tuple(basis)
 
     A = adapted_basis(chain_a)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from pihall import zoo
+from pihall import groups, zoo
 from pihall.arith import PiSet
 from pihall.groups import PermGroup
 from pihall.perms import Perm
@@ -82,6 +82,29 @@ def brute_subgroups_dividing(G, order):
 def brute_subgroups_of_order(G, order):
     """All subgroups of the given order, as frozensets of elements."""
     return {s for s in brute_subgroups_dividing(G, order) if len(s) == order}
+
+
+def chain_shape(chain):
+    """Per level of a stabilizer chain: base point, generators, orbit."""
+    return [(lvl.point, list(lvl.gens), list(lvl.orbit_list))
+            for lvl in chain.levels]
+
+
+def chains_built(run, stated):
+    """run() with every chain it builds recorded as (chain, stated order);
+    with stated=False each chain ignores its stated order and verifies in
+    full.  Returns the records and run()'s result."""
+    built = []
+    init = groups._Chain.__init__
+
+    def recording(self, degree, gens, hint=(), order=None):
+        init(self, degree, gens, hint, order if stated else None)
+        built.append((self, order))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups._Chain, "__init__", recording)
+        result = run()
+    return built, result
 
 
 @st.composite

@@ -149,6 +149,103 @@ def test_no_unpassed_defaulted_parameters():
     assert not dead, "defaulted parameters no call passes: " + ", ".join(dead)
 
 
+# -- self-feeding parameters -----------------------------------------------------
+
+
+def _is_self_call(node, fn) -> bool:
+    """A call of fn by its own name: `fn(...)`, or `self.fn(...)` or
+    `cls.fn(...)` for a method (not `super().fn(...)`)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == fn.name
+    return (isinstance(func, ast.Attribute) and func.attr == fn.name
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls"))
+
+
+def _call_params(fn) -> list[str]:
+    """fn's positional parameters in the order a recursive call passes
+    them: a method's `self` or `cls` is bound, not passed."""
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    return params[1:] if params[:1] in (["self"], ["cls"]) else params
+
+
+def _feeds(read, fn, param, names, parents) -> bool:
+    """Whether the value of a read only reaches `param` of a recursive call
+    of fn or an assignment to one of `names`.  Climbing from the read
+    through the expression around it, the first recursive call or
+    statement met decides; any other use is a read that counts."""
+    child, node = read, parents[read]
+    while not (isinstance(node, ast.stmt) or _is_self_call(node, fn)):
+        if isinstance(node, (ast.Lambda, ast.comprehension)):
+            return False
+        child, node = node, parents[node]
+    if isinstance(node, ast.Call):
+        if child in node.args:
+            i = node.args.index(child)
+            return _call_params(fn)[i:i + 1] == [param]
+        return any(kw.value is child and kw.arg == param
+                   for kw in node.keywords)
+    if not isinstance(node, ast.Assign) or child is not node.value \
+            or len(node.targets) != 1:
+        return False
+    target = node.targets[0]
+    if isinstance(target, ast.Tuple) and isinstance(child, ast.Tuple) \
+            and len(target.elts) == len(child.elts):
+        # a, b = x, y: each element goes to its own target
+        element = read
+        while parents[element] is not child:
+            element = parents[element]
+        target = target.elts[child.elts.index(element)]
+    return isinstance(target, ast.Name) and target.id in names
+
+
+def _self_feeding_params(fn) -> list[str]:
+    """Parameters of a recursive fn read only to compute the value passed
+    back to the same parameter of a recursive call, directly or through
+    locals: start from the parameter and every local, and drop each name
+    with a read that counts until none is left to drop."""
+    if not any(_is_self_call(node, fn) for node in ast.walk(fn)):
+        return []
+    parents = {child: node for node in ast.walk(fn)
+               for child in ast.iter_child_nodes(node)}
+    reads, stored = defaultdict(list), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads[node.id].append(node)
+            else:
+                stored.add(node.id)
+    params = _call_params(fn)
+    out = []
+    for param in params:
+        names = (stored - set(params)) | {param}
+        while True:
+            kept = {name for name in names
+                    if all(_feeds(r, fn, param, names, parents)
+                           for r in reads[name])}
+            if kept == names:
+                break
+            names = kept
+        if param in names and reads[param]:
+            out.append(param)
+    return out
+
+
+def test_no_self_feeding_parameters():
+    # a parameter whose every read only computes what the function passes
+    # back to it when it recurses (a search threading the inverse of its
+    # coset representative that no node reads) is work nobody reads
+    found = [f"{fname}: {qual}({param})"
+             for fname, tree in _trees().items()
+             for qual, fn in _definitions(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for param in _self_feeding_params(fn)]
+    assert not found, "self-feeding parameters: " + ", ".join(found)
+
+
 # -- stabilizer chains ------------------------------------------------------------
 
 CHAIN_MODULES = {"groups.py", "backtrack.py"}

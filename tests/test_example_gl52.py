@@ -1,5 +1,6 @@
 import json
 
+from conftest import chain_shape, chains_built
 from pihall import zoo
 from pihall.arith import PiSet
 from pihall.reduction import cpi_reduce
@@ -109,9 +110,9 @@ def test_every_search_gets_the_node_budget(monkeypatch):
 
 
 def test_example_sift_work_gate(monkeypatch):
-    # one cold run sifts at most 1,000 elements into stabilizer chains:
-    # the degree-31 and degree-62 chains, the three parabolic subgroups'
-    # among them, stop at their stated orders
+    # one cold run sifts at most 680 elements into stabilizer chains (615
+    # when this gate was set): every chain, the lifted subgroup's, H's and
+    # the search's known subgroup's among them, stops at its stated order
     from pihall import groups
     from pihall.example_gl52 import run_example
 
@@ -125,4 +126,20 @@ def test_example_sift_work_gate(monkeypatch):
 
     monkeypatch.setattr(groups._Chain, "_sift_add", counting)
     assert run_example()["verdict"] is True
-    assert calls <= 1000
+    assert calls <= 680
+
+
+def test_example_chains_match_full_verification():
+    # each of the 9 chains the example builds states an order; stopped
+    # there, it has the base, level generators and orbits that full
+    # verification gives, and the report is the same
+    from pihall.example_gl52 import run_example
+
+    early, early_report = chains_built(run_example, stated=True)
+    full, full_report = chains_built(run_example, stated=False)
+    assert len(early) == len(full) == 9
+    assert all(order is not None for _, order in early)
+    for (a, _), (b, _) in zip(early, full):
+        assert a.order() == b.order()
+        assert chain_shape(a) == chain_shape(b)
+    assert early_report == full_report

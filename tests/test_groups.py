@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_elements, brute_group_elements,
-                      small_groups_up_to_degree_8)
-from pihall import groups, zoo
+from conftest import (brute_elements, brute_group_elements, chain_shape,
+                      chains_built, small_groups_up_to_degree_8)
+from pihall import zoo
 from pihall.actions import coset_action
 from pihall.backtrack import normalizer
 from pihall.groups import PermGroup, VerificationError, _Chain, span
@@ -185,27 +185,6 @@ def test_extend_after_early_stop_voids_the_order():
     assert chain.order() == 120
 
 
-def _shape(chain):
-    return [(lvl.point, list(lvl.gens), list(lvl.orbit_list))
-            for lvl in chain.levels]
-
-
-def _chains_built(run, stated):
-    """run() with every chain it builds recorded; with stated=False each
-    chain ignores its stated order and verifies in full."""
-    built = []
-    init = groups._Chain.__init__
-
-    def recording(self, degree, gens, hint=(), order=None):
-        init(self, degree, gens, hint, order if stated else None)
-        built.append((self, order))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups._Chain, "__init__", recording)
-        snapshots = run()
-    return built, snapshots
-
-
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
 def test_stated_order_chain_is_identical(group, seed):
@@ -231,20 +210,20 @@ def test_stated_order_chain_is_identical(group, seed):
         y = stated.random_element(rng)
         tbl.subgroup(tbl.closure([tbl.idx_of_perm(y)])).chain()
         # extend after the early stop, by an element of S_n usually outside G
-        before = _shape(stated.chain())
+        before = chain_shape(stated.chain())
         images = list(range(degree))
         rng.shuffle(images)
         stated.chain().extend(tuple(images))
         return before
 
-    early, early_before = _chains_built(run, stated=True)
-    full, full_before = _chains_built(run, stated=False)
+    early, early_before = chains_built(run, stated=True)
+    full, full_before = chains_built(run, stated=False)
     assert early_before == full_before
     assert len(early) == len(full)
     assert any(order is not None for _, order in early)
     for (a, _), (b, _) in zip(early, full):
         assert a.base() == b.base()
-        assert _shape(a) == _shape(b)
+        assert chain_shape(a) == chain_shape(b)
 
 
 # -- adopted chains: a found subgroup keeps the chain that found it ------------
@@ -276,7 +255,7 @@ def test_found_subgroups_build_no_second_chain():
             H.chain()
             return H.order(), H.contains(three)
 
-        built, _ = _chains_built(run, stated=True)
+        built, _ = chains_built(run, stated=True)
         assert len(built) == 1, f"{name} built {len(built)} chains"
 
 

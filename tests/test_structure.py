@@ -183,6 +183,53 @@ def test_chief_factor_decomposition_simple_factor():
     assert len(parts) == 1 and parts[0].same_group_as(zoo.alt(5))
 
 
+def test_perfect_power_chief_factor_still_splits():
+    # alt5wr2's socle A5 x A5 has order 3600 = 60^2, exponents (4, 2, 2)
+    # with gcd 2, so it is decomposed, into its two normal A5 factors
+    cs = chief_series(zoo.build_named("alt5wr2"))
+    A, B = cs.factor_pair(2)
+    assert (A.order(), B.order()) == (3600, 1)
+    parts = chief_factor_decomposition(cs, 2)
+    assert [p.order() for p in parts] == [60, 60]
+    assert all(is_normal(A, p) and p.is_subgroup_of(A) for p in parts)
+    assert not any(p.is_subgroup_of(q) for p, q in (parts, parts[::-1]))
+
+
+def test_chief_factor_of_no_perfect_power_order_builds_no_quotient(
+        monkeypatch):
+    # psl2_7xc2 over its C2: |A/B| = 168 = 2^3*3*7, exponents with gcd 1, so
+    # the factor is simple and decomposes to [A] with no regular quotient
+    # and no table of one; the trace is the one the quotient route gave
+    monkeypatch.setattr(structure, "_table_cache", {})
+    monkeypatch.setattr(hall, "_classify_cache", {})
+    tabled = []
+    init = ElementTable.__init__
+
+    def recording(self, G, *args, **kwargs):
+        tabled.append((G.order(), G.degree))
+        init(self, G, *args, **kwargs)
+
+    monkeypatch.setattr(ElementTable, "__init__", recording)
+    trace = cpi_reduce(zoo.build_named("psl2_7xc2"), PiSet([2, 3]))
+    assert tabled == [(336, 10), (168, 167)]   # G, the automizer's image
+    assert chief_factor_decomposition(trace.series, 1) == \
+        [trace.series.terms[0]]
+    assert trace.to_dict() == {
+        "pi": "2,3", "series_orders": [336, 2, 1],
+        "levels": [{
+            "index": 1, "factor_order": 168, "factor_kind": "semisimple",
+            "simple_factor_count": 1,
+            "automizer_checks": [{
+                "factor_index": 0, "automizer_order": 168,
+                "cpi_verdict": False, "special_cased": False,
+                "orbit_size": 1, "route": "element-action"}],
+            "H_order": 336, "H_next_order": None, "failure": "automizer",
+            "special_cased_hall": False}],
+        "verdict": False, "hall_witness_order": None,
+        "hall_witness_generators": None, "shortcut_verdict": None,
+        "shortcut_agrees": None}
+
+
 def test_series_factor_product_is_group_order():
     for G in [zoo.sym(4), zoo.wreath(zoo.sym(3), 2), zoo.sym(6),
               zoo.direct_product(zoo.alt(5), zoo.sym(4))]:

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from conftest import chain_shape
 from pihall import zoo
 from pihall.backtrack import partition_stabilizer
 from pihall.groups import PermGroup, VerificationError, _Chain
-from pihall.linalg import gf, in_span, mat_identity, mat_inverse, mat_mul, \
-    mat_transpose, matrix_to_perm_images, point_to_vec, span_points, \
+from pihall.linalg import gf, mat_identity, mat_inverse, mat_mul, \
+    mat_transpose, matrix_to_perm_images, point_to_vec, rref, span_points, \
     vec_to_point
 from pihall.perms import Perm
 
@@ -28,7 +29,8 @@ GL_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]
     (lambda: zoo.gl(5, 2), 9999360),
 ])
 def test_constructor_orders(build, expect):
-    assert build().order() == expect
+    # the chain's order: order() returns a stated order as given
+    assert build().chain().order() == expect
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
@@ -225,11 +227,6 @@ def test_degree_budget_guard():
 # -- closed-form orders: stated, then certified by the chain -------------------
 
 
-def _shape(chain):
-    return [(lvl.point, list(lvl.gens), list(lvl.orbit_list))
-            for lvl in chain.levels]
-
-
 def _assert_matches_unstated(G, order):
     # the chain stopped at the stated order is the chain full verification
     # builds: same order and, per level, base point, generators and orbit
@@ -237,7 +234,27 @@ def _assert_matches_unstated(G, order):
     stated = G.chain()
     full = _Chain(G.degree, G.gen_tuples())
     assert stated.order() == full.order() == order
-    assert _shape(stated) == _shape(full)
+    assert chain_shape(stated) == chain_shape(full)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in zoo.CORPUS_PAIRS}))
+def test_corpus_groups_state_their_certified_order(name):
+    G = zoo.build_named(name)
+    assert G._order is not None
+    _assert_matches_unstated(G, G.order())
+
+
+@pytest.mark.parametrize("build,expect", [
+    (lambda: zoo.sym(1), 1), (lambda: zoo.sym(2), 2),
+    (lambda: zoo.alt(2), 1), (lambda: zoo.alt(3), 3),
+    (lambda: zoo.cyclic(1), 1), (lambda: zoo.cyclic(2), 2),
+    (lambda: zoo.dihedral(3), 6), (lambda: zoo.psl2(2), 6),
+    (lambda: zoo.psl2(3), 12), (lambda: zoo.psl2(5), 60),
+    (lambda: zoo.wreath(zoo.cyclic(2), 3), 24),
+    (lambda: zoo.direct_product(zoo.psl2(2), zoo.alt(4)), 72),
+])
+def test_small_builders_state_their_certified_order(build, expect):
+    _assert_matches_unstated(build(), expect)
 
 
 @pytest.mark.parametrize("n,q", GL_PAIRS + [(2, 5), (2, 8), (2, 9)])
@@ -308,6 +325,14 @@ def test_matrix_to_perm_images_by_linearity(n, q):
         assert matrix_to_perm_images(F, n, M) == tuple(
             vec_to_point(q, _vec_mat(F, point_to_vec(q, n, p), M))
             for p in range(q ** n - 1))
+    singular = (tuple([0] * n),) + tuple(mat_identity(n)[1:])
+    with pytest.raises(ValueError):
+        matrix_to_perm_images(F, n, singular)
+
+
+def in_span(F, basis, v):
+    """Whether adding v to the basis leaves its rank unchanged."""
+    return len(rref(F, list(basis) + [v])) == len(rref(F, basis))
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (3, 3), (2, 4)])
