@@ -56,7 +56,8 @@ def load_group_file(path: Path) -> PermGroup:
         if key not in data:
             raise CliError(EXIT_PARSE, f"{path}: missing field {key!r}")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    # JSON's true and false load as bool, a subclass of int
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise CliError(EXIT_PARSE, f"{path}: degree must be a positive integer")
     if not isinstance(data["generators"], list):
         raise CliError(EXIT_PARSE, f"{path}: generators must be a list")
@@ -95,6 +96,14 @@ def load_manifest(path: Path) -> list[dict]:
         if not isinstance(e["pi"], str):
             raise CliError(EXIT_PARSE, f"{where}: pi must be a string")
         parse_pi(e["pi"])
+        exp = e["expected"]
+        # type(...) is int: a JSON boolean is no count
+        if not (isinstance(exp, dict)
+                and all(isinstance(exp.get(f), bool) for f in "ECD")
+                and type(exp.get("k")) is int and exp["k"] >= 0):
+            raise CliError(EXIT_PARSE, f"{where}: 'expected' must be an "
+                                       f"object with boolean E, C and D and "
+                                       f"an integer k >= 0")
     return entries
 
 

@@ -3,9 +3,10 @@
 One extension sweep (`_grow`) serves the oracle and dominance: from seed
 subgroups it grows pi-subgroups by single-element extensions, one class at
 a time, keeping one member per conjugacy class.  Classes are orbits of
-element-index sets under conjugation (`_SetOrbits`), by G here and by a
-normal subgroup A when `k_induced` and the suites count the A-classes of
-the intersections H ∩ A.
+element-index sets under conjugation (`_SetOrbits`) in the group's own
+table; a normal subgroup A's Hall classes are named in A's table, where
+`k_induced` locates the intersections H ∩ A and `hall_classes_kept`
+their conjugates.
 
 The sweep's inner loops are batches over the element table.  A candidate
 x extends K only when every element of the coset Kx is a pi-element of
@@ -35,11 +36,12 @@ the sweep starts at the subgroups of prime order, grows only through
 classes inside a conjugate of H, and stops at the first class outside,
 which it keeps as a witness.  It is exact for any number of primes.
 
-The reduction's extension step (`extend_hall`) lifts a Hall subgroup M of
-a normal subgroup A of pi-number index to a Hall subgroup of G that meets
-A in M.  One exists exactly when G = N_G(M)·A (the Frattini argument),
-which two normalizer searches decide; a Hall subgroup of N_G(M) is then
-the answer, certified to contain M.
+The reduction's extension step (`extend_hall`) lifts a Hall subgroup of
+a normal subgroup A of pi-number index to one of G.  A Hall subgroup M of
+A is H ∩ A for a Hall subgroup H of G exactly when G keeps M's A-class,
+which one pass over A's classes decides (`hall_classes_kept`, by G's
+generators); for the first class kept, a Hall subgroup of N_G(M), one
+normalizer search, is the answer, certified to contain M.
 
 Negative answers are certificates; running out of a budget raises
 BudgetExceededError instead.
@@ -50,7 +52,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -172,8 +173,8 @@ class HallClassSet:
 
 
 class _SetOrbits:
-    """Orbits of element-index sets under conjugation by the subgroup that
-    the elements `by` (indices) generate, memoized per class.
+    """Orbits of element-index sets under conjugation by the tabled group,
+    memoized per class.
 
     Each distinct class triggers one orbit search, a level at a time: the
     frontier is conjugated by every generator in batches of _SIFT_CHUNK
@@ -183,12 +184,8 @@ class _SetOrbits:
     hits.  Per class, the members' keys are kept in the order the search
     finds them, and its canonical member, the least."""
 
-    def __init__(self, tbl: ElementTable, by: tuple[int, ...]):
-        self.tbl = tbl
-        # G's own maps through conj_maps, where perfbench's tables.conj_maps
-        # span counts them
-        self.maps = (tbl.conj_maps() if list(by) == tbl.gen_idxs
-                     else [tbl.conj_map(t) for t in by])
+    def __init__(self, tbl: ElementTable):
+        self.maps = tbl.conj_maps()
         self.class_of: dict[bytes, int] = {}
         # per class, its members' keys (each mapped to the class id)
         self.class_reps: list[dict[bytes, int]] = []
@@ -247,15 +244,12 @@ def _key_rows(keys: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
 
 
-def _orbits_for(tbl: ElementTable, A: PermGroup | None = None) -> _SetOrbits:
-    """Index-set orbits under conjugation by G, or by its subgroup A; one
-    memo per generating tuple, kept on the table."""
-    by = tuple(tbl.gen_idxs if A is None
-               else (tbl.idx_of_perm(g) for g in A.generators))
-    orb = tbl.set_orbits.get(by)
-    if orb is None:
-        orb = tbl.set_orbits[by] = _SetOrbits(tbl, by)
-    return orb
+def _orbits_for(tbl: ElementTable) -> _SetOrbits:
+    """Index-set orbits under conjugation by the tabled group; one memo,
+    kept on the table."""
+    if tbl.set_orbits is None:
+        tbl.set_orbits = _SetOrbits(tbl)
+    return tbl.set_orbits
 
 
 def _pi_order_mask(tbl: ElementTable, pi: PiSet, m: int):
@@ -584,76 +578,99 @@ class _SeedCosets:
 
 @dataclass
 class KReport:
-    """Counting report for the classes of intersections H^g ∩ A."""
+    """Counting report for the classes of intersections H^g ∩ A: `induced`
+    says, per Hall class of A in classify_EC(A)'s order, whether it holds
+    one, and `induced_class_reps` lists those classes' representatives."""
 
     group: PermGroup
     normal_subgroup: PermGroup
     pi: PiSet
     k_induced: int
     k_total: int
-    e_holds: bool = True
-    # the A-orbits of index sets and the ids of the induced classes
-    _classes: tuple = field(default=(None, ()), repr=False)
+    induced: list[bool]
+    induced_class_reps: list[PermGroup]
+    e_holds: bool
 
-    @cached_property
-    def induced_class_reps(self) -> list[PermGroup]:
-        """One subgroup per induced A-class, on its least member as a
-        sorted index tuple; built on first read."""
-        orbits, cids = self._classes
-        least = sorted(min(map(tuple, orbits.members(cid).tolist()))
-                       for cid in cids)
-        return [orbits.tbl.subgroup(s) for s in least]
+
+def hall_classes_kept(A: PermGroup, pi: PiSet, xs,
+                      budgets: Budgets = DEFAULT_BUDGETS,
+                      seed: int = 1) -> list[bool]:
+    """Per Hall class of A, in classify_EC(A)'s order, whether conjugation
+    by each of the permutations xs (which normalize A) keeps it: M^x lies
+    in M's A-class.  The classes are named in A's own table, where
+    classify_EC(A) registered every member of every class, so each
+    conjugate located there is named by a dict hit.  A single class is
+    kept by every element, with no table."""
+    reps = classify_EC(A, pi, budgets, seed).classes.class_reps
+    if len(reps) <= 1:
+        return [True] * len(reps)
+    tbl = get_table(A, budgets)
+    orbits = _orbits_for(tbl)
+    maps = [(g, np.argsort(g)) for g in (np.array(x.images) for x in xs)]
+    kept = []
+    for M in reps:
+        m_set = tbl.indices_of_subgroup(M)
+        cid, rows = orbits.class_id(m_set), tbl.rows[list(m_set)]
+        # M^x row by row, x^-1 m x as in ElementTable.conj_maps
+        kept.append(all(orbits.class_id(tbl.locate(g[rows[:, g_inv]])) == cid
+                        for g, g_inv in maps))
+    return kept
 
 
 def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
               budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1) -> KReport:
     """Number of A-classes of subgroups H ∩ A over the Hall classes of G.
 
-    A's normality is read off G's element table (a union of classes);
-    the representatives of the induced classes are built only when the
-    report's `induced_class_reps` is read."""
+    A's normality is read off G's element table (a union of classes).
+    Each H ∩ A, a Hall subgroup of A, is located in A's own table and
+    named there, as in `hall_classes_kept`; when A has a single Hall
+    class, every H ∩ A lies in it."""
     require_subgroup(G, A, "A")
     tbl = get_table(G, budgets)
     a_set = tbl.indices_of_subgroup(A)
     if not tbl.is_normal(a_set):
         raise ValueError("A must be normal in G")
-    k_total = classify_EC(A, pi, budgets, seed).k
+    reps = classify_EC(A, pi, budgets, seed).classes.class_reps
     halls = classify_EC(G, pi, budgets, seed).classes
-    if halls.k == 0:
-        return KReport(G, A, pi, 0, k_total, e_holds=False)
-    orbits = _orbits_for(tbl, A)
-    cids = {orbits.class_id(tbl.indices_of_subgroup(H) & a_set)
-            for H in halls.class_reps}
-    return KReport(G, A, pi, len(cids), k_total, _classes=(orbits, cids))
+    induced = [halls.k > 0] * len(reps)
+    if len(reps) > 1 and halls.k:
+        a_tbl = get_table(A, budgets)
+        orbits = _orbits_for(a_tbl)
+        found = {orbits.class_id(a_tbl.locate(
+                     tbl.rows[list(tbl.indices_of_subgroup(H) & a_set)]))
+                 for H in halls.class_reps}
+        induced = [orbits.class_id(a_tbl.indices_of_subgroup(M)) in found
+                   for M in reps]
+    return KReport(G, A, pi, sum(induced), len(reps), induced,
+                   [M for M, got in zip(reps, induced) if got], halls.k > 0)
 
 
 # -- extension through an invariant class ---------------------------------------
 
 
-def extend_hall(G: PermGroup, A: PermGroup, M: PermGroup, pi: PiSet,
+def extend_hall(G: PermGroup, A: PermGroup, pi: PiSet,
                 budgets: Budgets = DEFAULT_BUDGETS,
                 seed: int = 1) -> PermGroup | None:
-    """A pi-Hall subgroup H of G with H ∩ A = M (exactly), or None when the
-    A-class of M is not G-invariant (the two are equivalent).
+    """A pi-Hall subgroup H of G, for A normal in G of pi-number index,
+    whose intersection with A is the first of classify_EC(A)'s class
+    representatives M whose A-class G keeps; None when G keeps none.
 
-    By the Frattini argument the class is G-invariant exactly when
-    G = N_G(M)·A, i.e. |N_G(M)|·|A| = |G|·|N_A(M)|.  Then N = N_G(M) has
-    the pi-separable series M ≤ N_A(M) ≤ N, and a Hall subgroup H of N is
+    For a Hall subgroup H of G, H ∩ A is Hall in A and G = HA keeps its
+    class, so None certifies that G has none.  When G keeps M's class,
+    G = N_G(M)·A (the Frattini argument).  Then N = N_G(M) has the
+    pi-separable series M ≤ N_A(M) ≤ N, and a Hall subgroup H of N is
     Hall in G.  M is a normal pi-subgroup of N, so M ≤ H, and H ∩ A, a
     pi-subgroup of A containing the Hall subgroup M, is M."""
     if not is_normal(G, A):
         raise ValueError("A must be normal in G")
     if not is_pi_number(G.order() // A.order(), pi):
         raise ValueError("|G:A| must be a pi-number")
-    if not is_hall(A, M, pi):
-        raise ValueError("M must be a pi-Hall subgroup of A")
-    if A.same_group_as(G):
+    reps = classify_EC(A, pi, budgets, seed).classes.class_reps
+    kept = hall_classes_kept(A, pi, G.generators, budgets, seed)
+    M = next((M for M, k in zip(reps, kept) if k), None)
+    if M is None or A.same_group_as(G):
         return M
-    N = normalizer(G, M, budgets)
-    NA = normalizer(A, M, budgets)
-    if N.order() * A.order() != G.order() * NA.order():
-        return None
-    H = find_hall(N, pi, budgets, seed)
+    H = find_hall(normalizer(G, M, budgets), pi, budgets, seed)
     certify(H is not None,
             "normalizer is pi-separable, yet no Hall subgroup was found")
     certify(is_hall(G, H, pi), "the normalizer's Hall subgroup is not Hall")

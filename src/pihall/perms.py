@@ -19,7 +19,9 @@ def _validate_images(images: Sequence[int]) -> None:
     n = len(images)
     seen = bytearray(n)
     for x in images:
-        if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+        # bool is a subclass of int, but True is no point
+        if (isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n
+                or seen[x]):
             raise ValueError(f"not a permutation of 0..{n - 1}: {list(images)!r}")
         seen[x] = 1
 

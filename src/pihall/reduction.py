@@ -153,11 +153,7 @@ def _hall_in_pi_extension(X: PermGroup, A: PermGroup, pi: PiSet,
         hit = known.lookup_hall(X, pi)
         if hit is not None:
             return hit, True
-    for M in classify_EC(A, pi, budgets, seed).classes.class_reps:
-        H = extend_hall(X, A, M, pi, budgets, seed)
-        if H is not None:
-            return H, False
-    return None, False
+    return extend_hall(X, A, pi, budgets, seed), False
 
 
 def _level_hall(Hi: PermGroup, Gi: PermGroup, Gprev: PermGroup, pi: PiSet,

@@ -6,8 +6,10 @@ skips the instances its hypotheses do not admit, and yields for each
 other one the messages of its failed conclusions (`_unless`), empty when
 they hold.  One counting loop (`_suite`) turns that into a SuiteResult.
 Within the order budget their subgroup questions (normality, joins,
-intersections, centralizers, normalizers, invariance of a class) are
-asked of G's element table as index sets, never by a backtrack search;
+intersections, centralizers, normalizers) are asked of G's element table
+as index sets, and whether a normal subgroup's Hall class is induced or
+kept of that subgroup's own table (`k_induced`, `hall_classes_kept`),
+never by a backtrack search;
 a `PermGroup` is made only for a group handed to the oracle, and G
 itself stands for a join or normalizer that is all of G.  The context
 keeps, once per run, each group's table, subgroups' index sets, the
@@ -23,14 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
+import numpy as np
+
 from . import zoo
 from .actions import coset_action
 from .arith import PiSet, is_pi_number, pi_part
 from .backtrack import BudgetExceededError
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup
-from .hall import (KReport, _orbits_for, classify_EC, is_hall, k_induced,
-                   pi_separable_series)
+from .hall import (KReport, classify_EC, hall_classes_kept, is_hall,
+                   k_induced, pi_separable_series)
 from .reduction import compare_with_oracle, corollary18_shortcut
 from .structure import ChiefSeries, chief_series, get_table, is_simple, \
     minimal_normal_subgroups, normal_subgroups
@@ -319,21 +323,14 @@ def _ha_instances(entries, ctx: CorpusContext):
 
 
 def _induced_and_invariant(ctx: CorpusContext, name: str, pi: PiSet,
-                           A: PermGroup, h_gens):
+                           A: PermGroup, xs):
     """(M, induced, invariant) for each Hall class representative M of the
     normal subgroup A of G = group(name): whether M's A-class holds some
-    H^g ∩ A (H Hall in G), and whether it is invariant under the elements
-    h_gens (indices), i.e. keeps its A-class under conjugation by each."""
-    tbl = ctx.table(name)
-    _, a_set = ctx.indices(name, A)
-    orbits = _orbits_for(tbl, A)
-    induced = {orbits.class_id(ctx.indices(name, K)[1] & a_set)
-               for K in ctx.classify(ctx.group(name), pi).classes.class_reps}
-    for M in ctx.classify(A, pi).classes.class_reps:
-        m_idx = sorted(ctx.indices(name, M)[1])
-        cid = orbits.class_id(m_idx)
-        yield M, cid in induced, all(
-            orbits.class_id(tbl.conj_map(h)[m_idx]) == cid for h in h_gens)
+    H^g ∩ A (H Hall in G), and whether conjugation by each of the
+    permutations xs keeps it."""
+    return zip(ctx.classify(A, pi).classes.class_reps,
+               ctx.induced(ctx.group(name), A, pi).induced,
+               hall_classes_kept(A, pi, xs, ctx.budgets, ctx.seed))
 
 
 @_suite("lemma-11", "induced-iff-invariant")
@@ -349,7 +346,7 @@ def suite_lemma11(entries, ctx: CorpusContext):
         yield [f"{label}: class of |M|={M.order()} induced={induced} "
                f"invariant={invariant}"
                for M, induced, invariant
-               in _induced_and_invariant(ctx, name, pi, A, h_gens)
+               in _induced_and_invariant(ctx, name, pi, A, H.generators)
                if induced != invariant]
 
 
@@ -376,9 +373,12 @@ def suite_lemma13(entries, ctx: CorpusContext):
         rep = ctx.classify(G, pi)
         cond3 = False
         if rep.k == 1:
-            orbits = _orbits_for(ctx.table(name), A)
-            cond3 = (orbits.size(orbits.class_id(ctx.indices(name, H)[1]))
-                     == rep.classes.class_sizes[0])
+            # the A-orbit of H has |A : N_A(H)| members
+            h_gens, h_set = ctx.indices(name, H)
+            a_set = ctx.indices(name, A)[1]
+            n_a = ctx.table(name).normalizing(
+                h_set, h_gens, np.fromiter(a_set, np.intp, len(a_set)))
+            cond3 = len(a_set) == len(n_a) * rep.classes.class_sizes[0]
         yield _unless((cond1 == cond2 == cond3,
                        f"{label}: |A|={A.order()} "
                        f"k=1:{cond1} HA-conj:{cond2} A-conj:{cond3}"))

@@ -11,16 +11,18 @@ by a sift over the base columns only (p_0 is the image of b_0; removing
 u_0 gives the next level's images, and drops b_0's column) and certifies
 each answer against the row found.
 
-Every table-wide map is one sift: inverses, and conjugation by an
-element.  Conjugacy classes are orbits of the conjugation maps by G's
-generators, labelled by the least index in each orbit.  Batches of
+Every table-wide map is one sift: inverses, and conjugation by each of
+G's generators (`conj_maps`).  Conjugacy classes are orbits of the
+conjugation maps, labelled by the least index in each orbit.  Batches of
 products (`products`) are sifted too; single products and small batches
 of rows are looked up in a bytes-keyed dict instead (keys cut from one
 void view of the rows), and a small table uses it throughout.
 The conjugation maps are also the basis of the Hall oracle's orbits of
-subgroups (as index sets) under G or a subgroup of it, and `coset_reps`
-of its coset passes: one per class for the dominance sweep, and one, over
-the Sylow seed's cosets, for the Hall sweep, which keeps their labels.
+subgroups (as index sets) under G itself, never a subgroup of it (a
+normal subgroup's classes are named in its own table), and `coset_reps`
+of its coset passes: one per class for the dominance sweep, and one,
+over the Sylow seed's cosets, for the Hall sweep, which keeps their
+labels.
 
 Subgroups are index sets of one table, and the corpus suites ask their
 subgroup questions of them with no chain and no backtrack search: a join
@@ -104,7 +106,6 @@ class ElementTable:
             dtype=dtype))
         self.identity_idx, *self.gen_idxs = idxs
         self._inv: np.ndarray | None = None
-        self._conj_by: dict[int, np.ndarray] = {}
         self._conj_maps: list[np.ndarray] | None = None
         self._class_id: np.ndarray | None = None
         self._class_reps: list[int] | None = None
@@ -113,8 +114,8 @@ class ElementTable:
         self._class_products: dict[tuple[int, int], frozenset] = {}
         self._class_orders: dict[int, int] = {}
         self._prime_powers: list[tuple[int, ...]] | None = None
-        # hall._SetOrbits per generating tuple, filled by hall._orbits_for
-        self.set_orbits: dict[tuple[int, ...], object] = {}
+        # hall._SetOrbits of this group, set by hall._orbits_for
+        self.set_orbits = None
 
     @staticmethod
     def _enumerate(G: PermGroup, dtype) -> np.ndarray:
@@ -275,19 +276,12 @@ class ElementTable:
 
     # -- conjugation --------------------------------------------------------
 
-    def conj_map(self, t: int) -> np.ndarray:
-        """The index map x -> t^-1 x t (t given by index), memoized."""
-        got = self._conj_by.get(t)
-        if got is None:
-            g = self.rows[t]
-            g_inv = np.argsort(g)
-            got = self._conj_by[t] = self._map(lambda R: g[R[:, g_inv]])
-        return got
-
     def conj_maps(self) -> list[np.ndarray]:
-        """For each generator g of G, the index map x -> g^-1 x g."""
+        """For each generator g of G, the index map x -> g^-1 x g, memoized."""
         if self._conj_maps is None:
-            self._conj_maps = [self.conj_map(gi) for gi in self.gen_idxs]
+            gens = self.rows[self.gen_idxs]
+            self._conj_maps = [self._map(lambda R: g[R[:, g_inv]])
+                               for g, g_inv in zip(gens, np.argsort(gens))]
         return self._conj_maps
 
     def classes(self) -> tuple[np.ndarray, list[int]]:

@@ -160,7 +160,11 @@ def test_group_file_parse_errors(capsys, tmp_path):
     # a file of the wrong shape names what is wrong, also when it comes in
     # as k's normal subgroup
     for text, field in [('{"degree": 3, "generators": 5}', "generators"),
-                        ("5", "top level")]:
+                        ("5", "top level"),
+                        # JSON booleans are no integers
+                        ('{"degree": true, "generators": [[0]]}', "degree"),
+                        ('{"degree": 3, "generators": [[true, false, 2]]}',
+                         "generator #0")]:
         bad.write_text(text)
         for argv in (["analyze", str(bad), "--pi", "2"],
                      ["k", "sym5", "--normal", f"file:{bad}", "--pi", "2,3"]):
@@ -178,6 +182,10 @@ def test_corpus_manifest_shape_errors(capsys, tmp_path):
                                     if k != key}]}, key))
     cases.append(({"entries": [dict(entry, name="no-such-group")]},
                   "no-such-group"))
+    # an 'expected' of the wrong shape, and a boolean k
+    cases.append(({"entries": [dict(entry, expected=5)]}, "expected"))
+    cases.append(({"entries": [dict(entry, expected=dict(
+        entry["expected"], k=True))]}, "expected"))
     path = tmp_path / "m.json"
     for manifest, field in cases:
         path.write_text(json.dumps(manifest))

@@ -11,12 +11,14 @@ from conftest import (brute_elements, brute_group_elements,
 from pihall import backtrack, hall, structure, zoo
 from pihall.arith import PiSet, is_pi_number, p_part, pi_part, prime_divisors
 from pihall.backtrack import BudgetExceededError, conjugating_element
-from pihall.config import Budgets
+from pihall.config import DEFAULT_BUDGETS, Budgets
 from pihall.groups import NotASubgroupError, PermGroup
 from pihall.hall import (_orbits_for, all_hall_classes, are_conjugate,
                          classify_EC, classify_ECD, extend_hall, find_hall,
-                         is_hall, k_induced, pi_separable_series, sylow)
+                         hall_classes_kept, is_hall, k_induced,
+                         pi_separable_series, sylow)
 from pihall.perms import Perm
+from pihall.reduction import _hall_in_pi_extension
 from pihall.structure import (chief_series, get_table,
                               minimal_normal_subgroups, normal_closure,
                               normal_subgroups)
@@ -559,36 +561,43 @@ def test_are_conjugate_table_route_matches_backtrack(entry):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
 def test_set_orbits_match_brute_force(group, pick):
-    # the orbit kernel under G and under a normal subgroup A (the k_induced
-    # case), on K = <g> for a drawn g and on a Sylow subgroup, against
-    # brute conjugation of element sets
+    # the orbit kernel in the table of G and in that of a normal subgroup A
+    # (whose own classes k_induced and hall_classes_kept name), on K = <g>
+    # for a drawn g and on a Sylow subgroup, against brute conjugation of
+    # element sets
     degree, gens = group
     G = PermGroup(degree, gens)
     els = sorted(brute_group_elements(G), key=lambda x: x.images)
     primes = prime_divisors(G.order())
     assume(primes)
-    tbl = get_table(G)
     A = normal_closure(G, [els[pick // 7 % len(els)]])
-    subgroups = [PermGroup(degree, [els[pick % len(els)]]),
-                 sylow(G, primes[pick % len(primes)], seed=pick)]
 
     def conj(xs, a):
         return frozenset(x.conjugate(a) for x in xs)
 
-    def perms(idxs):
-        return frozenset(map(tbl.perm_of, idxs))
+    def subgroups_of(X):
+        # <x> for a drawn x in X, and a Sylow subgroup when X is not trivial
+        x_els = sorted(brute_group_elements(X), key=lambda x: x.images)
+        x_primes = prime_divisors(X.order())
+        subs = [PermGroup(degree, [x_els[pick % len(x_els)]])]
+        if x_primes:
+            subs.append(sylow(X, x_primes[pick % len(x_primes)], seed=pick))
+        return subs
 
+    subgroups = subgroups_of(G)
     for acting in (G, A):
-        orbits = _orbits_for(tbl, None if acting is G else acting)
+        tbl = get_table(acting)
+        orbits = _orbits_for(tbl)
         by = sorted(brute_group_elements(acting), key=lambda x: x.images)
-        for K in subgroups:
+        for K in subgroups_of(acting):
             k_els = frozenset(brute_group_elements(K))
             k_set = tbl.indices_of_subgroup(K)
             conjugates = {conj(k_els, a) for a in by}
             cid = orbits.class_id(k_set)
             assert orbits.size(cid) == len(conjugates)
             members = [frozenset(r) for r in orbits.members(cid).tolist()]
-            assert {perms(m) for m in members} == conjugates
+            assert {frozenset(map(tbl.perm_of, m))
+                    for m in members} == conjugates
             assert orbits.canon(cid) == min(members, key=orbits.key_of)
     # conjugacy in G: a transporter onto each sampled conjugate K^a
     for K in subgroups:
@@ -681,12 +690,20 @@ def test_k_induced_matches_brute_force(case):
                   if frozenset(brute_group_elements(R)) in c)
              for R in rep.induced_class_reps]
     assert sorted(found) == list(range(len(classes)))
-    # the A-orbit sizes of the index-set orbits
-    tbl = get_table(G)
-    orbits = _orbits_for(tbl, A)
+    # the index-set orbits in A's own table: sizes and members of the
+    # A-classes of the H ∩ A
+    tbl = get_table(A)
+    orbits = _orbits_for(tbl)
     for c in classes:
         member = frozenset(tbl.idx_of_perm(x) for x in next(iter(c)))
-        assert orbits.size(orbits.class_id(member)) == len(c)
+        cid = orbits.class_id(member)
+        assert orbits.size(cid) == len(c)
+        assert {frozenset(map(tbl.perm_of, m))
+                for m in orbits.members(cid).tolist()} == c
+    # per Hall class of A, induced exactly when it holds some H ∩ A
+    assert rep.induced == [
+        any(frozenset(brute_group_elements(M)) in c for c in classes)
+        for M in classify_EC(A, pi).classes.class_reps]
 
 
 def test_k_induced_requires_normal():
@@ -707,14 +724,16 @@ def test_k_induced_over_the_trivial_subgroup():
 # -- invariance / extension -----------------------------------------------------------
 
 
+def conjugate_group(M, g):
+    return PermGroup(M.degree, [h.conjugate(g) for h in M.generators],
+                     order=M.order())
+
+
 def class_is_G_invariant(G, A, M):
-    """Reference for the invariance extend_hall decides: M^g is A-conjugate
-    to M for every generator g of G."""
-    return all(
-        are_conjugate(A, PermGroup(G.degree,
-                                   [h.conjugate(g) for h in M.generators],
-                                   order=M.order()), M) is not None
-        for g in G.generators if not A.contains(g))
+    """Reference for the invariance hall_classes_kept decides: M^g is
+    A-conjugate to M for every generator g of G."""
+    return all(are_conjugate(A, conjugate_group(M, g), M) is not None
+               for g in G.generators if not A.contains(g))
 
 
 def intersection_elements(H, A):
@@ -724,50 +743,76 @@ def intersection_elements(H, A):
 
 def test_class_invariance_inside_the_group_itself():
     A5 = zoo.alt(5)
-    M = all_hall_classes(A5, PI23).class_reps[0]
-    assert extend_hall(A5, A5, M, PI23) is M
+    M = classify_EC(A5, PI23).classes.class_reps[0]
+    assert extend_hall(A5, A5, PI23) is M
 
 
 def test_extend_hall_sym5():
     S5, A5 = zoo.sym(5), zoo.alt(5)
-    M = all_hall_classes(A5, PI23).class_reps[0]
-    H = extend_hall(S5, A5, M, PI23)
+    M = classify_EC(A5, PI23).classes.class_reps[0]
+    H = extend_hall(S5, A5, PI23)
     assert H is not None and H.order() == 24
     assert intersection_elements(H, A5) == set(M.elements())
 
 
 def test_extend_hall_restores_exact_intersection():
-    # the same claim for every class representative of the socle
+    # H meets the socle in the first class representative W keeps
     W = zoo.wreath(zoo.alt(5), 2)
     socle = minimal_normal_subgroups(W)[0]
-    for M in all_hall_classes(socle, PI23).class_reps:
-        if not class_is_G_invariant(W, socle, M):
-            continue
-        H = extend_hall(W, socle, M, PI23)
-        assert H is not None
-        assert intersection_elements(H, socle) == set(M.elements())
+    reps = classify_EC(socle, PI23).classes.class_reps
+    M = next(M for M in reps if class_is_G_invariant(W, socle, M))
+    H = extend_hall(W, socle, PI23)
+    assert H is not None
+    assert intersection_elements(H, socle) == set(M.elements())
 
 
 def test_extend_hall_none_iff_not_invariant():
-    # (G, A, the order extend_hall gives for each Hall class of A)
+    # (G, A, the classes of A that G keeps, the order extend_hall gives)
     W5 = zoo.wreath(zoo.alt(5), 2)
     hat = zoo.GLHat(3, 2)
     W7 = zoo.wreath(zoo.gl(3, 2), 2)
     cases = [
-        (W5, minimal_normal_subgroups(W5)[0], [288]),
+        (W5, minimal_normal_subgroups(W5)[0], [True], 288),
         # the swap exchanges GL3(2)'s two {2,3}-classes: neither extends
-        (hat.group, hat.inner, [None, None]),
+        (hat.group, hat.inner, [False, False], None),
         # the shift swaps two of the base's four classes; two extend
-        (W7, minimal_normal_subgroups(W7)[0], [1152, None, None, 1152]),
+        (W7, minimal_normal_subgroups(W7)[0], [True, False, False, True],
+         1152),
     ]
-    for G, A, expected in cases:
-        got = []
-        for M in all_hall_classes(A, PI23).class_reps:
-            H = extend_hall(G, A, M, PI23)
-            assert (H is not None) == class_is_G_invariant(G, A, M)
-            got.append(None if H is None else H.order())
-        assert got == expected
-    assert classify_EC(hat.group, PI23).k == 0
+    for G, A, kept, order in cases:
+        reps = classify_EC(A, PI23).classes.class_reps
+        got = hall_classes_kept(A, PI23, G.generators)
+        assert got == [class_is_G_invariant(G, A, M) for M in reps] == kept
+        # one generator at a time, against whether M^g is A-conjugate to M
+        for g in G.generators:
+            assert hall_classes_kept(A, PI23, [g]) == [
+                are_conjugate(A, conjugate_group(M, g), M) is not None
+                for M in reps]
+        H = extend_hall(G, A, PI23)
+        assert (None if H is None else H.order()) == order
+        assert (H is None) == (classify_EC(G, PI23).k == 0)
+
+
+def test_hall_in_pi_extension_work_gate(monkeypatch):
+    # one pass over A's classes: one normalizer search for the class kept,
+    # and none when no class is kept
+    searches = []
+    search = backtrack.subgroup_search
+
+    def counted(G, prop, *args, **kwargs):
+        searches.append(type(prop).__name__)
+        return search(G, prop, *args, **kwargs)
+
+    monkeypatch.setattr(backtrack, "subgroup_search", counted)
+    W = zoo.wreath(zoo.gl(3, 2), 2)
+    H, _ = _hall_in_pi_extension(W, minimal_normal_subgroups(W)[0], PI23,
+                                 DEFAULT_BUDGETS, 1, None)
+    assert H.order() == 1152 and searches == ["ConjugacyProperty"]
+    searches.clear()
+    hat = zoo.GLHat(3, 2)
+    assert _hall_in_pi_extension(hat.group, hat.inner, PI23,
+                                 DEFAULT_BUDGETS, 1, None) == (None, False)
+    assert searches == []
 
 
 # -- pi-separable series ---------------------------------------------------------------

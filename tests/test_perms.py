@@ -46,7 +46,8 @@ def test_degree_mismatch():
         compose(Perm.identity(3), Perm.identity(4))
 
 
-@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2], [0, 3, 1], [-1, 0]])
+@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2], [0, 3, 1], [-1, 0],
+                                    [True, False]])
 def test_rejects_non_bijections(images):
     with pytest.raises(ValueError):
         Perm(images)

@@ -122,14 +122,13 @@ def test_lemma11_invariance_matches_are_conjugate(monkeypatch):
     W = ctx.group("gl3_2wr2")
     A = minimal_normal_subgroups(W)[0]
     H = ctx.classify(W, pi).classes.class_reps[0]
-    h_gens = ctx.indices("gl3_2wr2", H)[0]
-    got = _induced_and_invariant(ctx, "gl3_2wr2", pi, A, h_gens)
+    got = _induced_and_invariant(ctx, "gl3_2wr2", pi, A, H.generators)
     assert [(induced, invariant) for _, induced, invariant in got] == [
         (True, True), (False, False), (False, False), (True, True)]
     # each generator h of H alone, against whether M^h is A-conjugate to M
-    for h, h_idx in zip(H.generators, h_gens):
+    for h in H.generators:
         for M, _, invariant in _induced_and_invariant(ctx, "gl3_2wr2", pi,
-                                                      A, [h_idx]):
+                                                      A, [h]):
             Mh = PermGroup(W.degree, [x.conjugate(h) for x in M.generators],
                            order=M.order())
             assert invariant == (are_conjugate(A, Mh, M) is not None)

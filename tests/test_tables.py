@@ -112,7 +112,9 @@ def test_table_wide_maps():
     for _ in range(40):
         x, g = rng.randrange(tbl.size), rng.randrange(tbl.size)
         px, pg = tbl.perm_of(x), tbl.perm_of(g)
-        assert tbl.perm_of(int(tbl.conj_map(g)[x])) == px.conjugate(pg)
+        j = rng.randrange(len(tbl.gen_idxs))
+        assert tbl.perm_of(int(tbl.conj_maps()[j][x])) == px.conjugate(
+            tbl.perm_of(tbl.gen_idxs[j]))
         assert tbl.perm_of(int(tbl.products(x, g))) == px * pg
         assert tbl.perm_of(int(tbl._inverses()[x])) == px.inverse()
         assert [tbl.perm_of(i) for i in tbl.products([x, g], g)] == [
