@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import zoo
@@ -21,8 +22,9 @@ from .groups import PermGroup, join_subgroups
 from .hall import classify_ECD, k_induced
 from .perms import Perm
 from .reduction import compare_with_oracle, cpi_reduce
-from .report import Report, class_summaries, make_report
 from .structure import derived_subgroup, is_normal, minimal_normal_subgroups
+
+SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -119,7 +121,8 @@ def resolve_group(spec: str) -> tuple[PermGroup, dict]:
 
 def resolve_normal(G: PermGroup, spec: str, budgets: Budgets,
                    seed: int) -> PermGroup:
-    """Named constructions for the normal-subgroup argument."""
+    """Named constructions for the normal-subgroup argument; a subgroup
+    given by zoo name or file must be normal."""
     if spec == "derived":
         return derived_subgroup(G)
     if spec == "center":
@@ -147,6 +150,9 @@ def resolve_normal(G: PermGroup, spec: str, budgets: Budgets,
             raise CliError(EXIT_BAD_SUBGROUP,
                            f"{kind} subgroup degree {H.degree} does not "
                            f"match the group's {G.degree}")
+        if not H.is_subgroup_of(G) or not is_normal(G, H):
+            raise CliError(EXIT_BAD_SUBGROUP,
+                           f"subgroup spec {spec!r} is not normal")
         return H
     raise CliError(EXIT_BAD_SUBGROUP, f"unknown subgroup spec {spec!r}")
 
@@ -163,147 +169,140 @@ def _budgets(args) -> Budgets:
                    order_budget=args.budget_order)
 
 
-def _emit(report: Report, args) -> None:
+def _finish(args, command: str, input_desc: dict, pi: PiSet | None,
+            results: dict, timings: dict, text: str, code: int) -> int:
+    """Write the `--json` report, print the text and return the exit code.
+
+    The report schema is one for every command: `schema_version`,
+    `command`, `input`, `pi`, `seed`, `budgets`, `results` and `timings`.
+    Verdict fields are tri-state: true, false, or a "budget_exceeded:<kind>"
+    string.  The results section is deterministic for fixed seed and
+    budgets; timings live outside it so reports can be compared byte for
+    byte."""
     if args.json:
-        Path(args.json).write_text(report.to_json() + "\n", encoding="utf-8")
+        report = {"schema_version": SCHEMA_VERSION, "command": command,
+                  "input": input_desc,
+                  "pi": None if pi is None else pi.key(), "seed": args.seed,
+                  "budgets": asdict(_budgets(args)), "results": results,
+                  "timings": timings}
+        Path(args.json).write_text(
+            json.dumps(report, indent=1, sort_keys=True) + "\n",
+            encoding="utf-8")
+    print(text)
+    return code
 
 
-def _tri(call):
-    """Run a computation; map a budget error to the tri-state string."""
+def _query(args, command: str, compute, present) -> int:
+    """Run one query on the group and prime set of the command line.
+
+    compute(G, pi, budgets, seed) is timed; a budget error it raises is an
+    answer, reported as the verdict "budget_exceeded:<kind>" with exit 3.
+    Otherwise present(value) gives the results, any further timings, the
+    summary line and the exit code."""
+    budgets = _budgets(args)
+    pi = parse_pi(args.pi)
+    G, input_desc = resolve_group(args.group)
+    t0 = time.perf_counter()
     try:
-        return call(), None
+        value = compute(G, pi, budgets, args.seed)
     except BudgetExceededError as exc:
-        return f"budget_exceeded:{exc.kind}", exc
+        value = f"budget_exceeded:{exc.kind}"  # no compute returns a str
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    if isinstance(value, str):
+        results, timings, line, code = ({"verdict": value}, {},
+                                         f"{command} {args.group}: {value}",
+                                         EXIT_BUDGET)
+    else:
+        results, timings, line, code = present(value)
+    return _finish(args, command, input_desc, pi, results,
+                   {f"{command}_ms": elapsed, **timings}, line, code)
 
 
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
-    budgets = _budgets(args)
-    pi = parse_pi(args.pi)
-    G, input_desc = resolve_group(args.group)
-    t0 = time.perf_counter()
-    value, exc = _tri(lambda: classify_ECD(G, pi, budgets, args.seed))
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if exc is not None:
-        results = {"verdict": value}
-        report = make_report("analyze", input_desc, pi, args.seed, budgets,
-                             results, {"analyze_ms": elapsed})
-        _emit(report, args)
-        print(f"analyze {args.group}: {value}")
-        return EXIT_BUDGET
-    results = dict(value.flags())
-    results["hall_classes"] = class_summaries(value.classes)
-    report = make_report("analyze", input_desc, pi, args.seed, budgets,
-                         results, {"analyze_ms": elapsed})
-    _emit(report, args)
-    print(f"analyze {args.group} pi={{{args.pi}}}: "
-          f"E={value.E} C={value.C} D={value.D} k={value.k}")
-    return EXIT_OK
+    def present(rep):
+        classes = [{"order": H.order(), "orbit_sizes": list(H.orbit_sizes()),
+                    "class_size": size,
+                    "generators": [list(g.images) for g in H.generators]}
+                   for H, size in zip(rep.classes.class_reps,
+                                      rep.classes.class_sizes)]
+        return ({**rep.flags(), "hall_classes": classes}, {},
+                f"analyze {args.group} pi={{{args.pi}}}: "
+                f"E={rep.E} C={rep.C} D={rep.D} k={rep.k}", EXIT_OK)
+
+    return _query(args, "analyze", classify_ECD, present)
 
 
 def cmd_reduce(args) -> int:
-    budgets = _budgets(args)
-    pi = parse_pi(args.pi)
-    G, input_desc = resolve_group(args.group)
-    t0 = time.perf_counter()
-    if args.compare_oracle:
-        cmp = compare_with_oracle(G, pi, budgets, args.seed)
-        elapsed = int((time.perf_counter() - t0) * 1000)
+    def present_trace(trace):
+        witness = trace.hall_witness.order() if trace.hall_witness else None
+        return ({"trace": trace.to_dict(), "verdict": trace.verdict}, {},
+                f"reduce {args.group} pi={{{args.pi}}}: "
+                f"verdict={trace.verdict}"
+                + (f" hall_order={witness}" if witness else ""), EXIT_OK)
+
+    def present_comparison(cmp):
         results = cmp.to_dict()
         if cmp.trace is not None:
             results["trace"] = cmp.trace.to_dict()
-        report = make_report("reduce", input_desc, pi, args.seed, budgets,
-                             results, {"reduce_ms": elapsed,
-                                       **cmp.timings_ms})
-        _emit(report, args)
-        print(f"reduce {args.group} pi={{{args.pi}}}: "
-              f"reduction={cmp.reduction_verdict} oracle={cmp.oracle_verdict} "
-              f"agree={cmp.agree}")
-        if cmp.agree is False:
-            return EXIT_VERIFY
-        if cmp.agree is None:
-            return EXIT_BUDGET
-        return EXIT_OK
-    value, exc = _tri(lambda: cpi_reduce(G, pi, budgets, args.seed))
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if exc is not None:
-        report = make_report("reduce", input_desc, pi, args.seed, budgets,
-                             {"verdict": value}, {"reduce_ms": elapsed})
-        _emit(report, args)
-        print(f"reduce {args.group}: {value}")
-        return EXIT_BUDGET
-    report = make_report("reduce", input_desc, pi, args.seed, budgets,
-                         {"trace": value.to_dict(),
-                          "verdict": value.verdict},
-                         {"reduce_ms": elapsed})
-    _emit(report, args)
-    witness = value.hall_witness.order() if value.hall_witness else None
-    print(f"reduce {args.group} pi={{{args.pi}}}: verdict={value.verdict}"
-          + (f" hall_order={witness}" if witness else ""))
-    return EXIT_OK
+        code = {False: EXIT_VERIFY, None: EXIT_BUDGET}.get(cmp.agree, EXIT_OK)
+        return (results, cmp.timings_ms,
+                f"reduce {args.group} pi={{{args.pi}}}: "
+                f"reduction={cmp.reduction_verdict} "
+                f"oracle={cmp.oracle_verdict} agree={cmp.agree}", code)
+
+    if args.compare_oracle:
+        return _query(args, "reduce", compare_with_oracle, present_comparison)
+    return _query(args, "reduce", cpi_reduce, present_trace)
 
 
 def cmd_k(args) -> int:
-    budgets = _budgets(args)
-    pi = parse_pi(args.pi)
-    G, input_desc = resolve_group(args.group)
-    A = resolve_normal(G, args.normal, budgets, args.seed)
-    if not A.is_subgroup_of(G) or not is_normal(G, A):
-        print(f"k {args.group}: subgroup spec {args.normal!r} is not normal")
-        return EXIT_BAD_SUBGROUP
-    t0 = time.perf_counter()
-    value, exc = _tri(lambda: k_induced(G, A, pi, budgets, args.seed))
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if exc is not None:
-        report = make_report("k", input_desc, pi, args.seed, budgets,
-                             {"verdict": value}, {"k_ms": elapsed})
-        _emit(report, args)
-        print(f"k {args.group}: {value}")
-        return EXIT_BUDGET
-    results = {
-        "normal_subgroup": {"spec": args.normal, "order": A.order()},
-        "k_induced": value.k_induced,
-        "k_total": value.k_total,
-        "e_holds": value.e_holds,
-        "induced_reps": [
-            {"order": rep.order(), "orbit_sizes": list(rep.orbit_sizes())}
-            for rep in value.induced_class_reps],
-    }
-    report = make_report("k", input_desc, pi, args.seed, budgets, results,
-                         {"k_ms": elapsed})
-    _emit(report, args)
-    print(f"k {args.group} normal={args.normal} pi={{{args.pi}}}: "
-          f"k_induced={value.k_induced} k_total={value.k_total}")
-    return EXIT_OK
+    def compute(G, pi, budgets, seed):
+        return k_induced(G, resolve_normal(G, args.normal, budgets, seed), pi,
+                         budgets, seed)
+
+    def present(rep):
+        results = {
+            "normal_subgroup": {"spec": args.normal,
+                                "order": rep.normal_subgroup.order()},
+            "k_induced": rep.k_induced,
+            "k_total": rep.k_total,
+            "e_holds": rep.e_holds,
+            "induced_reps": [
+                {"order": M.order(), "orbit_sizes": list(M.orbit_sizes())}
+                for M in rep.induced_class_reps],
+        }
+        return results, {}, (f"k {args.group} normal={args.normal} "
+                             f"pi={{{args.pi}}}: k_induced={rep.k_induced} "
+                             f"k_total={rep.k_total}"), EXIT_OK
+
+    return _query(args, "k", compute, present)
 
 
 def cmd_corpus(args) -> int:
     from .suites import run_corpus
-    budgets = _budgets(args)
     entries = load_manifest(Path(args.manifest)) if args.manifest else None
     t0 = time.perf_counter()
-    run = run_corpus(entries=entries, budgets=budgets, seed=args.seed,
+    run = run_corpus(entries=entries, budgets=_budgets(args), seed=args.seed,
                      jobs=args.jobs)
     elapsed = int((time.perf_counter() - t0) * 1000)
-    report = make_report("corpus", {"manifest": args.manifest or "builtin"},
-                         None, args.seed, budgets, run.to_dict(),
-                         {"corpus_ms": elapsed,
-                          "entries": run.entry_timings()})
-    _emit(report, args)
-    print(f"{'entry':<14}{'pi':<8}{'agree':<7}{'manifest':<9}")
+    lines = [f"{'entry':<14}{'pi':<8}{'agree':<7}{'manifest':<9}"]
     for r in run.entries:
-        print(f"{r.name:<14}{r.pi:<8}{str(r.agree):<7}"
-              f"{str(r.matches_manifest):<9}")
-    print(f"{'suite':<18}{'checked':<9}result")
+        lines.append(f"{r.name:<14}{r.pi:<8}{str(r.agree):<7}"
+                     f"{str(r.matches_manifest):<9}")
+    lines.append(f"{'suite':<18}{'checked':<9}result")
     for s in run.suites:
         status = "pass" if s.passed else "FAIL: " + "; ".join(s.violations[:2])
-        print(f"{s.key:<18}{s.checked:<9}{status}")
+        lines.append(f"{s.key:<18}{s.checked:<9}{status}")
     ok = run.all_agree and run.all_match_manifest and run.all_suites_pass
-    print(f"corpus: {'all suites pass' if ok else 'FAILURES PRESENT'} "
-          f"({elapsed} ms)")
-    return EXIT_OK if ok else EXIT_VERIFY
+    lines.append(f"corpus: {'all suites pass' if ok else 'FAILURES PRESENT'} "
+                 f"({elapsed} ms)")
+    return _finish(args, "corpus", {"manifest": args.manifest or "builtin"},
+                   None, run.to_dict(),
+                   {"corpus_ms": elapsed, "entries": run.entry_timings()},
+                   "\n".join(lines), EXIT_OK if ok else EXIT_VERIFY)
 
 
 def cmd_zoo(args) -> int:
@@ -336,26 +335,24 @@ def cmd_zoo(args) -> int:
 
 def cmd_example(args) -> int:
     from .example_gl52 import ExampleFailure, run_example
-    budgets = _budgets(args)
     t0 = time.perf_counter()
     try:
-        results = run_example(budgets=budgets, seed=args.seed)
+        results = run_example(budgets=_budgets(args), seed=args.seed)
     except ExampleFailure as exc:
         print(f"example-gl52: FAILED claim {exc.claim}: {exc}")
         return EXIT_VERIFY
     elapsed = int((time.perf_counter() - t0) * 1000)
-    report = make_report("example-gl52", {"zoo": "gl52hat"},
-                         PiSet([2, 3]), args.seed, budgets, results,
-                         {"example_ms": elapsed})
-    _emit(report, args)
+    lines = []
     for c in results["claims"]:
         status = "assumed" if c.get("assumed") else "ok" if c["ok"] else "FAIL"
-        print(f"  [{status}] {c['name']}: {c['detail']}")
+        lines.append(f"  [{status}] {c['name']}: {c['detail']}")
     assumed = sum(1 for c in results["claims"] if c.get("assumed"))
-    print(f"example-gl52: all {len(results['claims'])} claims verified "
-          f"({elapsed} ms), {assumed} of them assumed; "
-          f"{results['exhaustiveness']}")
-    return EXIT_OK
+    lines.append(f"example-gl52: all {len(results['claims'])} claims verified "
+                 f"({elapsed} ms), {assumed} of them assumed; "
+                 f"{results['exhaustiveness']}")
+    return _finish(args, "example-gl52", {"zoo": "gl52hat"}, PiSet([2, 3]),
+                   results, {"example_ms": elapsed}, "\n".join(lines),
+                   EXIT_OK)
 
 
 # -- argument plumbing ------------------------------------------------------------

@@ -448,9 +448,6 @@ class PermGroup:
                 return False
         return True
 
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
     # -- orbits and stabilizers ---------------------------------------------
 
     def _check_point(self, point: int) -> None:

@@ -6,7 +6,9 @@ a time, keeping one member per conjugacy class.  Classes are orbits of
 element-index sets under conjugation (`_SetOrbits`) in the group's own
 table; a normal subgroup A's Hall classes are named in A's table, where
 `k_induced` locates the intersections H ∩ A and `hall_classes_kept`
-their conjugates.
+their conjugates.  The oracle's classes keep their index sets in the
+table that named them (`HallClassSet.sets_in`), which those two and
+dominance read.
 
 The sweep's inner loops are batches over the element table.  A candidate
 x extends K only when every element of the coset Kx is a pi-element of
@@ -50,6 +52,7 @@ BudgetExceededError instead.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -160,16 +163,30 @@ def _sylow_descent(G: PermGroup, p: int, budgets: Budgets,
 
 @dataclass
 class HallClassSet:
-    """Conjugacy classes of pi-Hall subgroups of a group."""
+    """Conjugacy classes of pi-Hall subgroups of a group.  When the oracle
+    named them in the group's element table, `class_sets` holds each
+    representative's index set there (its class's least member)."""
 
     group: PermGroup
     pi: PiSet
     class_reps: list[PermGroup]
     class_sizes: list[int]
+    class_sets: list[frozenset] = field(default_factory=list)
+    # the table class_sets index, held weakly: a table the cache dropped
+    # and built again may order its rows by another chain
+    table: weakref.ref | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def k(self) -> int:
         return len(self.class_reps)
+
+    def sets_in(self, tbl: ElementTable) -> list[frozenset]:
+        """Each representative's index set in tbl: the kept sets when tbl
+        named the classes, otherwise one closure each."""
+        if self.table is not None and self.table() is tbl:
+            return self.class_sets
+        return [tbl.indices_of_subgroup(H) for H in self.class_reps]
 
 
 class _SetOrbits:
@@ -335,9 +352,10 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
     else:
         cids = sorted(_hall_classes_over(tbl, pi, m, P, p_set),
                       key=lambda cid: sorted(orbits.canon(cid)))
-    reps = [tbl.subgroup(orbits.canon(cid)) for cid in cids]
-    sizes = [orbits.size(cid) for cid in cids]
-    return HallClassSet(G, pi, reps, sizes)
+    sets = [orbits.canon(cid) for cid in cids]
+    return HallClassSet(G, pi, [tbl.subgroup(s) for s in sets],
+                        [orbits.size(cid) for cid in cids], sets,
+                        weakref.ref(tbl))
 
 
 def find_hall(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
@@ -424,8 +442,7 @@ class ECDReport:
                 self._D = False
             else:
                 self._d_witness = _dominance_check(
-                    self.group, self.pi, self.classes.class_reps[0],
-                    self.budgets)
+                    self.group, self.pi, self.classes, self.budgets)
                 self._D = self._d_witness is None
         return self._D
 
@@ -470,16 +487,16 @@ def classify_ECD(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
     return report
 
 
-def _dominance_check(G: PermGroup, pi: PiSet, H: PermGroup,
+def _dominance_check(G: PermGroup, pi: PiSet, classes: HallClassSet,
                      budgets: Budgets) -> PermGroup | None:
-    """A pi-subgroup of G in no conjugate of the pi-Hall subgroup H, or
-    None when every pi-subgroup lies in one.  Under C that conjugacy class
-    holds every Hall subgroup, so None means D."""
+    """A pi-subgroup of G in no conjugate of the first pi-Hall class's
+    representative H, or None when every pi-subgroup lies in one.  Under C
+    that conjugacy class holds every Hall subgroup, so None means D."""
     effective = [p for p in pi if G.order() % p == 0]
     if len(effective) <= 1:
         return None  # Sylow: every p-subgroup lies in a conjugate of H
     tbl = get_table(G, budgets)
-    witness = _grow_outside_hall(tbl, pi, tbl.indices_of_subgroup(H))
+    witness = _grow_outside_hall(tbl, pi, classes.sets_in(tbl)[0])
     return None if witness is None else tbl.subgroup(witness)
 
 
@@ -601,15 +618,14 @@ def hall_classes_kept(A: PermGroup, pi: PiSet, xs,
     classify_EC(A) registered every member of every class, so each
     conjugate located there is named by a dict hit.  A single class is
     kept by every element, with no table."""
-    reps = classify_EC(A, pi, budgets, seed).classes.class_reps
-    if len(reps) <= 1:
-        return [True] * len(reps)
+    classes = classify_EC(A, pi, budgets, seed).classes
+    if classes.k <= 1:
+        return [True] * classes.k
     tbl = get_table(A, budgets)
     orbits = _orbits_for(tbl)
     maps = [(g, np.argsort(g)) for g in (np.array(x.images) for x in xs)]
     kept = []
-    for M in reps:
-        m_set = tbl.indices_of_subgroup(M)
+    for m_set in classes.sets_in(tbl):
         cid, rows = orbits.class_id(m_set), tbl.rows[list(m_set)]
         # M^x row by row, x^-1 m x as in ElementTable.conj_maps
         kept.append(all(orbits.class_id(tbl.locate(g[rows[:, g_inv]])) == cid
@@ -630,19 +646,19 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
     a_set = tbl.indices_of_subgroup(A)
     if not tbl.is_normal(a_set):
         raise ValueError("A must be normal in G")
-    reps = classify_EC(A, pi, budgets, seed).classes.class_reps
+    classes = classify_EC(A, pi, budgets, seed).classes
     halls = classify_EC(G, pi, budgets, seed).classes
-    induced = [halls.k > 0] * len(reps)
-    if len(reps) > 1 and halls.k:
+    induced = [halls.k > 0] * classes.k
+    if classes.k > 1 and halls.k:
         a_tbl = get_table(A, budgets)
         orbits = _orbits_for(a_tbl)
-        found = {orbits.class_id(a_tbl.locate(
-                     tbl.rows[list(tbl.indices_of_subgroup(H) & a_set)]))
-                 for H in halls.class_reps}
-        induced = [orbits.class_id(a_tbl.indices_of_subgroup(M)) in found
-                   for M in reps]
-    return KReport(G, A, pi, sum(induced), len(reps), induced,
-                   [M for M, got in zip(reps, induced) if got], halls.k > 0)
+        found = {orbits.class_id(a_tbl.locate(tbl.rows[list(h_set & a_set)]))
+                 for h_set in halls.sets_in(tbl)}
+        induced = [orbits.class_id(m_set) in found
+                   for m_set in classes.sets_in(a_tbl)]
+    return KReport(G, A, pi, sum(induced), classes.k, induced,
+                   [M for M, got in zip(classes.class_reps, induced) if got],
+                   halls.k > 0)
 
 
 # -- extension through an invariant class ---------------------------------------

@@ -16,7 +16,7 @@ every value that came from it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .actions import coset_action
 from .arith import PiSet, is_pi_number, pi_part, prime_factorization
@@ -38,14 +38,6 @@ class AutomizerCheck:
     orbit_size: int = 1
     route: str | None = None          # InducedAutomizer.route; None if abelian
 
-    def to_dict(self) -> dict:
-        return {"factor_index": self.factor_index,
-                "automizer_order": self.automizer_order,
-                "cpi_verdict": self.cpi_verdict,
-                "special_cased": self.special_cased,
-                "orbit_size": self.orbit_size,
-                "route": self.route}
-
 
 @dataclass
 class LevelRecord:
@@ -58,19 +50,6 @@ class LevelRecord:
     H_next_order: int | None = None   # |H_{i+1}| after the level
     failure: str | None = None        # "automizer" | "extension"
     special_cased_hall: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "factor_order": self.factor_order,
-            "factor_kind": self.factor_kind,
-            "simple_factor_count": self.simple_factor_count,
-            "automizer_checks": [c.to_dict() for c in self.automizer_checks],
-            "H_order": self.H_order,
-            "H_next_order": self.H_next_order,
-            "failure": self.failure,
-            "special_cased_hall": self.special_cased_hall,
-        }
 
 
 @dataclass
@@ -88,7 +67,7 @@ class ReductionTrace:
         return {
             "pi": self.pi.key(),
             "series_orders": [t.order() for t in self.series.terms],
-            "levels": [lvl.to_dict() for lvl in self.levels],
+            "levels": [asdict(lvl) for lvl in self.levels],
             "verdict": self.verdict,
             "hall_witness_order":
                 None if self.hall_witness is None else self.hall_witness.order(),

@@ -342,9 +342,6 @@ def gl52_hat() -> GLHat:
     return GLHat(5, 2)
 
 
-# -- flag recovery and conjugators ----------------------------------------------
-
-
 # -- named builders and the corpus manifest --------------------------------------
 
 
@@ -453,6 +450,9 @@ def group_file_dict(name: str) -> dict:
     G = build_named(name)
     return {"name": name, "degree": G.degree,
             "generators": [list(g.images) for g in G.generators]}
+
+
+# -- flag recovery and conjugators ----------------------------------------------
 
 
 def flag_of_subgroup(H: PermGroup, n: int, q: int):

@@ -96,9 +96,25 @@ def test_k_rejects_non_normal(capsys, tmp_path):
     bad = tmp_path / "h.json"
     bad.write_text(json.dumps(
         {"name": "c2", "degree": 5, "generators": [[1, 0, 2, 3, 4]]}))
-    code, out, _ = run(["k", "sym5", "--normal", f"file:{bad}",
-                        "--pi", "2,3"], capsys)
-    assert code == 6
+    code, out, err = run(["k", "sym5", "--normal", f"file:{bad}",
+                          "--pi", "2,3"], capsys)
+    assert code == 6 and out == ""
+    assert err.startswith("error: ") and "is not normal" in err
+
+
+def test_k_budget_error_resolving_normal_is_reported(capsys, tmp_path):
+    # the socle's minimal normal subgroups are past a 10-element budget;
+    # that is an answer like any other budget error: the tri-state report,
+    # the summary line and exit 3
+    out_path = tmp_path / "k.json"
+    code, out, err = run(["k", "sym3wr2", "--normal", "socle", "--pi", "2,3",
+                          "--budget-order", "10", "--json", str(out_path)],
+                         capsys)
+    assert code == 3 and err == ""
+    assert out == "k sym3wr2: budget_exceeded:minimal-normal\n"
+    data = json.loads(out_path.read_text())
+    assert data["results"] == {"verdict": "budget_exceeded:minimal-normal"}
+    assert data["command"] == "k" and data["pi"] == "2,3"
 
 
 def test_k_bad_subgroup_specs_exit_6(capsys, tmp_path):

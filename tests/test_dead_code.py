@@ -70,20 +70,58 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _methods(trees) -> dict:
+    """Per class name, the names its body defines."""
+    return {node.name: {sub.name for sub in node.body
+                        if isinstance(sub, DEFS)}
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)}
+
+
+def _owned_references(node, methods, cls=None) -> Counter:
+    """References as (owner, name).  The owner is the class C for `C.name`,
+    and for `self.name` or `cls.name` in C's body, when C defines `name`;
+    it is None for every other reference (a bare name, an attribute of
+    anything else), which may mean any definition of that name."""
+    out = Counter()
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, ast.Name):
+        out[None, node.id] += 1
+    elif isinstance(node, ast.Attribute):
+        owner = None
+        if isinstance(node.value, ast.Name):
+            base = node.value.id
+            owner = cls if base in ("self", "cls") else base
+        out[owner if node.attr in methods.get(owner, ()) else None,
+            node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        out.update(_owned_references(child, methods, cls))
+    return out
+
+
 def test_no_unreferenced_definitions():
+    # a method is referenced by its name on its own class (`C.m`, or
+    # `self.m` in C) or on anything else; `D.m` for another class D that
+    # defines m refers to D's, so a dead method stays dead when another
+    # definition shares its name.  `x.m` on an instance may be either
     trees = _trees()
+    methods = _methods(trees)
     refs = Counter()
     for tree in trees.values():
-        refs.update(_references(tree))
+        refs.update(_owned_references(tree, methods))
     dead = []
     for fname, tree in trees.items():
         for qual, node in _definitions(tree):
             name = node.name
+            cls = qual.split(".")[-2] if "." in qual else None
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the interpreter
             if qual in ALLOWED:
                 continue
-            if refs[name] - _references(node)[name] <= 0:
+            own = _owned_references(node, methods, cls)
+            keys = [(None, name)] + ([(cls, name)] if cls else [])
+            if sum(refs[k] - own[k] for k in keys) <= 0:
                 dead.append(f"{fname}: {qual}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
 

@@ -189,6 +189,24 @@ def test_oracle_budget():
         all_hall_classes(zoo.gl(4, 2), PI23, Budgets(order_budget=100))
 
 
+def test_oracle_classes_keep_their_index_sets():
+    # the classes carry their index sets in the table that named them.  A
+    # table of the same group built again (after the cache dropped it) may
+    # order its rows by another chain: N adopted its search's chain, and a
+    # fresh table from its generators puts the class elsewhere, so that
+    # table gets the sets from closures over its own rows
+    G = zoo.sym(5)
+    N = backtrack.normalizer(G, sylow(G, 3))
+    classes = all_hall_classes(N, PiSet([2]))
+    tbl = get_table(N)
+    assert classes.sets_in(tbl) is classes.class_sets
+    assert classes.class_sets == [tbl.indices_of_subgroup(H)
+                                  for H in classes.class_reps]
+    other = ElementTable(PermGroup(N.degree, N.generators))
+    fresh = [other.indices_of_subgroup(H) for H in classes.class_reps]
+    assert classes.sets_in(other) == fresh != classes.class_sets
+
+
 # -- classification ---------------------------------------------------------------
 
 

@@ -2,13 +2,15 @@
 seeds 1 and 2, pinned by one digest; the GL5(2) example's report at seed 1,
 pinned by another; the `results` of a seed-1 corpus run (entries and
 suites, `run_corpus().to_dict()`), pinned by a third, which
-tests/test_acceptance.py checks on the run it already makes; and the
-`results` of `pihall k` on seven inputs (K_INPUTS), pinned by a fourth.
+tests/test_acceptance.py checks on the run it already makes; the
+`results` of `pihall k` on seven inputs (K_INPUTS), pinned by a fourth;
+and what every CLI command shows on CLI_RUNS (exit code, stdout and the
+`--json` report), pinned by a fifth.
 
-A change that only makes the program faster must leave all four digests
+A change that only makes the program faster must leave all five digests
 alone.  A change that moves a witness (another member of the same class,
 another Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
-CHANGES.md; `python tests/test_pinned_answers.py` prints the four digests
+CHANGES.md; `python tests/test_pinned_answers.py` prints the five digests
 of the current tree, and `--json` prints the answers and the report the
 first two cover.
 """
@@ -17,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,12 +38,36 @@ PINNED_CORPUS_DIGEST = (
     "2721bd9f4fb5841b59a5c60695c5b6701939ecbebbc2cb786a9ac04b44177348")
 PINNED_K_DIGEST = (
     "314efc3feaf10d2457503cf791004bc2450e6384cf2950453bb2d26f8ab30fed")
+PINNED_CLI_DIGEST = (
+    "1abd02889ad2fba0ae778609b628fcac8786f566be45af8cb089c4474863b346")
 SEEDS = (1, 2)
 # (group, --normal, --pi) for `pihall k`
 K_INPUTS = (("gl3_2", "zoo:gl3_2", "2,3"), ("sym5", "derived", "2,3"),
             ("alt5wr2", "socle", "2,3"), ("alt5wr2", "socle", "2,5"),
             ("sym4wr2", "minimal:0", "2"), ("alt5xalt5", "minimal:0", "2,3"),
             ("psl2_11", "zoo:psl2_11", "2,3"))
+# every command and each of its report branches; MANIFEST stands for a
+# manifest of the CORPUS_PAIRS entries
+CORPUS_PAIRS = (("alt5", "2,3"), ("sym4", "2"), ("gl3_2", "2,3"))
+CLI_RUNS = (
+    ["analyze", "alt5", "--pi", "2,3"],
+    ["analyze", "gl4_2", "--pi", "2,3", "--budget-order", "50"],
+    ["reduce", "sym5", "--pi", "2,3"],
+    ["reduce", "sym5", "--pi", "2,3", "--compare-oracle"],
+    # the reduction answers, the oracle is past the budget: agree None
+    ["reduce", "alt5xalt5", "--pi", "2,3", "--compare-oracle",
+     "--budget-order", "3000"],
+    ["reduce", "gl4_2", "--pi", "2,3", "--budget-order", "50"],
+    ["k", "sym5", "--normal", "derived", "--pi", "2,3"],
+    ["k", "psl2_7xc2", "--normal", "center", "--pi", "2,3"],
+    # the normal subgroup needs no table, G's is past the budget
+    ["k", "gl3_2", "--normal", "zoo:gl3_2", "--pi", "2,3",
+     "--budget-order", "100"],
+    ["corpus", "--manifest", "MANIFEST"],
+    ["example-gl52"],
+    ["zoo", "list"],
+    ["zoo", "emit", "alt5"],
+)
 
 
 def _gens(H):
@@ -96,6 +123,35 @@ def k_results() -> list:
     return out
 
 
+def cli_runs() -> list:
+    """Per run of CLI_RUNS, each from empty caches: the exit code, stdout
+    with elapsed times masked, and the `--json` report (None if none is
+    written) without its timings; temporary paths read <tmp>."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "m.json"
+        manifest.write_text(json.dumps({"entries": [
+            e for e in zoo.corpus_manifest()
+            if (e["name"], e["pi"]) in CORPUS_PAIRS]}))
+        for i, argv in enumerate(CLI_RUNS):
+            path = Path(tmp) / f"{i}.json"
+            run = [str(manifest) if a == "MANIFEST" else a for a in argv]
+            _cold()
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(run + ["--json", str(path)])
+            report = None
+            if path.exists():
+                report = json.loads(path.read_text().replace(tmp, "<tmp>"))
+                report.pop("timings")
+            out.append({"argv": argv, "code": code,
+                        "stdout": re.sub(r"\d+ ms", "N ms",
+                                         stdout.getvalue()
+                                         ).replace(tmp, "<tmp>"),
+                        "report": report})
+    return out
+
+
 def digest(answers) -> str:
     blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -113,6 +169,10 @@ def test_pinned_k_results():
     assert digest(k_results()) == PINNED_K_DIGEST
 
 
+def test_pinned_cli_runs():
+    assert digest(cli_runs()) == PINNED_CLI_DIGEST
+
+
 if __name__ == "__main__":
     answers, report = pinned_answers(), example_report()
     if "--json" in sys.argv[1:]:
@@ -124,3 +184,4 @@ if __name__ == "__main__":
         _cold()
         print("corpus", digest(run_corpus().to_dict()))
         print("k", digest(k_results()))
+        print("cli", digest(cli_runs()))

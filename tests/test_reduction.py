@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -256,7 +257,7 @@ def test_cpi_reduce_consults_only_the_given_registry():
     assert injected.verdict is False
     check = injected.levels[0].automizer_checks[0]
     assert check.special_cased and check.route == "ambient-faithful"
-    assert check.to_dict()["route"] == "ambient-faithful"
+    assert asdict(check)["route"] == "ambient-faithful"
 
 
 def test_reduction_does_no_dominance_work(monkeypatch):
