@@ -160,8 +160,9 @@ def subgroup_search(G: PermGroup, prop: SearchProperty,
         if g is None:
             break
         searcher.add_known(g)
-    return PermGroup._adopt(
-        searcher.k_chain, [Perm(g, validate=False) for g in searcher.k_gens])
+    return PermGroup(G.degree,
+                     [Perm(g, validate=False) for g in searcher.k_gens],
+                     order=searcher.k_chain.order())
 
 
 def element_search(G: PermGroup, prop: SearchProperty,

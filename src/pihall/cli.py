@@ -294,15 +294,26 @@ def cmd_corpus(args) -> int:
                      f"{str(r.matches_manifest):<9}")
     lines.append(f"{'suite':<18}{'checked':<9}result")
     for s in run.suites:
-        status = "pass" if s.passed else "FAIL: " + "; ".join(s.violations[:2])
+        status = ("pass" if s.passed else
+                  "FAIL: " + "; ".join(s.violations[:2]) if s.violations
+                  else "; ".join(s.notes))
         lines.append(f"{s.key:<18}{s.checked:<9}{status}")
-    ok = run.all_agree and run.all_match_manifest and run.all_suites_pass
-    lines.append(f"corpus: {'all suites pass' if ok else 'FAILURES PRESENT'} "
-                 f"({elapsed} ms)")
+    # a budget verdict is no failure, but no pass either
+    failed = (any(s.violations for s in run.suites)
+              or any(r.agree is False
+                     or (isinstance(r.observed, dict)
+                         and not r.matches_manifest) for r in run.entries))
+    exceeded = (any(s.budget_exceeded for s in run.suites)
+                or any(r.agree is None or isinstance(r.observed, str)
+                       for r in run.entries))
+    code, summary = (EXIT_VERIFY, "FAILURES PRESENT") if failed else \
+        (EXIT_BUDGET, "budget exceeded") if exceeded else \
+        (EXIT_OK, "all suites pass")
+    lines.append(f"corpus: {summary} ({elapsed} ms)")
     return _finish(args, "corpus", {"manifest": args.manifest or "builtin"},
                    None, run.to_dict(),
                    {"corpus_ms": elapsed, "entries": run.entry_timings()},
-                   "\n".join(lines), EXIT_OK if ok else EXIT_VERIFY)
+                   "\n".join(lines), code)
 
 
 def cmd_zoo(args) -> int:
@@ -341,6 +352,13 @@ def cmd_example(args) -> int:
     except ExampleFailure as exc:
         print(f"example-gl52: FAILED claim {exc.claim}: {exc}")
         return EXIT_VERIFY
+    except BudgetExceededError as exc:
+        verdict = f"budget_exceeded:{exc.kind}"
+        elapsed = int((time.perf_counter() - t0) * 1000)
+        return _finish(args, "example-gl52", {"zoo": "gl52hat"},
+                       PiSet([2, 3]), {"verdict": verdict},
+                       {"example_ms": elapsed}, f"example-gl52: {verdict}",
+                       EXIT_BUDGET)
     elapsed = int((time.perf_counter() - t0) * 1000)
     lines = []
     for c in results["claims"]:

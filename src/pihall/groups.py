@@ -27,13 +27,11 @@ catches: the product can meet it early and stop an incomplete chain.
 `PermGroup.order` returns a stated order without building a chain, so a
 check of a stated order reads the chain's: `G.chain().order()`.
 
-A subgroup found by growing a chain (`span`, the backtrack searches) adopts
-that chain instead of building a second one from its generators.  An
-adopted chain is complete: a span's was completed with no stated order, so
-every Schreier generator was checked, and a search's starts as its known
-subgroup's chain stopped at that subgroup's order, certified as above,
-then completed in full after each element the search adds.  It is never
-extended afterwards.
+A group's chain is built from its generators alone, on first use, so the
+chain, and an element table's row order, depend only on the degree and the
+generator tuple.  A subgroup found by growing a chain (`span`, the
+backtrack searches) keeps the generators that chain kept and states the
+order it certified, and builds its own chain from them.
 
 Internally the chain works on raw image tuples for speed; the public API
 speaks :class:`~pihall.perms.Perm`.
@@ -189,9 +187,8 @@ class _Chain:
     the chain a backtrack subgroup search grows
     (``backtrack.subgroup_search``); and 2|H1_lift| for the GL5(2)
     example's H = <H1_lift, x> (after the example checks that x is an
-    involution normalizing H1_lift).  Spans state none, and a search's
-    result states nothing beyond its known subgroup's order: their groups
-    adopt the chain that found them (``PermGroup._adopt``).
+    involution normalizing H1_lift).  A span's chain states none; the
+    group a span or a search returns states that complete chain's order.
     """
 
     __slots__ = ("degree", "levels", "_order")
@@ -356,9 +353,8 @@ class NotASubgroupError(ValueError):
 class PermGroup:
     """A finite permutation group on {0..degree-1}.
 
-    Immutable; the stabilizer chain is built on first use and reused, or
-    adopted complete from the span or search that found the group, and then
-    never extended.
+    Immutable; the stabilizer chain is built from the generators on first
+    use and reused, and never extended.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (),
@@ -380,17 +376,6 @@ class PermGroup:
         # stated order (see _Chain); read off the chain when not stated
         self._order = order
         self._chain_cache: _Chain | None = None
-
-    @classmethod
-    def _adopt(cls, chain: _Chain, generators: Iterable[Perm]) -> "PermGroup":
-        """The group the generators generate, owning `chain`: a complete
-        chain of that group, which nothing extends afterwards.  A search's
-        chain may have stopped at its known subgroup's stated order, when
-        the search added nothing to it; reaching that order certified the
-        chain complete, as for any stated order."""
-        G = cls(chain.degree, generators, order=chain.order())
-        G._chain_cache = chain
-        return G
 
     # -- chain plumbing ----------------------------------------------------
 
@@ -506,9 +491,7 @@ class PermGroup:
     def cache_key(self):
         """Identity for caching: degree + generators in their given order.
         Not the generator set: a chain, hence an element table's index
-        order and the generators read off it, follow the order.  An adopted
-        chain need not be the one the generators build, so a table cached
-        under the key follows the chain of the group first tabled."""
+        order and the generators read off it, follow the order."""
         return (self.degree, tuple(g.images for g in self.generators))
 
     def __repr__(self) -> str:
@@ -534,8 +517,8 @@ def span(degree: int, candidates: Iterable[Perm], order: int | None = None,
     each one that enlarges the span of those kept before it is kept, and
     the walk stops once the span has `order` elements.  For each kept x,
     `then(x)` (when given) names more candidates, walked after all those
-    queued before them.  The group adopts the span's chain, completed
-    again after each kept candidate."""
+    queued before them.  The group states the order the span's chain,
+    completed again after each kept candidate, reached."""
     chain = _Chain(degree, [])
     kept: list[Perm] = []
     queue = deque([iter(candidates)])
@@ -547,7 +530,7 @@ def span(degree: int, candidates: Iterable[Perm], order: int | None = None,
             kept.append(x)
             if then is not None:
                 queue.append(iter(then(x)))
-    return PermGroup._adopt(chain, kept)
+    return PermGroup(degree, kept, order=chain.order())
 
 
 def p_element(G: PermGroup, p: int, rng: random.Random) -> Perm | None:

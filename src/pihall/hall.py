@@ -7,8 +7,8 @@ element-index sets under conjugation (`_SetOrbits`) in the group's own
 table; a normal subgroup A's Hall classes are named in A's table, where
 `k_induced` locates the intersections H ∩ A and `hall_classes_kept`
 their conjugates.  The oracle's classes keep their index sets in the
-table that named them (`HallClassSet.sets_in`), which those two and
-dominance read.
+group's table (`HallClassSet.class_sets`), which those two and dominance
+read.
 
 The sweep's inner loops are batches over the element table.  A candidate
 x extends K only when every element of the coset Kx is a pi-element of
@@ -52,7 +52,6 @@ BudgetExceededError instead.
 from __future__ import annotations
 
 import random
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -172,21 +171,10 @@ class HallClassSet:
     class_reps: list[PermGroup]
     class_sizes: list[int]
     class_sets: list[frozenset] = field(default_factory=list)
-    # the table class_sets index, held weakly: a table the cache dropped
-    # and built again may order its rows by another chain
-    table: weakref.ref | None = field(default=None, repr=False,
-                                      compare=False)
 
     @property
     def k(self) -> int:
         return len(self.class_reps)
-
-    def sets_in(self, tbl: ElementTable) -> list[frozenset]:
-        """Each representative's index set in tbl: the kept sets when tbl
-        named the classes, otherwise one closure each."""
-        if self.table is not None and self.table() is tbl:
-            return self.class_sets
-        return [tbl.indices_of_subgroup(H) for H in self.class_reps]
 
 
 class _SetOrbits:
@@ -354,8 +342,7 @@ def all_hall_classes(G: PermGroup, pi: PiSet,
                       key=lambda cid: sorted(orbits.canon(cid)))
     sets = [orbits.canon(cid) for cid in cids]
     return HallClassSet(G, pi, [tbl.subgroup(s) for s in sets],
-                        [orbits.size(cid) for cid in cids], sets,
-                        weakref.ref(tbl))
+                        [orbits.size(cid) for cid in cids], sets)
 
 
 def find_hall(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
@@ -496,7 +483,7 @@ def _dominance_check(G: PermGroup, pi: PiSet, classes: HallClassSet,
     if len(effective) <= 1:
         return None  # Sylow: every p-subgroup lies in a conjugate of H
     tbl = get_table(G, budgets)
-    witness = _grow_outside_hall(tbl, pi, classes.sets_in(tbl)[0])
+    witness = _grow_outside_hall(tbl, pi, classes.class_sets[0])
     return None if witness is None else tbl.subgroup(witness)
 
 
@@ -625,7 +612,7 @@ def hall_classes_kept(A: PermGroup, pi: PiSet, xs,
     orbits = _orbits_for(tbl)
     maps = [(g, np.argsort(g)) for g in (np.array(x.images) for x in xs)]
     kept = []
-    for m_set in classes.sets_in(tbl):
+    for m_set in classes.class_sets:
         cid, rows = orbits.class_id(m_set), tbl.rows[list(m_set)]
         # M^x row by row, x^-1 m x as in ElementTable.conj_maps
         kept.append(all(orbits.class_id(tbl.locate(g[rows[:, g_inv]])) == cid
@@ -653,9 +640,9 @@ def k_induced(G: PermGroup, A: PermGroup, pi: PiSet,
         a_tbl = get_table(A, budgets)
         orbits = _orbits_for(a_tbl)
         found = {orbits.class_id(a_tbl.locate(tbl.rows[list(h_set & a_set)]))
-                 for h_set in halls.sets_in(tbl)}
+                 for h_set in halls.class_sets}
         induced = [orbits.class_id(m_set) in found
-                   for m_set in classes.sets_in(a_tbl)]
+                   for m_set in classes.class_sets]
     return KReport(G, A, pi, sum(induced), classes.k, induced,
                    [M for M, got in zip(classes.class_reps, induced) if got],
                    halls.k > 0)

@@ -52,8 +52,12 @@ class SuiteResult:
     notes: list[str] = field(default_factory=list)
 
     @property
+    def budget_exceeded(self) -> bool:
+        return any(n.startswith("budget_exceeded:") for n in self.notes)
+
+    @property
     def passed(self) -> bool:
-        return not self.violations
+        return not (self.violations or self.budget_exceeded)
 
     def to_dict(self) -> dict:
         return {"key": self.key, "name": self.name, "checked": self.checked,
@@ -201,14 +205,18 @@ def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult
 def _suite(key: str, name: str):
     """Make a suite of a generator over (entries, ctx) that yields, for
     each instance its hypotheses admit, the list of its violations (empty
-    when the conclusion holds)."""
+    when the conclusion holds).  A budget error stops the suite, which
+    keeps its count, notes "budget_exceeded:<kind>" and does not pass."""
     def wrap(instances):
         @wraps(instances)
         def suite(entries, ctx: CorpusContext) -> SuiteResult:
             res = SuiteResult(key, name)
-            for violations in instances(entries, ctx):
-                res.checked += 1
-                res.violations += violations
+            try:
+                for violations in instances(entries, ctx):
+                    res.checked += 1
+                    res.violations += violations
+            except BudgetExceededError as exc:
+                res.notes.append(f"budget_exceeded:{exc.kind}")
             return res
         return suite
     return wrap

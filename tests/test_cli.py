@@ -284,6 +284,47 @@ def test_corpus_flags_manifest_mismatch(capsys, tmp_path):
     assert "FAILURES PRESENT" in out
 
 
+def test_corpus_budget_error_is_reported(capsys, tmp_path):
+    # past a 50-element budget the entries and suites report the budget
+    # verdict, each suite keeping its count, and the report is written;
+    # a manifest mismatch on a decided entry is still a failure
+    from pihall import zoo as z
+    entries = [e for e in z.corpus_manifest()
+               if (e["name"], e["pi"]) in (("alt5", "2,3"), ("sym4", "2"),
+                                           ("gl3_2", "2,3"))]
+    path, out_path = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"entries": entries}))
+    argv = ["corpus", "--manifest", str(path), "--budget-order", "50",
+            "--json", str(out_path)]
+    code, out, _ = run(argv, capsys)
+    assert code == 3 and "corpus: budget exceeded" in out
+    results = json.loads(out_path.read_text())["results"]
+    observed = {e["name"]: e["observed"] for e in results["entries"]}
+    assert observed["alt5"] == "budget_exceeded:enumeration-order"
+    assert isinstance(observed["sym4"], dict)
+    suites = {s["key"]: s for s in results["suites"]}
+    assert suites["lemma-4.1"] == {
+        "key": "lemma-4.1", "name": "hall-intersection-and-image",
+        "checked": 2, "passed": False, "violations": [],
+        "notes": ["budget_exceeded:enumeration-order"]}
+    assert suites["lemma-4.2"]["passed"] and not results["all_suites_pass"]
+    entries[[e["name"] for e in entries].index("sym4")]["expected"] = {
+        "E": True, "C": False, "D": False, "k": 2}
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, _ = run(argv, capsys)
+    assert code == 5 and "FAILURES PRESENT" in out
+
+
+def test_example_budget_error_is_reported(capsys, tmp_path):
+    out_path = tmp_path / "e.json"
+    code, out, _ = run(["example-gl52", "--budget-nodes", "10",
+                        "--json", str(out_path)], capsys)
+    assert code == 3
+    assert out == "example-gl52: budget_exceeded:search-nodes\n"
+    data = json.loads(out_path.read_text())
+    assert data["results"] == {"verdict": "budget_exceeded:search-nodes"}
+
+
 def test_corpus_parallel_jobs(capsys, tmp_path):
     from pihall import zoo as z
     entries = [e for e in z.corpus_manifest()

@@ -290,9 +290,9 @@ CHAIN_MODULES = {"groups.py", "backtrack.py"}
 
 
 def test_only_chain_modules_name_the_chain():
-    # a subgroup found by growing a chain keeps it (groups.span,
-    # PermGroup._adopt); a module that grows a _Chain of its own builds a
-    # second one for the group it returns
+    # a group builds its chain from its generators (PermGroup.chain); only
+    # the chain modules grow a _Chain of their own, to find a group's
+    # generators and certify its order (groups.span, the searches)
     named = [fname for fname, tree in _trees().items()
              if fname not in CHAIN_MODULES and (
                  _references(tree)["_Chain"]

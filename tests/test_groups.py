@@ -12,6 +12,7 @@ from pihall import zoo
 from pihall.actions import coset_action
 from pihall.backtrack import normalizer
 from pihall.groups import PermGroup, VerificationError, _Chain, span
+from pihall.hall import sylow
 from pihall.perms import Perm
 from pihall.structure import normal_closure
 from pihall.tables import ElementTable
@@ -226,7 +227,7 @@ def test_stated_order_chain_is_identical(group, seed):
         assert chain_shape(a) == chain_shape(b)
 
 
-# -- adopted chains: a found subgroup keeps the chain that found it ------------
+# -- found subgroups: a group's chain depends on its generators alone ---------
 
 
 def intersection(H, A):
@@ -234,34 +235,27 @@ def intersection(H, A):
     return span(H.degree, filter(A.contains, H.elements()))
 
 
-def test_found_subgroups_build_no_second_chain():
-    G = zoo.sym(4)
+def test_found_subgroups_table_as_their_generators():
+    # a span or search result builds its chain from the generators it
+    # kept, so its element table's rows are those of a fresh group on them
+    G = zoo.sym(5)
     tbl = ElementTable(G)
-    three = Perm((1, 2, 0, 3))
-    C3 = PermGroup(4, [three])
-    A4 = PermGroup(4, [three, Perm((1, 0, 3, 2))])
-    for H in (G, C3, A4):
-        H.chain()
+    x, y = Perm((4, 3, 2, 1, 0)), Perm((4, 3, 0, 1, 2))
     finders = {
-        "ElementTable.subgroup":
-            lambda: tbl.subgroup(tbl.closure([tbl.idx_of_perm(three)])),
-        "normal_closure": lambda: normal_closure(G, [three]),
-        "span of an element filter": lambda: intersection(G, A4),
-        "normalizer": lambda: normalizer(G, C3),
+        "normalizer": lambda: normalizer(G, sylow(G, 3)),
+        "ElementTable.subgroup": lambda: tbl.subgroup(
+            tbl.closure([tbl.idx_of_perm(x), tbl.idx_of_perm(y)])),
+        "normal_closure": lambda: normal_closure(G, [Perm((2, 3, 0, 4, 1))]),
     }
     for name, find in finders.items():
-        def run():
-            H = find()
-            H.chain()
-            return H.order(), H.contains(three)
-
-        built, _ = chains_built(run, stated=True)
-        assert len(built) == 1, f"{name} built {len(built)} chains"
+        H = find()
+        fresh = PermGroup(H.degree, H.generators)
+        assert (ElementTable(H).rows == ElementTable(fresh).rows).all(), name
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_groups_up_to_degree_8(), st.integers(0, 10**6))
-def test_adopted_chains_match_brute_force(group, seed):
+def test_found_subgroups_match_brute_force(group, seed):
     degree, gens = group
     G = PermGroup(degree, gens)
     rng = random.Random(seed)
@@ -278,6 +272,9 @@ def test_adopted_chains_match_brute_force(group, seed):
         h_els = brute_elements(H.generators, degree)
         assert H.order() == len(h_els)
         assert all(H.contains(g) == (g in h_els) for g in g_els)
+        table = ElementTable(H)
         rows = {Perm(tuple(int(v) for v in row), validate=False)
-                for row in ElementTable(H).rows}
+                for row in table.rows}
         assert rows == h_els
+        fresh = ElementTable(PermGroup(degree, H.generators))
+        assert (table.rows == fresh.rows).all()

@@ -11,8 +11,9 @@ A change that only makes the program faster must leave all five digests
 alone.  A change that moves a witness (another member of the same class,
 another Hall subgroup) updates PINNED_DIGEST and lists the moved pairs in
 CHANGES.md; `python tests/test_pinned_answers.py` prints the five digests
-of the current tree, and `--json` prints the answers and the report the
-first two cover.
+of the current tree, `--json` prints the answers and the report the first
+two cover, and `--moved OLD.json` prints (name, pi, seed, field) for each
+answer that differs from OLD.json, a `--json` dump of another tree.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from pihall.reduction import cpi_reduce
 from pihall.suites import run_corpus
 
 PINNED_DIGEST = (
-    "9bec78d8907e24dd6519b7e7653f625499edfed13956b4636c67f3dfb79c6e21")
+    "fff2449906bb208aa318723ef29c934a88997ba908b062dfb3a1ca43d4ec8954")
 PINNED_EXAMPLE_DIGEST = (
     "0e5e8ed89f38a2d96d92022b242b861692f6138577f1a2f4311e8830ebdc7b61")
 PINNED_CORPUS_DIGEST = (
@@ -41,6 +42,9 @@ PINNED_K_DIGEST = (
 PINNED_CLI_DIGEST = (
     "1abd02889ad2fba0ae778609b628fcac8786f566be45af8cb089c4474863b346")
 SEEDS = (1, 2)
+# the pairs whose reduction witness moved when found groups stopped
+# adopting the chain that found them
+MOVED_PAIRS = (("sym4wr2", "2,3"), ("sym4wr2", "2"), ("alt5wr2", "2,3"))
 # (group, --normal, --pi) for `pihall k`
 K_INPUTS = (("gl3_2", "zoo:gl3_2", "2,3"), ("sym5", "derived", "2,3"),
             ("alt5wr2", "socle", "2,3"), ("alt5wr2", "socle", "2,5"),
@@ -152,13 +156,62 @@ def cli_runs() -> list:
     return out
 
 
+def answers_of(name: str, pi: str, seed: int) -> tuple:
+    """classify_ECD's flags and class reps and cpi_reduce's trace for one
+    pair, each on a freshly built group, through whatever is cached."""
+    rep = hall.classify_ECD(zoo.build_named(name), PiSet.parse(pi),
+                            seed=seed)
+    trace = cpi_reduce(zoo.build_named(name), PiSet.parse(pi), seed=seed)
+    return (rep.flags(), [_gens(H) for H in rep.classes.class_reps],
+            trace.to_dict())
+
+
 def digest(answers) -> str:
     blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def moved(old: list, new: list) -> list:
+    """(name, pi, seed, field) for each field of each answer in `new` that
+    differs from the same pair's in `old`; a field holding a dict is
+    compared key by key, as "field.key"."""
+    before = {(a["name"], a["pi"], a["seed"]): a for a in old}
+    out = []
+    for a in new:
+        key = (a["name"], a["pi"], a["seed"])
+        b = before.get(key, {})
+        for field, value in sorted(a.items()):
+            was = b.get(field)
+            if isinstance(value, dict) and isinstance(was, dict):
+                out.extend((*key, f"{field}.{sub}")
+                           for sub in sorted(value.keys() | was.keys())
+                           if value.get(sub) != was.get(sub))
+            elif value != was:
+                out.append((*key, field))
+    return out
+
+
 def test_pinned_answers():
     assert digest(pinned_answers()) == PINNED_DIGEST
+
+
+def test_answers_do_not_depend_on_call_order():
+    # run cold, again after dropping only the tables (the classify cache
+    # keeps classes named in the dropped ones), and after the rest of the
+    # manifest filled both caches
+    for seed in SEEDS:
+        cold = {}
+        for pair in MOVED_PAIRS:
+            _cold()
+            cold[pair] = answers_of(*pair, seed)
+            structure._table_cache.clear()
+            assert answers_of(*pair, seed) == cold[pair], (pair, seed)
+        _cold()
+        for e in zoo.corpus_manifest():
+            if (e["name"], e["pi"]) not in MOVED_PAIRS:
+                answers_of(e["name"], e["pi"], seed)
+        for pair in MOVED_PAIRS:
+            assert answers_of(*pair, seed) == cold[pair], (pair, seed)
 
 
 def test_pinned_example_report():
@@ -174,6 +227,12 @@ def test_pinned_cli_runs():
 
 
 if __name__ == "__main__":
+    if "--moved" in sys.argv[1:]:
+        path = sys.argv[sys.argv.index("--moved") + 1]
+        old = json.loads(Path(path).read_text())["answers"]
+        for row in moved(old, pinned_answers()):
+            print(*row)
+        sys.exit(0)
     answers, report = pinned_answers(), example_report()
     if "--json" in sys.argv[1:]:
         print(json.dumps({"answers": answers, "example": report},
