@@ -10,7 +10,11 @@ desk scale and reported as an assumption, not a result.
 
 The flag stabilizers come from closed-form parabolic generators with a
 colour certificate, at their stated order (see zoo.flag_stabilizer), not
-from a search; the one backtrack search left is that normalizer's.
+from a search; the one backtrack search left is that normalizer's.  The
+lifts to the extension are the images of those generator matrices under
+GLHat.embed_matrix, and the element that carries a transpose-inverse
+image back onto a flag stabilizer is the coordinate reversal w0 (see
+zoo.dual_flag_conjugator), certified on generators.
 
 On success the pipeline can record the extension's conjugacy verdict and
 Hall subgroup in a SpecialCaseRegistry the caller hands it; passing that
@@ -25,6 +29,7 @@ from .arith import PiSet, pi_part
 from .config import DEFAULT_BUDGETS, Budgets
 from .groups import PermGroup
 from .hall import is_hall
+from .perms import Perm
 from .registry import SpecialCaseRegistry
 
 PI = PiSet([2, 3])
@@ -46,11 +51,10 @@ def _claim(report: dict, name: str, ok: bool, detail: str, **data) -> None:
         raise ExampleFailure(name, detail)
 
 
-def _iota_image(hat: zoo.GLHat, H: PermGroup) -> PermGroup:
-    """Restriction to the vector block of the iota-conjugate of a lifted
-    subgroup of gl(5,2)."""
-    conj = [hat.iota.inverse() * hat.embed_perm(g) * hat.iota
-            for g in H.generators]
+def _iota_image(hat: zoo.GLHat, lifted: list[Perm]) -> PermGroup:
+    """Restriction to the vector block of the iota-conjugate of the
+    subgroup of the inner copy that the lifted generators generate."""
+    conj = [hat.iota.inverse() * g * hat.iota for g in lifted]
     return hat.restrict_subgroup(PermGroup(2 * hat.block, conj))
 
 
@@ -118,7 +122,11 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
            signatures=[list(s) for s in signatures])
 
     H1, H2, H3 = reps
-    images = [_iota_image(hat, H) for H in reps]
+    # each flag's parabolic generator matrices, lifted to the hat
+    lifts = [[hat.embed_matrix(M)
+              for M in zoo.parabolic_generator_matrices(5, 2, dims)]
+             for dims in DIMS]
+    images = [_iota_image(hat, lifted) for lifted in lifts]
     g1 = zoo.dual_flag_conjugator(images[0], H1)
     _claim(report, "involution-fixes-first-class", g1 is not None,
            "the image of the first representative is conjugate back to it")
@@ -131,9 +139,13 @@ def run_example(budgets: Budgets = DEFAULT_BUDGETS, seed: int = 1,
     _claim(report, "involution-swaps-classes", g23 is not None and g32 is not None,
            "the involution exchanges the second and third classes")
 
-    # the Hall subgroup of the extension over the first class
-    H1_lift = hat.embed_subgroup(H1, name="hall212@hat")
-    x = hat.iota * hat.embed_perm(g1)
+    # the Hall subgroup of the extension over the first class.  The lift
+    # states |H1|: M -> embed_matrix(M) is a homomorphism, so it maps the
+    # group of H1's matrices onto at most |H1| elements.  g1 is w0, and x
+    # is iota followed by the lift of w0's matrix
+    H1_lift = PermGroup(hat.group.degree, lifts[0], name="hall212@hat",
+                        order=H1.order())
+    x = hat.iota * hat.embed_matrix(zoo.reversal_matrix(5))
     x_inv = x.inverse()
     normalizes = all(H1_lift.contains(x_inv * h * x)
                      for h in H1_lift.generators)

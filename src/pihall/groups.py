@@ -181,9 +181,10 @@ class _Chain:
     (images of invertible matrices), the parabolic order for
     ``zoo.flag_stabilizer`` (block-lower-triangular matrices) and
     2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies
-    that the swap is an involution normalizing the inner copy); |H| for
-    ``zoo.GLHat.embed_subgroup(H)`` (the image of H under the
-    homomorphism M -> embed_matrix(M)); the known subgroup's order for
+    that the swap is an involution normalizing the inner copy); |H1| for
+    the GL5(2) example's lift of the flag stabilizer H1 (the image of the
+    group of H1's generator matrices under the homomorphism M ->
+    ``zoo.GLHat.embed_matrix(M)``); the known subgroup's order for
     the chain a backtrack subgroup search grows
     (``backtrack.subgroup_search``); and 2|H1_lift| for the GL5(2)
     example's H = <H1_lift, x> (after the example checks that x is an

@@ -113,21 +113,6 @@ def mat_identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(field: GF, A, B) -> tuple:
-    n, m, k = len(A), len(B[0]), len(B)
-    add, mul = field.add, field.mul
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                s = add[s][mul[Ai[t]][B[t][j]]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
 def mat_transpose(A) -> tuple:
     return tuple(zip(*A))
 
@@ -152,49 +137,12 @@ def mat_inverse(field: GF, A) -> tuple:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def rref(field: GF, rows) -> list[tuple]:
-    """Row-reduced basis of the span of the given vectors."""
-    add, mul, inv, neg = field.add, field.mul, field.inv, field.neg
-    basis: list[list[int]] = []
-    for v in rows:
-        v = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [add[x][neg[mul[c][y]]] for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            v = [mul[inv[v[lead]]][x] for x in v]
-            basis.append(v)
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return [tuple(b) for b in basis]
-
-
-def span_points(field: GF, basis) -> set[int]:
-    """Point indices of the nonzero vectors in the span of the basis."""
-    add, mul = field.add, field.mul
-    vecs = [(0,) * len(basis[0])] if basis else []
-    for b in basis:
-        vecs += [tuple(add[x][mul[c][y]] for x, y in zip(v, b))
-                 for v in vecs for c in range(1, field.q)]
-    return {vec_to_point(field.q, v) for v in vecs[1:]}
-
-
 # -- vector point indexing ----------------------------------------------------
 
 
-def vec_to_point(q: int, v) -> int:
-    """Nonzero vector -> point index (base-q digits, least significant first)."""
-    val = 0
-    for d in reversed(v):
-        val = val * q + d
-    if val == 0:
-        raise ValueError("zero vector has no point index")
-    return val - 1
-
-
 def point_to_vec(q: int, n: int, point: int) -> tuple:
+    """Point index -> nonzero vector (base-q digits, least significant
+    first)."""
     val = point + 1
     out = []
     for _ in range(n):

@@ -177,10 +177,7 @@ def cpi_reduce(G: PermGroup, pi: PiSet, budgets: Budgets = DEFAULT_BUDGETS,
         if abelian:
             # an abelian chief factor is elementary abelian, of order p^k:
             # k cyclic factors
-            powers = prime_factorization(order)
-            certify(len(powers) == 1, f"level {i}: an abelian chief factor "
-                                      f"of order {order}, not a prime power")
-            (count,) = powers.values()
+            (count,) = prime_factorization(order).values()
             checks = [AutomizerCheck(factor_index=0, automizer_order=1,
                                      cpi_verdict=True, orbit_size=count)]
         else:

@@ -339,10 +339,12 @@ class ChiefSeries:
         return A.order() // B.order()
 
     def factor_is_abelian(self, i: int) -> bool:
-        A, B = self.factor_pair(i)
-        return all(B.contains(a.commutator(b))
-                   for idx, a in enumerate(A.generators)
-                   for b in A.generators[idx + 1:])
+        """Whether the i-th factor is abelian: exactly when its order is a
+        prime power.  A chief factor is T^k for a simple T.  An abelian T
+        has prime order, and a nonabelian simple T has at least three
+        prime divisors, since a group of order p^a q^b is solvable
+        (Burnside's p^a q^b theorem)."""
+        return len(prime_factorization(self.factor_order(i))) == 1
 
 
 def chief_series(G: PermGroup, budgets: Budgets = DEFAULT_BUDGETS,

@@ -380,7 +380,10 @@ def suite_lemma13(entries, ctx: CorpusContext):
         # one class overall, and the A-orbit of H is its whole G-class
         rep = ctx.classify(G, pi)
         cond3 = False
-        if rep.k == 1:
+        if rep.k == 1 and HA.order() == G.order():
+            # each g is h·a with h in H, so H^g = H^a: no search needed
+            cond3 = True
+        elif rep.k == 1:
             # the A-orbit of H has |A : N_A(H)| members
             h_gens, h_set = ctx.indices(name, H)
             a_set = ctx.indices(name, A)[1]

@@ -8,7 +8,10 @@ construction that the group's chain certifies by reaching it (see
 Matrix groups enter as permutation actions on nonzero vectors (see
 :mod:`pihall.linalg` for the point indexing); the dual-paired action on
 vectors and covectors realizes the inverse-transpose extension of GL_n(q)
-on twice the degree.
+on twice the degree.  Its lifts are images of matrices under
+GLHat.embed_matrix, and the GL5(2) example's dual-flag conjugator is the
+coordinate reversal w0 (`dual_flag_conjugator`), a closed form certified
+on generators.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import factorial
 
 from . import linalg
 from .groups import PermGroup, certify
-from .linalg import gf, mat_identity, mat_inverse, mat_mul, mat_transpose
+from .linalg import gf, mat_identity, mat_inverse, mat_transpose
 from .perms import Perm
 
 DEGREE_BUDGET = 10_000
@@ -192,7 +195,7 @@ def parabolic_order(dims, q: int) -> int:
     return out
 
 
-def _parabolic_generator_matrices(n: int, q: int, dims) -> list[tuple]:
+def parabolic_generator_matrices(n: int, q: int, dims) -> list[tuple]:
     """Block-lower-triangular generators of the standard-flag stabilizer:
     each block's GL generators on the diagonal, then one elementary
     transvection per adjacent pair of blocks, M[cut][cut-1] = 1 (a row of
@@ -229,7 +232,7 @@ def flag_stabilizer(n: int, q: int, dims) -> PermGroup:
     field = gf(q)
     colors = standard_flag_colors(n, q, dims)
     gens = [Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
-            for M in _parabolic_generator_matrices(n, q, dims)]
+            for M in parabolic_generator_matrices(n, q, dims)]
     certify(all(colors[y] == colors[x] for g in gens
                 for x, y in enumerate(g.images)),
             "a parabolic generator moves a colour class of the flag")
@@ -268,7 +271,7 @@ class GLHat:
     def __init__(self, n: int, q: int):
         field = gf(q)
         block = q ** n - 1
-        self.n, self.q, self.block = n, q, block
+        self.n, self.block = n, block
         self._field = field
         mats = _gl_generator_matrices(n, q)
         inner_gens = [self.embed_matrix(M) for M in mats]
@@ -285,31 +288,16 @@ class GLHat:
                                name=f"gl{n}_{q}_hat",
                                order=2 * gl_order(n, q))
 
-    def embed_matrix(self, M, vec_part=None) -> Perm:
+    def embed_matrix(self, M) -> Perm:
         """Degree-2(q^n-1) permutation: v -> v*M on the vector block,
-        c -> M^-1*c on the covector block.  `vec_part`, when given, is the
-        vector-block action of M, already computed by the caller."""
+        c -> M^-1*c on the covector block."""
         field, n, block = self._field, self.n, self.block
-        if vec_part is None:
-            vec_part = linalg.matrix_to_perm_images(field, n, M)
+        vec_part = linalg.matrix_to_perm_images(field, n, M)
         Minv_t = mat_transpose(mat_inverse(field, M))
         # column action c -> M^-1 c equals row action c -> c * (M^-1)^T
         covec_part = linalg.matrix_to_perm_images(field, n, Minv_t)
         return Perm(list(vec_part) + [x + block for x in covec_part],
                     validate=False)
-
-    def embed_subgroup(self, H: PermGroup, name=None) -> PermGroup:
-        """Lift a subgroup of gl(n,q) on the vector block to the paired
-        action.  States |H|: M -> embed_matrix(M) is a homomorphism, so the
-        lift has at most |H| elements, and its chain certifies the order by
-        reaching it (see pihall.groups)."""
-        gens = [self.embed_perm(g) for g in H.generators]
-        return PermGroup(2 * self.block, gens, name=name, order=H.order())
-
-    def embed_perm(self, g: Perm) -> Perm:
-        # perm_to_matrix certifies that its matrix induces g on the vectors
-        return self.embed_matrix(self.perm_to_matrix(g),
-                                 g.images[:self.block])
 
     def restrict_perm(self, g: Perm) -> Perm:
         """Restriction of a block-preserving element to the vector block."""
@@ -320,20 +308,6 @@ class GLHat:
     def restrict_subgroup(self, H: PermGroup) -> PermGroup:
         return PermGroup(self.block,
                          [self.restrict_perm(g) for g in H.generators])
-
-    def perm_to_matrix(self, g: Perm):
-        """Matrix of a degree-(q^n-1) permutation that is linear on vectors."""
-        n, q = self.n, self.q
-        rows = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            img = g(linalg.vec_to_point(q, e))
-            rows.append(linalg.point_to_vec(q, n, img))
-        M = tuple(rows)
-        # sanity: the matrix must reproduce the permutation
-        if linalg.matrix_to_perm_images(self._field, n, M) != g.images[:q ** n - 1]:
-            raise ValueError("permutation is not a linear map")
-        return M
 
 
 def gl52_hat() -> GLHat:
@@ -452,77 +426,33 @@ def group_file_dict(name: str) -> dict:
             "generators": [list(g.images) for g in G.generators]}
 
 
-# -- flag recovery and conjugators ----------------------------------------------
+# -- the dual-flag conjugator ---------------------------------------------------
 
 
-def flag_of_subgroup(H: PermGroup, n: int, q: int):
-    """Recover the invariant subspace chain of a flag stabilizer from its
-    orbit structure; returns (dims, chain of rref bases) or None."""
-    field = gf(q)
-    orbits = H.orbits()
-    # candidate subspaces: unions of orbits forming subspaces, built greedily
-    remaining = sorted(orbits, key=lambda o: (len(o), o))
-    chain: list[list[tuple]] = []
-    used: set[int] = set()
-    current: list[tuple] = []
-    dims = []
-    while len(used) < H.degree:
-        found = None
-        for orb in remaining:
-            if orb[0] in used:
-                continue
-            basis = linalg.rref(field, current + [
-                linalg.point_to_vec(q, n, p) for p in orb])
-            # the span holds the used points and this orbit, so it consists
-            # of exactly those when the counts agree
-            if q ** len(basis) - 1 == len(used) + len(orb):
-                found = (orb, basis)
-                break
-        if found is None:
-            return None
-        orb, basis = found
-        certify(linalg.span_points(field, basis) == used | set(orb),
-                "flag step is not the span of the used points and the orbit")
-        dims.append(len(basis) - (len(chain[-1]) if chain else 0))
-        chain.append(basis)
-        used.update(orb)
-        current = basis
-    return tuple(dims), chain
+def reversal_matrix(n: int) -> tuple:
+    """The coordinate reversal w0: e_i -> e_(n-1-i), its own inverse and
+    transpose."""
+    return tuple(tuple(1 if j == n - 1 - i else 0 for j in range(n))
+                 for i in range(n))
 
 
 def dual_flag_conjugator(H_a: PermGroup, H_b: PermGroup):
-    """An element g of gl(5,2) with H_a^g == H_b for two flag stabilizers,
-    found by mapping one invariant flag onto the other; None (with the
-    orbit-structure certificate implied) when the dimension sequences differ."""
-    n, q = 5, 2
-    rec_a = flag_of_subgroup(H_a, n, q)
-    rec_b = flag_of_subgroup(H_b, n, q)
-    if rec_a is None or rec_b is None:
-        raise ValueError("input is not a flag stabilizer")
-    dims_a, chain_a = rec_a
-    dims_b, chain_b = rec_b
-    if dims_a != dims_b:
+    """w0, the coordinate reversal acting on the 31 nonzero vectors of
+    GF(2)^5, when it conjugates H_a onto H_b; None when the orbit-length
+    multisets of H_a and H_b differ, a non-conjugacy certificate.
+
+    H_a is meant to be the transpose-inverse image of a standard flag
+    stabilizer P_d and H_b a standard one.  The image of the
+    block-lower-triangular P_d is block upper triangular: the stabilizer
+    of the flag built on the last coordinates, with dimension sequence d.
+    w0 maps that flag onto the standard flag of the reversed sequence, so
+    it conjugates the image onto P_(d reversed).  That every conjugated
+    generator of H_a lies in H_b is certified (VerificationError if not)."""
+    if sorted(map(len, H_a.orbits())) != sorted(map(len, H_b.orbits())):
         return None
-    field = gf(q)
-
-    def adapted_basis(chain):
-        # `echelon` is the row-reduced form of `basis`, grown by one rref
-        # per vector; v is new exactly when it raises the rank
-        basis: list[tuple] = []
-        echelon: list[tuple] = []
-        for step in chain:
-            for v in step:
-                grown = linalg.rref(field, echelon + [v])
-                if len(grown) > len(echelon):
-                    basis.append(v)
-                    echelon = grown
-        return tuple(basis)
-
-    A = adapted_basis(chain_a)
-    B = adapted_basis(chain_b)
-    M = mat_mul(field, mat_inverse(field, A), B)
-    g = Perm(linalg.matrix_to_perm_images(field, n, M), validate=False)
-    g_inv = g.inverse()
-    certify(all(H_b.contains(g_inv * h * g) for h in H_a.generators),
-            "flag conjugator does not conjugate H_a onto H_b")
-    return g
+    w0 = Perm(linalg.matrix_to_perm_images(gf(2), 5, reversal_matrix(5)),
+              validate=False)
+    w0_inv = w0.inverse()
+    certify(all(H_b.contains(w0_inv * h * w0) for h in H_a.generators),
+            "w0 does not conjugate H_a onto H_b")
+    return w0

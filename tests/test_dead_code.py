@@ -2,10 +2,18 @@
 somewhere in src/pihall, by name or as an attribute, outside its own body,
 and every parameter with a default is passed by some call there.  A
 definition or an option only tests use is dead code that tests keep
-alive."""
+alive.
+
+`PYTHONPATH=src python tests/test_dead_code.py --count` prints the code
+lines of each src/pihall module and their total: the lines where a token
+other than a comment or a line break starts, less the lines of
+docstrings."""
 
 import ast
+import io
 import re
+import sys
+import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -406,3 +414,35 @@ def test_only_config_decides_a_limit():
                           if arg.arg in PER_FIELD_PARAMS]
     assert not found, "limits decided outside pihall.config: " + \
         ", ".join(found)
+
+
+# -- code size -------------------------------------------------------------------
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(text: str) -> int:
+    """Lines where a token other than a comment or layout starts, less the
+    lines of module, class and function docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, *DEFS)) and node.body and \
+                isinstance(node.body[0], ast.Expr) and \
+                isinstance(node.body[0].value, ast.Constant) and \
+                isinstance(node.body[0].value.value, str):
+            docstrings.update(range(node.body[0].lineno,
+                                    node.body[0].end_lineno + 1))
+    starts = {tok.start[0] for tok in tokenize.generate_tokens(
+        io.StringIO(text).readline) if tok.type not in _LAYOUT}
+    return len(starts - docstrings)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--count"]:
+        sys.exit("usage: python tests/test_dead_code.py --count")
+    counts = {path.name: code_lines(path.read_text())
+              for path in sorted(SRC.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{name:<18}{count:>6,}")
+    print(f"{'total':<18}{sum(counts.values()):>6,}")

@@ -147,6 +147,23 @@ def test_chief_series_simple_group():
     assert not cs.factor_is_abelian(1)
 
 
+def _factor_is_abelian_by_commutators(series, i):
+    # A/B is abelian when B holds every commutator of A's generators
+    A, B = series.factor_pair(i)
+    return all(B.contains(a.commutator(b))
+               for idx, a in enumerate(A.generators)
+               for b in A.generators[idx + 1:])
+
+
+@pytest.mark.parametrize("name",
+                         sorted({name for name, _ in zoo.CORPUS_PAIRS}))
+def test_factor_is_abelian_by_order_matches_commutators(name):
+    cs = chief_series(zoo.build_named(name))
+    kinds = [cs.factor_is_abelian(i) for i in range(1, len(cs) + 1)]
+    assert kinds == [_factor_is_abelian_by_commutators(cs, i)
+                     for i in range(1, len(cs) + 1)], name
+
+
 def test_chief_series_wreath_socle():
     W = zoo.wreath(zoo.alt(5), 2)
     cs = chief_series(W)

@@ -6,9 +6,8 @@ from conftest import chain_shape
 from pihall import zoo
 from pihall.backtrack import partition_stabilizer
 from pihall.groups import PermGroup, VerificationError, _Chain
-from pihall.linalg import gf, mat_identity, mat_inverse, mat_mul, \
-    mat_transpose, matrix_to_perm_images, point_to_vec, rref, span_points, \
-    vec_to_point
+from pihall.linalg import gf, mat_identity, mat_inverse, mat_transpose, \
+    matrix_to_perm_images, point_to_vec
 from pihall.perms import Perm
 
 GL_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]
@@ -49,16 +48,26 @@ def test_field_tables():
 
 
 def test_matrix_inverse_round_trip():
+    # row i of M times M^-1 is the i-th unit vector
     F = gf(4)
     M = ((1, 2, 0), (0, 1, 3), (2, 0, 1))
-    assert mat_mul(F, M, mat_inverse(F, M)) == mat_identity(3)
+    M_inv = mat_inverse(F, M)
+    assert tuple(_vec_mat(F, row, M_inv) for row in M) == mat_identity(3)
+
+
+def _point_index(q, v):
+    # the nonzero vector's base-q digits, least significant first, less 1
+    return sum(d * q ** i for i, d in enumerate(v)) - 1
 
 
 def test_vector_point_indexing_least_significant_first():
-    assert vec_to_point(2, (1, 0, 0)) == 0
-    assert vec_to_point(2, (0, 1, 0)) == 1
-    assert vec_to_point(2, (1, 1, 0)) == 2
+    assert point_to_vec(2, 3, 0) == (1, 0, 0)
+    assert point_to_vec(2, 3, 1) == (0, 1, 0)
+    assert point_to_vec(2, 3, 2) == (1, 1, 0)
     assert point_to_vec(2, 3, 5) == (0, 1, 1)
+    for q, n in ((2, 3), (3, 2), (4, 2)):
+        assert [_point_index(q, point_to_vec(q, n, p))
+                for p in range(q ** n - 1)] == list(range(q ** n - 1))
 
 
 def test_deterministic_rebuild():
@@ -116,14 +125,14 @@ def test_flag_stabilizer_is_the_searched_colour_stabilizer():
 def test_flag_generator_off_the_block_triangle_fails_verification(
         monkeypatch):
     # an upper transvection moves a vector of the first flag step out of it
-    closed_form = zoo._parabolic_generator_matrices
+    closed_form = zoo.parabolic_generator_matrices
 
     def with_upper(n, q, dims):
         upper = [list(row) for row in mat_identity(n)]
         upper[0][n - 1] = 1
         return closed_form(n, q, dims) + [tuple(map(tuple, upper))]
 
-    monkeypatch.setattr(zoo, "_parabolic_generator_matrices", with_upper)
+    monkeypatch.setattr(zoo, "parabolic_generator_matrices", with_upper)
     with pytest.raises(VerificationError, match="colour class"):
         zoo.flag_stabilizer(3, 2, (1, 2))
 
@@ -132,8 +141,8 @@ def test_flag_stabilizer_missing_transvection_fails_verification(
         monkeypatch):
     # without the last transvection the generators stay inside the
     # parabolic subgroup but generate less than its stated order
-    closed_form = zoo._parabolic_generator_matrices
-    monkeypatch.setattr(zoo, "_parabolic_generator_matrices",
+    closed_form = zoo.parabolic_generator_matrices
+    monkeypatch.setattr(zoo, "parabolic_generator_matrices",
                         lambda n, q, dims: closed_form(n, q, dims)[:-1])
     with pytest.raises(VerificationError, match="stated order"):
         zoo.flag_stabilizer(5, 2, (2, 1, 2))
@@ -161,10 +170,45 @@ def test_iota_conjugation_is_inverse_transpose():
         assert hat.inner.contains(conj)
 
 
-def test_dual_flag_conjugator_identity():
-    H1 = zoo.flag_stabilizer(5, 2, (2, 1, 2))
-    g = zoo.dual_flag_conjugator(H1, H1)
-    assert g is not None
+def _dual_image(hat, dims):
+    # the iota-conjugate of the lifted flag stabilizer, on the vectors
+    conj = [hat.iota.inverse() * hat.embed_matrix(M) * hat.iota
+            for M in zoo.parabolic_generator_matrices(5, 2, dims)]
+    return hat.restrict_subgroup(PermGroup(2 * hat.block, conj))
+
+
+W0 = Perm(matrix_to_perm_images(gf(2), 5, zoo.reversal_matrix(5)))
+
+
+def test_dual_flag_conjugator_is_w0_on_every_dual_image():
+    # the transpose-inverse image of P_d is conjugate by w0 to the
+    # stabilizer of the reversed flag, for every composition d of 5
+    hat = zoo.gl52_hat()
+    compositions = list(_compositions(5))
+    assert len(compositions) == 16
+    for dims in compositions:
+        image = _dual_image(hat, dims)
+        target = zoo.flag_stabilizer(5, 2, dims[::-1])
+        assert zoo.dual_flag_conjugator(image, target) == W0, dims
+        assert all(target.contains(h.conjugate(W0))
+                   for h in image.generators), dims
+
+
+def test_dual_flag_conjugator_none_exactly_when_orbit_multisets_differ():
+    # an orbit of P_e has 2^c(2^d - 1) points, c the dimension before its
+    # step and d the step's: the multiset determines e, so only the
+    # reversed composition shares the image's multiset
+    hat = zoo.gl52_hat()
+    compositions = list(_compositions(5))
+    images = {dims: _dual_image(hat, dims) for dims in compositions}
+    flags = {dims: zoo.flag_stabilizer(5, 2, dims) for dims in compositions}
+    for d, image in images.items():
+        for e, target in flags.items():
+            differ = sorted(map(len, image.orbits())) != \
+                sorted(map(len, target.orbits()))
+            assert differ == (e != d[::-1]), (d, e)
+            g = zoo.dual_flag_conjugator(image, target)
+            assert (g is None) == differ, (d, e)
 
 
 def test_dual_flag_conjugator_between_types():
@@ -174,24 +218,26 @@ def test_dual_flag_conjugator_between_types():
 
 
 def test_dual_flag_conjugator_on_conjugate():
+    # a random GL5(2)-conjugate of P_d shares its orbit multiset but is no
+    # dual image: w0 does not carry it onto P_d, and the certificate says so
     G = zoo.gl(5, 2)
     H1 = zoo.flag_stabilizer(5, 2, (2, 1, 2))
     t = G.random_element(9)
     Ht = type(H1)(31, [h.conjugate(t) for h in H1.generators])
-    g = zoo.dual_flag_conjugator(Ht, H1)
-    assert g is not None
-    assert all(H1.contains(h.conjugate(g)) for h in Ht.generators)
+    assert sorted(map(len, Ht.orbits())) == sorted(map(len, H1.orbits()))
+    with pytest.raises(VerificationError, match="w0"):
+        zoo.dual_flag_conjugator(Ht, H1)
 
 
 def test_dual_flag_conjugator_failure_fails_verification(monkeypatch):
-    # a wrong basis change (the identity) must not pass as a conjugator
-    G = zoo.gl(5, 2)
-    H1 = zoo.flag_stabilizer(5, 2, (2, 1, 2))
-    t = G.random_element(9)
-    Ht = type(H1)(31, [h.conjugate(t) for h in H1.generators])
-    monkeypatch.setattr(zoo, "mat_mul", lambda field, A, B: mat_identity(5))
+    # a wrong closed form (the identity in place of w0) must not pass as a
+    # conjugator between a dual image and the reversed flag's stabilizer
+    image = _dual_image(zoo.gl52_hat(), (1, 2, 2))
+    H3 = zoo.flag_stabilizer(5, 2, (2, 2, 1))
+    assert zoo.dual_flag_conjugator(image, H3) == W0
+    monkeypatch.setattr(zoo, "reversal_matrix", mat_identity)
     with pytest.raises(VerificationError):
-        zoo.dual_flag_conjugator(Ht, H1)
+        zoo.dual_flag_conjugator(image, H3)
 
 
 def test_build_from_spec_matches_names():
@@ -289,7 +335,7 @@ def test_gl_hat_certifies_the_swap(monkeypatch):
             zoo.GLHat(3, 2)
 
 
-# -- matrix actions and spans ---------------------------------------------------
+# -- matrix actions -----------------------------------------------------------
 
 
 def _invertible_matrices(n, q, count, rng):
@@ -323,24 +369,8 @@ def test_matrix_to_perm_images_by_linearity(n, q):
         _invertible_matrices(n, q, 4, random.Random(n * 10 + q))
     for M in mats:
         assert matrix_to_perm_images(F, n, M) == tuple(
-            vec_to_point(q, _vec_mat(F, point_to_vec(q, n, p), M))
+            _point_index(q, _vec_mat(F, point_to_vec(q, n, p), M))
             for p in range(q ** n - 1))
     singular = (tuple([0] * n),) + tuple(mat_identity(n)[1:])
     with pytest.raises(ValueError):
         matrix_to_perm_images(F, n, singular)
-
-
-def in_span(F, basis, v):
-    """Whether adding v to the basis leaves its rank unchanged."""
-    return len(rref(F, list(basis) + [v])) == len(rref(F, basis))
-
-
-@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (3, 3), (2, 4)])
-def test_span_points_match_in_span(n, q):
-    F = gf(q)
-    rng = random.Random(n * 10 + q)
-    for k in range(1, n + 1):
-        basis = _invertible_matrices(n, q, 1, rng)[0][:k]
-        assert span_points(F, basis) == {
-            p for p in range(q ** n - 1)
-            if in_span(F, basis, point_to_vec(q, n, p))}
