@@ -3,9 +3,20 @@
 One engine serves set/partition stabilizers, normalizers, centralizers and
 subgroup-conjugacy searches.  Nodes are partial base-image assignments; the
 composed coset representative ``w`` realizes the assignment, candidates at
-each level are the translated fundamental orbit.  Subgroup-type searches
-grow a known subgroup K and prune identity-prefix levels to K-orbit minima,
-which keeps the leaf count near the number of missing generators.
+each level are the translated fundamental orbit.
+
+Subgroup-type searches grow a known subgroup K of the result R and prune
+by coset minimality (Leon, J. Symb. Comput. 12 (1991); Seress,
+*Permutation Group Algorithms* (2003), section 9.1).  At a level L whose
+prefix is the identity, with base point b = b_L and K_L the pointwise
+stabilizer of b_0..b_{L-1} in K, the search keeps b itself, drops every
+other point of b's K_L-orbit, and keeps only the least point of each other
+K_L-orbit.  Sound: for g in the subtree of a dropped c, some k in K_L maps
+c to the kept point c' of its orbit, so g k is in the c' subtree (the
+identity branch when c' = b), and g k is in R but outside K exactly when
+g is.  The identity branch must stay even when b is not its orbit's least
+point: dropping the whole orbit then loses every element fixing b.  This
+keeps the leaf count near the number of missing generators.
 
 The run's node budget (``Budgets.node_budget``) turns runaway instances
 into a clean :class:`BudgetExceededError` instead of an open-ended search.
@@ -132,7 +143,10 @@ class _Searcher:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceededError("search-nodes")
-            if minmap is not None and minmap[c] != c:
+            # b's own K-orbit is covered by the identity branch; every
+            # other orbit, by its least point
+            if (minmap is not None and c != b
+                    and (minmap[c] == minmap[b] or minmap[c] != c)):
                 continue
             if self.prop.veto(level, b, c):
                 continue

@@ -180,12 +180,13 @@ class _Chain:
     the upper bounds |GL_n(q)| for ``zoo.gl`` and ``zoo.GLHat.inner``
     (images of invertible matrices), the parabolic order for
     ``zoo.flag_stabilizer`` (block-lower-triangular matrices) and
-    2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies
-    that the swap is an involution normalizing the inner copy); |H1| for
-    the GL5(2) example's lift of the flag stabilizer H1 (the image of the
-    group of H1's generator matrices under the homomorphism M ->
-    ``zoo.GLHat.embed_matrix(M)``); the known subgroup's order for
-    the chain a backtrack subgroup search grows
+    2|GL_n(q)| for ``zoo.GLHat.group`` (after the constructor certifies,
+    with no chain, that the swap is an involution conjugating each
+    generator embed_matrix(M) to embed_matrix(M^-T), so that it normalizes
+    the inner copy); |H1| for the GL5(2) example's lift of the flag
+    stabilizer H1 (the image of the group of H1's generator matrices under
+    the homomorphism M -> ``zoo.GLHat.embed_matrix(M)``); the known
+    subgroup's order for the chain a backtrack subgroup search grows
     (``backtrack.subgroup_search``); and 2|H1_lift| for the GL5(2)
     example's H = <H1_lift, x> (after the example checks that x is an
     involution normalizing H1_lift).  A span's chain states none; the

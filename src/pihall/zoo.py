@@ -261,11 +261,13 @@ class GLHat:
 
     Both groups state their orders.  ``inner`` is the image of GL_n(q)
     under M -> embed_matrix(M), so it has at most |GL_n(q)| elements.
-    ``group`` states 2|GL_n(q)| only after the constructor certifies that
-    iota is an involution normalizing ``inner`` (iota^2 = 1 and iota g iota
-    in ``inner`` for every generator g), so that ``inner`` has index at
-    most 2 in it.  Each chain then certifies its stated order by reaching
-    it (see pihall.groups).
+    ``group`` states 2|GL_n(q)| only after the constructor certifies, with
+    no stabilizer chain, that iota is an involution and that
+    iota embed_matrix(M) iota = embed_matrix(M^-T) for each generator
+    matrix M.  Then iota normalizes ``inner`` (each conjugated generator is
+    the image of an invertible matrix), so ``inner`` has index at most 2 in
+    ``group``.  Each chain then certifies its stated order by reaching it
+    (see pihall.groups).
     """
 
     def __init__(self, n: int, q: int):
@@ -279,11 +281,13 @@ class GLHat:
         self.iota = iota
         self.inner = PermGroup(2 * block, inner_gens, name=f"gl{n}_{q}@hat",
                                order=gl_order(n, q))
+        duals = [self.embed_matrix(mat_transpose(mat_inverse(field, M)))
+                 for M in mats]
         certify((iota * iota).is_identity()
-                and all(self.inner.contains(iota * g * iota)
-                        for g in inner_gens),
-                "the block swap is not an involution normalizing the inner "
-                "copy")
+                and all(iota * g * iota == d
+                        for g, d in zip(inner_gens, duals)),
+                "the block swap is not an involution conjugating each "
+                "generator to its inverse transpose")
         self.group = PermGroup(2 * block, inner_gens + [iota],
                                name=f"gl{n}_{q}_hat",
                                order=2 * gl_order(n, q))

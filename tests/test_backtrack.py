@@ -4,9 +4,9 @@ import pytest
 
 from conftest import brute_centralizer, brute_group_elements, brute_normalizer
 from pihall import zoo
-from pihall.backtrack import (BudgetExceededError, centralizer,
-                              conjugating_element, normalizer,
-                              partition_stabilizer)
+from pihall.backtrack import (BudgetExceededError, ConjugacyProperty,
+                              centralizer, conjugating_element, normalizer,
+                              partition_stabilizer, subgroup_search)
 from pihall.config import Budgets
 from pihall.groups import PermGroup
 from pihall.perms import Perm
@@ -37,17 +37,41 @@ def test_centralizer_alt3_in_sym3():
     assert len(brute_centralizer(S3, A3)) == 3
 
 
+BRUTE_POOL = [zoo.sym(4), zoo.sym(5), zoo.alt(5), zoo.dihedral(6),
+              zoo.psl2(7), zoo.wreath(zoo.sym(3), 2)]
+
+
 def test_randomized_against_brute_force():
     rng = random.Random(5)
-    pool = [zoo.sym(4), zoo.sym(5), zoo.alt(5), zoo.dihedral(6),
-            zoo.psl2(7), zoo.wreath(zoo.sym(3), 2)]
-    for G in pool:
+    for G in BRUTE_POOL:
         els = sorted(brute_group_elements(G), key=lambda p: p.images)
         for _ in range(5):
             H = PermGroup(G.degree,
                           [rng.choice(els) for _ in range(rng.randint(1, 2))])
             assert normalizer(G, H).order() == len(brute_normalizer(G, H))
             assert centralizer(G, H).order() == len(brute_centralizer(G, H))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_searches_match_brute_force(seed):
+    # relabelled points and a shuffled base put base points that are not
+    # the least of their known-subgroup orbit under the search, where the
+    # identity-prefix prune must keep the base point's branch
+    rng = random.Random(seed)
+    for G0 in BRUTE_POOL:
+        n = G0.degree
+        sigma = Perm(rng.sample(range(n), n))
+        G = PermGroup(n, [g.conjugate(sigma) for g in G0.generators])
+        els = sorted(brute_group_elements(G), key=lambda p: p.images)
+        for _ in range(8):
+            H = PermGroup(n, [rng.choice(els)
+                              for _ in range(rng.randint(1, 2))])
+            N = subgroup_search(G, ConjugacyProperty(H, H), known=H,
+                                chain=G.fresh_chain(
+                                    hint=rng.sample(range(n), n)))
+            assert brute_group_elements(N) == brute_normalizer(G, H)
+            C = centralizer(G, H)
+            assert brute_group_elements(C) == brute_centralizer(G, H)
 
 
 def test_centralizer_of_inner_copy_in_extension_is_trivial():

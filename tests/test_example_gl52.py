@@ -87,7 +87,7 @@ def test_registry_feeds_generic_reduction(gl52_example_report, gl52_known):
 def test_every_search_gets_the_node_budget(monkeypatch):
     # --budget-nodes must reach every backtrack search of the example.  The
     # flag stabilizers are built from generators, so the one search left
-    # is the extension's normalizer, and its 4,350 nodes are all the
+    # is the extension's normalizer, and its 848 nodes are all the
     # example visits
     from pihall import backtrack
     from pihall.config import Budgets
@@ -106,7 +106,7 @@ def test_every_search_gets_the_node_budget(monkeypatch):
     assert report["verdict"] is True
     assert [s.budget for s in searchers] == [budget]
     assert type(searchers[0].prop) is backtrack.ConjugacyProperty
-    assert searchers[0].nodes == 4350
+    assert searchers[0].nodes == 848
 
 
 def test_example_sift_work_gate(monkeypatch):
@@ -130,14 +130,14 @@ def test_example_sift_work_gate(monkeypatch):
 
 
 def test_example_chains_match_full_verification():
-    # each of the 9 chains the example builds states an order; stopped
+    # each of the 8 chains the example builds states an order; stopped
     # there, it has the base, level generators and orbits that full
     # verification gives, and the report is the same
     from pihall.example_gl52 import run_example
 
     early, early_report = chains_built(run_example, stated=True)
     full, full_report = chains_built(run_example, stated=False)
-    assert len(early) == len(full) == 9
+    assert len(early) == len(full) == 8
     assert all(order is not None for _, order in early)
     for (a, _), (b, _) in zip(early, full):
         assert a.order() == b.order()

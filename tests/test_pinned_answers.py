@@ -32,7 +32,7 @@ from pihall.reduction import cpi_reduce
 from pihall.suites import run_corpus
 
 PINNED_DIGEST = (
-    "fff2449906bb208aa318723ef29c934a88997ba908b062dfb3a1ca43d4ec8954")
+    "1a942e0e8197dc59034d4e1823b64db6d79007b8ee8b7eabfd6a0c8a40082339")
 PINNED_EXAMPLE_DIGEST = (
     "0e5e8ed89f38a2d96d92022b242b861692f6138577f1a2f4311e8830ebdc7b61")
 PINNED_CORPUS_DIGEST = (
@@ -40,11 +40,13 @@ PINNED_CORPUS_DIGEST = (
 PINNED_K_DIGEST = (
     "314efc3feaf10d2457503cf791004bc2450e6384cf2950453bb2d26f8ab30fed")
 PINNED_CLI_DIGEST = (
-    "1abd02889ad2fba0ae778609b628fcac8786f566be45af8cb089c4474863b346")
+    "01c668bf3c3cfae3cfa85cfc789a23e66fe82973afbfd9e2b02394d676c2ee58")
 SEEDS = (1, 2)
 # the pairs whose reduction witness moved when found groups stopped
-# adopting the chain that found them
-MOVED_PAIRS = (("sym4wr2", "2,3"), ("sym4wr2", "2"), ("alt5wr2", "2,3"))
+# adopting the chain that found them, and when subgroup searches stopped
+# walking the base point's own known-subgroup orbit (sym5)
+MOVED_PAIRS = (("sym4wr2", "2,3"), ("sym4wr2", "2"), ("alt5wr2", "2,3"),
+               ("sym5", "2,3"))
 # (group, --normal, --pi) for `pihall k`
 K_INPUTS = (("gl3_2", "zoo:gl3_2", "2,3"), ("sym5", "derived", "2,3"),
             ("alt5wr2", "socle", "2,3"), ("alt5wr2", "socle", "2,5"),

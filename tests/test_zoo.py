@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import chain_shape
+from conftest import chain_shape, chains_built
 from pihall import zoo
 from pihall.backtrack import partition_stabilizer
 from pihall.groups import PermGroup, VerificationError, _Chain
@@ -158,6 +158,14 @@ def test_gl52_hat_structure():
     restricted = hat.restrict_subgroup(hat.inner)
     assert [g.images for g in restricted.generators] == \
            [g.images for g in zoo.gl(5, 2).generators]
+
+
+def test_gl_hat_builds_no_chain():
+    # the swap is certified on generator matrices; the first chain built is
+    # the one a caller asks for
+    built, hat = chains_built(lambda: zoo.GLHat(5, 2), stated=True)
+    assert built == []
+    assert hat.group.chain().order() == 2 * 9999360
 
 
 def test_iota_conjugation_is_inverse_transpose():
@@ -327,9 +335,11 @@ def test_gl_hat_certifies_the_swap(monkeypatch):
     block = 2 ** 3 - 1
     swap = zoo._block_swap(block)
     tau = Perm.from_cycles(2 * block, (0, 1))
-    # an involution that moves the block structure off the linear one,
-    # then a swap that is no involution
-    for bad in (tau * swap * tau, swap * tau):
+    # an involution that moves the block structure off the linear one, a
+    # swap that is no involution, and the identity, an involution that
+    # normalizes the inner copy but conjugates embed_matrix(M) to itself,
+    # not to embed_matrix(M^-T)
+    for bad in (tau * swap * tau, swap * tau, Perm.identity(2 * block)):
         monkeypatch.setattr(zoo, "_block_swap", lambda b, bad=bad: bad)
         with pytest.raises(VerificationError):
             zoo.GLHat(3, 2)
