@@ -42,6 +42,12 @@ class BudgetExceededError(RuntimeError):
         self.kind = kind
         self.detail = detail
 
+    @property
+    def verdict(self) -> str:
+        """The answer this error stands for in a report, where a verdict is
+        true, false or this string: "budget_exceeded:<kind>"."""
+        return f"budget_exceeded:{self.kind}"
+
 
 class SearchProperty:
     """Pruning and acceptance callbacks for one backtrack search."""

@@ -169,22 +169,40 @@ def _budgets(args) -> Budgets:
                    order_budget=args.budget_order)
 
 
-def _finish(args, command: str, input_desc: dict, pi: PiSet | None,
-            results: dict, timings: dict, text: str, code: int) -> int:
-    """Write the `--json` report, print the text and return the exit code.
+def _report(args, command: str, input_desc: dict, pi: PiSet | None,
+            work, present, head: str | None = None) -> int:
+    """Run one command's computation, report it and return the exit code.
 
-    The report schema is one for every command: `schema_version`,
+    work() is timed; a budget error it raises is an answer, reported as
+    its verdict with exit 3.  Otherwise present(value, ms) gives the
+    results, any further timings, the summary text and the exit code.
+
+    The `--json` report schema is one for every command: `schema_version`,
     `command`, `input`, `pi`, `seed`, `budgets`, `results` and `timings`.
     Verdict fields are tri-state: true, false, or a "budget_exceeded:<kind>"
     string.  The results section is deterministic for fixed seed and
     budgets; timings live outside it so reports can be compared byte for
     byte."""
+    t0 = time.perf_counter()
+    try:
+        value, verdict = work(), None
+    except BudgetExceededError as exc:
+        value, verdict = None, exc.verdict
+    ms = int((time.perf_counter() - t0) * 1000)
+    if verdict is None:
+        results, timings, text, code = present(value, ms)
+    else:
+        results, timings, text, code = ({"verdict": verdict}, {},
+                                        f"{head or command}: {verdict}",
+                                        EXIT_BUDGET)
     if args.json:
+        # example-gl52's time is example_ms
+        clock = command.partition("-")[0] + "_ms"
         report = {"schema_version": SCHEMA_VERSION, "command": command,
                   "input": input_desc,
                   "pi": None if pi is None else pi.key(), "seed": args.seed,
                   "budgets": asdict(_budgets(args)), "results": results,
-                  "timings": timings}
+                  "timings": {clock: ms, **timings}}
         Path(args.json).write_text(
             json.dumps(report, indent=1, sort_keys=True) + "\n",
             encoding="utf-8")
@@ -193,29 +211,14 @@ def _finish(args, command: str, input_desc: dict, pi: PiSet | None,
 
 
 def _query(args, command: str, compute, present) -> int:
-    """Run one query on the group and prime set of the command line.
-
-    compute(G, pi, budgets, seed) is timed; a budget error it raises is an
-    answer, reported as the verdict "budget_exceeded:<kind>" with exit 3.
-    Otherwise present(value) gives the results, any further timings, the
-    summary line and the exit code."""
-    budgets = _budgets(args)
+    """Run one query on the group and prime set of the command line:
+    compute(G, pi, budgets, seed), whose value present(value) reports."""
     pi = parse_pi(args.pi)
     G, input_desc = resolve_group(args.group)
-    t0 = time.perf_counter()
-    try:
-        value = compute(G, pi, budgets, args.seed)
-    except BudgetExceededError as exc:
-        value = f"budget_exceeded:{exc.kind}"  # no compute returns a str
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if isinstance(value, str):
-        results, timings, line, code = ({"verdict": value}, {},
-                                         f"{command} {args.group}: {value}",
-                                         EXIT_BUDGET)
-    else:
-        results, timings, line, code = present(value)
-    return _finish(args, command, input_desc, pi, results,
-                   {f"{command}_ms": elapsed, **timings}, line, code)
+    return _report(args, command, input_desc, pi,
+                   lambda: compute(G, pi, _budgets(args), args.seed),
+                   lambda value, _ms: present(value),
+                   head=f"{command} {args.group}")
 
 
 # -- commands ------------------------------------------------------------------
@@ -284,36 +287,39 @@ def cmd_k(args) -> int:
 def cmd_corpus(args) -> int:
     from .suites import run_corpus
     entries = load_manifest(Path(args.manifest)) if args.manifest else None
-    t0 = time.perf_counter()
-    run = run_corpus(entries=entries, budgets=_budgets(args), seed=args.seed,
-                     jobs=args.jobs)
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    lines = [f"{'entry':<14}{'pi':<8}{'agree':<7}{'manifest':<9}"]
-    for r in run.entries:
-        lines.append(f"{r.name:<14}{r.pi:<8}{str(r.agree):<7}"
-                     f"{str(r.matches_manifest):<9}")
-    lines.append(f"{'suite':<18}{'checked':<9}result")
-    for s in run.suites:
-        status = ("pass" if s.passed else
-                  "FAIL: " + "; ".join(s.violations[:2]) if s.violations
-                  else "; ".join(s.notes))
-        lines.append(f"{s.key:<18}{s.checked:<9}{status}")
-    # a budget verdict is no failure, but no pass either
-    failed = (any(s.violations for s in run.suites)
-              or any(r.agree is False
-                     or (isinstance(r.observed, dict)
-                         and not r.matches_manifest) for r in run.entries))
-    exceeded = (any(s.budget_exceeded for s in run.suites)
-                or any(r.agree is None or isinstance(r.observed, str)
-                       for r in run.entries))
-    code, summary = (EXIT_VERIFY, "FAILURES PRESENT") if failed else \
-        (EXIT_BUDGET, "budget exceeded") if exceeded else \
-        (EXIT_OK, "all suites pass")
-    lines.append(f"corpus: {summary} ({elapsed} ms)")
-    return _finish(args, "corpus", {"manifest": args.manifest or "builtin"},
-                   None, run.to_dict(),
-                   {"corpus_ms": elapsed, "entries": run.entry_timings()},
-                   "\n".join(lines), code)
+
+    def present(run, ms):
+        lines = [f"{'entry':<14}{'pi':<8}{'agree':<7}{'manifest':<9}"]
+        for r in run.entries:
+            lines.append(f"{r.name:<14}{r.pi:<8}{str(r.agree):<7}"
+                         f"{str(r.matches_manifest):<9}")
+        lines.append(f"{'suite':<18}{'checked':<9}result")
+        for s in run.suites:
+            status = ("pass" if s.passed else
+                      "FAIL: " + "; ".join(s.violations[:2]) if s.violations
+                      else "; ".join(s.notes))
+            lines.append(f"{s.key:<18}{s.checked:<9}{status}")
+        # a budget verdict is no failure, but no pass either
+        failed = (any(s.violations for s in run.suites)
+                  or any(r.agree is False
+                         or (isinstance(r.observed, dict)
+                             and not r.matches_manifest)
+                         for r in run.entries))
+        exceeded = (any(s.budget_exceeded for s in run.suites)
+                    or any(r.agree is None or isinstance(r.observed, str)
+                           for r in run.entries))
+        code, summary = (EXIT_VERIFY, "FAILURES PRESENT") if failed else \
+            (EXIT_BUDGET, "budget exceeded") if exceeded else \
+            (EXIT_OK, "all suites pass")
+        lines.append(f"corpus: {summary} ({ms} ms)")
+        return (run.to_dict(), {"entries": run.entry_timings()},
+                "\n".join(lines), code)
+
+    return _report(args, "corpus", {"manifest": args.manifest or "builtin"},
+                   None, lambda: run_corpus(entries=entries,
+                                            budgets=_budgets(args),
+                                            seed=args.seed, jobs=args.jobs),
+                   present)
 
 
 def cmd_zoo(args) -> int:
@@ -346,31 +352,26 @@ def cmd_zoo(args) -> int:
 
 def cmd_example(args) -> int:
     from .example_gl52 import ExampleFailure, run_example
-    t0 = time.perf_counter()
+
+    def present(results, ms):
+        lines = []
+        for c in results["claims"]:
+            status = "assumed" if c.get("assumed") else \
+                "ok" if c["ok"] else "FAIL"
+            lines.append(f"  [{status}] {c['name']}: {c['detail']}")
+        assumed = sum(1 for c in results["claims"] if c.get("assumed"))
+        lines.append(f"example-gl52: all {len(results['claims'])} claims "
+                     f"verified ({ms} ms), {assumed} of them assumed; "
+                     f"{results['exhaustiveness']}")
+        return results, {}, "\n".join(lines), EXIT_OK
+
     try:
-        results = run_example(budgets=_budgets(args), seed=args.seed)
+        return _report(args, "example-gl52", {"zoo": "gl52hat"},
+                       PiSet([2, 3]), lambda: run_example(
+                           budgets=_budgets(args), seed=args.seed), present)
     except ExampleFailure as exc:
         print(f"example-gl52: FAILED claim {exc.claim}: {exc}")
         return EXIT_VERIFY
-    except BudgetExceededError as exc:
-        verdict = f"budget_exceeded:{exc.kind}"
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return _finish(args, "example-gl52", {"zoo": "gl52hat"},
-                       PiSet([2, 3]), {"verdict": verdict},
-                       {"example_ms": elapsed}, f"example-gl52: {verdict}",
-                       EXIT_BUDGET)
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    lines = []
-    for c in results["claims"]:
-        status = "assumed" if c.get("assumed") else "ok" if c["ok"] else "FAIL"
-        lines.append(f"  [{status}] {c['name']}: {c['detail']}")
-    assumed = sum(1 for c in results["claims"] if c.get("assumed"))
-    lines.append(f"example-gl52: all {len(results['claims'])} claims verified "
-                 f"({elapsed} ms), {assumed} of them assumed; "
-                 f"{results['exhaustiveness']}")
-    return _finish(args, "example-gl52", {"zoo": "gl52hat"}, PiSet([2, 3]),
-                   results, {"example_ms": elapsed}, "\n".join(lines),
-                   EXIT_OK)
 
 
 # -- argument plumbing ------------------------------------------------------------
@@ -435,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("zoo_action", choices=["list", "emit"])
     p.add_argument("name", nargs="?")
     p.add_argument("--out", default=None)
-    _add_common(p, with_pi=False)
     p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("example-gl52",
@@ -454,9 +454,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

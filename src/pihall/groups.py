@@ -375,8 +375,9 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.name = name
-        # stated order (see _Chain); read off the chain when not stated
-        self._order = order
+        # stated order (see _Chain); read off the chain when not stated,
+        # and 1 with no generator
+        self._order = 1 if order is None and not gens else order
         self._chain_cache: _Chain | None = None
 
     # -- chain plumbing ----------------------------------------------------

@@ -265,13 +265,13 @@ def compare_with_oracle(G: PermGroup, pi: PiSet,
         trace = cpi_reduce(G, pi, budgets, seed)
         red: bool | str = trace.verdict
     except BudgetExceededError as exc:
-        trace, red = None, f"budget_exceeded:{exc.kind}"
+        trace, red = None, exc.verdict
     timings["reduce_ms"] = int((time.perf_counter() - t0) * 1000)
     t0 = time.perf_counter()
     try:
         oracle: bool | str = classify_EC(G, pi, budgets, seed).C
     except BudgetExceededError as exc:
-        oracle = f"budget_exceeded:{exc.kind}"
+        oracle = exc.verdict
     timings["oracle_ms"] = int((time.perf_counter() - t0) * 1000)
     agree = None
     if isinstance(red, bool) and isinstance(oracle, bool):

@@ -49,11 +49,12 @@ class SuiteResult:
     name: str
     checked: int = 0
     violations: list[str] = field(default_factory=list)
+    # the budget verdict that stopped the suite is its only note
     notes: list[str] = field(default_factory=list)
 
     @property
     def budget_exceeded(self) -> bool:
-        return any(n.startswith("budget_exceeded:") for n in self.notes)
+        return bool(self.notes)
 
     @property
     def passed(self) -> bool:
@@ -189,7 +190,7 @@ def run_entry_comparisons(entries, ctx: CorpusContext) -> list[CorpusEntryResult
             observed = ctx.classify(G, pi).flags()
             matches = observed == e["expected"]
         except BudgetExceededError as exc:
-            observed = f"budget_exceeded:{exc.kind}"
+            observed = exc.verdict
             matches = False
         out.append(CorpusEntryResult(
             name=e["name"], pi=e["pi"], expected=e["expected"],
@@ -216,7 +217,7 @@ def _suite(key: str, name: str):
                     res.checked += 1
                     res.violations += violations
             except BudgetExceededError as exc:
-                res.notes.append(f"budget_exceeded:{exc.kind}")
+                res.notes.append(exc.verdict)
             return res
         return suite
     return wrap

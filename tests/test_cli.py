@@ -217,6 +217,12 @@ def test_zoo_emit_and_list(capsys, tmp_path):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["degree"] == 5 and len(data["generators"]) == 3
+    # zoo reads no seed, budget or report path, so it takes none
+    for flag in (["--seed", "1"], ["--budget-nodes", "5"],
+                 ["--budget-order", "5"], ["--json", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zoo", "list", *flag])
+        assert exc.value.code == 2, flag
 
 
 def test_example_command(capsys, gl52_example_report):

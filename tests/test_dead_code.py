@@ -36,11 +36,11 @@ ALLOWED = {
 # Defaulted parameters no call in src/pihall passes, one reason each.
 ALLOWED_PARAMS = {
     "cpi_reduce(known)": "test-only special-case registry; removed with "
-                         "the registry (ROADMAP item 2)",
+                         "the registry (ROADMAP item 9)",
     "find_hall(known)": "test-only special-case registry; removed with "
-                        "the registry (ROADMAP item 2)",
+                        "the registry (ROADMAP item 9)",
     "run_example(known)": "test-only special-case registry; removed with "
-                          "the registry (ROADMAP item 2)",
+                          "the registry (ROADMAP item 9)",
     "partition_stabilizer(budgets)": "no caller in the package; kept with "
                                      "the function for the benchmark",
     "are_conjugate(budgets)": "no caller in the package; kept with the "
@@ -319,6 +319,36 @@ def test_no_assert_statements():
     assert not found, "assert statements in src/pihall: " + ", ".join(found)
 
 
+# -- the budget verdict -----------------------------------------------------------
+
+
+def _docstrings(tree) -> list:
+    """The docstring constants of a module and of its classes and
+    functions."""
+    return [node.body[0].value for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *DEFS)) and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)]
+
+
+def test_only_backtrack_builds_the_budget_verdict():
+    # BudgetExceededError.verdict is the one producer of the tri-state
+    # "budget_exceeded:<kind>" string; a copy elsewhere, built or parsed,
+    # can drift from it.  Docstrings may name it
+    found = []
+    for fname, tree in _trees().items():
+        if fname == "backtrack.py":
+            continue
+        docs = set(_docstrings(tree))
+        found += [f"{fname}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node not in docs
+                  and isinstance(node.value, str)
+                  and "budget_exceeded:" in node.value]
+    assert not found, "budget verdict strings outside backtrack.py: " + \
+        ", ".join(found)
+
+
 # -- budgets and seed -------------------------------------------------------------
 
 RUN_PARAMS = ("budgets", "seed")
@@ -425,14 +455,8 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 def code_lines(text: str) -> int:
     """Lines where a token other than a comment or layout starts, less the
     lines of module, class and function docstrings."""
-    docstrings = set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Module, *DEFS)) and node.body and \
-                isinstance(node.body[0], ast.Expr) and \
-                isinstance(node.body[0].value, ast.Constant) and \
-                isinstance(node.body[0].value.value, str):
-            docstrings.update(range(node.body[0].lineno,
-                                    node.body[0].end_lineno + 1))
+    docstrings = {line for doc in _docstrings(ast.parse(text))
+                  for line in range(doc.lineno, doc.end_lineno + 1)}
     starts = {tok.start[0] for tok in tokenize.generate_tokens(
         io.StringIO(text).readline) if tok.type not in _LAYOUT}
     return len(starts - docstrings)

@@ -179,6 +179,16 @@ def test_wrong_stated_order_raises(wrong):
         PermGroup(4, zoo.sym(4).generators, order=wrong).chain()
 
 
+def test_trivial_group_states_its_order():
+    # the bottom term of every chief series and a trivial Hall subgroup of
+    # a quotient are trivial groups: their order needs no chain, also when
+    # every generator given is the identity
+    for gens in ([], [Perm.identity(5)]):
+        built, order = chains_built(lambda: PermGroup(5, gens).order(),
+                                    stated=True)
+        assert order == 1 and built == []
+
+
 def test_extend_after_early_stop_voids_the_order():
     S4 = zoo.sym(4)
     chain = _Chain(5, [g.images + (4,) for g in S4.generators], order=24)

@@ -145,7 +145,9 @@ def cli_runs() -> list:
             _cold()
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli.main(run + ["--json", str(path)])
+                # zoo writes no report and takes no --json
+                code = cli.main(run + ([] if argv[0] == "zoo"
+                                       else ["--json", str(path)]))
             report = None
             if path.exists():
                 report = json.loads(path.read_text().replace(tmp, "<tmp>"))
