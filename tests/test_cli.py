@@ -331,6 +331,20 @@ def test_example_budget_error_is_reported(capsys, tmp_path):
     assert data["results"] == {"verdict": "budget_exceeded:search-nodes"}
 
 
+def test_example_failure_writes_no_report(capsys, tmp_path, monkeypatch):
+    # a failed claim is no answer: its line, exit 5 and no report
+    from pihall import example_gl52
+
+    def fail(**_):
+        raise example_gl52.ExampleFailure("hall-order", "|H| = 1")
+
+    monkeypatch.setattr(example_gl52, "run_example", fail)
+    out_path = tmp_path / "e.json"
+    code, out, _ = run(["example-gl52", "--json", str(out_path)], capsys)
+    assert code == 5 and not out_path.exists()
+    assert out == "example-gl52: FAILED claim hall-order: hall-order: |H| = 1\n"
+
+
 def test_corpus_parallel_jobs(capsys, tmp_path):
     from pihall import zoo as z
     entries = [e for e in z.corpus_manifest()
